@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI pipeline.
 
-.PHONY: all vet staticcheck build test race cover bench bench-all bench-smoke bench-check faults clientcache shardscale attrib live qos livefs suite ci
+.PHONY: all vet staticcheck build test race cover bench bench-all bench-smoke bench-check faults clientcache attrib live qos livefs suite ci
 
 all: ci
 
@@ -31,19 +31,15 @@ cover:
 	go test -coverprofile=coverage.out ./...
 	go tool cover -func=coverage.out | tail -n 1
 
-# bench runs the engine micro- and macro-benchmarks — including the
-# env-gated shard-scaling macro (BenchmarkShardScaling/w{1,2,4,8}) —
-# and records them as test2json lines in BENCH_sim.json (the committed
-# perf baseline), then echoes the human-readable Benchmark lines.
+# bench runs the engine micro- and macro-benchmarks and records them as
+# test2json lines in BENCH_sim.json (the committed perf baseline), then
+# echoes the human-readable Benchmark lines.
 bench:
-	BPS_SHARD_BENCH=1 go test -run '^$$' -bench . -benchmem -json -timeout 30m ./internal/sim/... ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
+	go test -run '^$$' -bench . -benchmem -json -timeout 30m ./internal/sim/... ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
 	@grep -o '"Output":"[^"]*"' BENCH_sim.json | sed -e 's/^"Output":"//' -e 's/"$$//' \
 		| tr -d '\n' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' | grep -E '^Benchmark.*ns/op'
 
-# bench-all sweeps every package's benchmarks without recording. The
-# long shard-scaling macro stays skipped here (it takes seconds per
-# pass); run it explicitly with
-#   BPS_SHARD_BENCH=1 go test -run '^$$' -bench ShardScaling -benchtime=1x ./internal/sim
+# bench-all sweeps every package's benchmarks without recording.
 bench-all:
 	go test -run '^$$' -bench . -benchmem ./...
 
@@ -126,14 +122,6 @@ faults:
 # BW as the hit rate rises (the test suite asserts it; this prints it).
 clientcache:
 	go run ./cmd/bpsbench -fig clientcache -scale 0.002 -q
-
-# shardscale runs the sharded-engine headline figure at smoke scale:
-# 25k/50k/100k client processes over a 1000-server cluster, one engine
-# domain per client and per server, executed under conservative
-# lookahead windows (-shards workers; GOMAXPROCS by default). The
-# figure's numbers are bit-identical for every worker count.
-shardscale:
-	go run ./cmd/bpsbench -fig shardscale -scale 0.001 -q
 
 # attrib runs the critical-path profiler on the pinned-seed fig9
 # workload and diffs the blame table (plus figure) against the golden —

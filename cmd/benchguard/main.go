@@ -15,10 +15,7 @@
 // default guards the event-dispatch hot paths, the QoS admission
 // middleware, the bpsd job-submit handler, and the statistics and
 // roofline hot paths (bootstrap resampling, ceiling evaluation), since
-// macro benchmarks are too noisy for a shared runner. (The
-// shard-scaling macro benchmark is env-gated and absent from a fresh
-// run — its numbers live in the baseline for the record, not under the
-// guard.)
+// macro benchmarks are too noisy for a shared runner.
 //
 // -tolerances names a JSON override file so an individual benchmark can
 // carry a documented per-benchmark allowance instead of loosening the

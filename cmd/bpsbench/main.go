@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bpsbench [-fig all|table1|table2|fig4|...|fig12|faults|clientcache|shardscale|qos|livemem|suite] [-scale 0.015625] [-seed 42] [-parallel N] [-shards N]
+//	bpsbench [-fig all|table1|table2|fig4|...|fig12|faults|clientcache|qos|livemem|suite] [-scale 0.015625] [-seed 42] [-parallel N]
 //	bpsbench -faults [-fault-rates 0,0.004,0.016]
 //	bpsbench -fig clientcache
 //	bpsbench -fig livemem
@@ -49,11 +49,10 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "what to reproduce: all, table1, table2, fig4..fig12, ext1..ext3, faults, clientcache, shardscale, qos, livemem, or suite")
+	fig := flag.String("fig", "all", "what to reproduce: all, table1, table2, fig4..fig12, ext1..ext3, faults, clientcache, qos, livemem, or suite")
 	scale := flag.Float64("scale", 1.0/64, "fraction of the paper's data sizes (1.0 = full scale)")
 	seed := flag.Int64("seed", 42, "base RNG seed")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for sweep runs (results are identical for any value)")
-	shards := flag.Int("shards", 0, "engine shard workers per run: 0 = classic single-calendar engine, N = sharded engine with N workers, -1 = GOMAXPROCS; the shardscale figure is always sharded and defaults to GOMAXPROCS")
 	quiet := flag.Bool("q", false, "suppress timing chatter")
 	asCSV := flag.Bool("csv", false, "emit per-run rows (and cc rows) as CSV instead of tables")
 	seeds := flag.Int("seeds", 0, "robustness mode: rerun the figure under N seeds and report CC ranges; for -fig suite, the number of seeds per phase (default 5)")
@@ -130,10 +129,7 @@ func main() {
 		*parallel = 1
 	}
 
-	if *shards < 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	params := experiments.Params{Scale: *scale, Seed: *seed, Parallel: *parallel, FaultRates: rates, Shards: *shards}
+	params := experiments.Params{Scale: *scale, Seed: *seed, Parallel: *parallel, FaultRates: rates}
 
 	if *fig == experiments.SuiteFigureID {
 		nseeds := *seeds

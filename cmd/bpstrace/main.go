@@ -71,7 +71,6 @@ func main() {
 	latency := flag.Bool("latency", false, "also print the response-time distribution and histogram")
 	replay := flag.String("replay", "", "also replay the trace on simulated stacks (comma-separated what-if list): hdd, ssd, hddxN, or ssdxN (N servers)")
 	faultRate := flag.Float64("fault-rate", 0, "inject faults at this rate into every -replay stack (client recovery is enabled automatically)")
-	shards := flag.Int("shards", 0, "engine shard workers for -replay cluster stacks: 0 = classic single-calendar engine, N = sharded engine with N workers, -1 = GOMAXPROCS")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for multi-stack replays (results are identical for any value)")
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON here (per-layer spans when combined with -replay)")
 	metricsOut := flag.String("metrics-out", "", "write the replay's per-layer metrics as CSV here (requires a single -replay stack)")
@@ -99,7 +98,6 @@ func main() {
 		latency:       *latency,
 		replay:        *replay,
 		faultRate:     *faultRate,
-		shards:        *shards,
 		parallel:      *parallel,
 		traceOut:      *traceOut,
 		metricsOut:    *metricsOut,
@@ -125,7 +123,6 @@ type options struct {
 	latency       bool
 	replay        string
 	faultRate     float64
-	shards        int
 	parallel      int
 	traceOut      string
 	metricsOut    string
@@ -237,7 +234,7 @@ func printReplay(w io.Writer, records []bps.Record, opts options) error {
 			return err
 		}
 		storage.FaultRate = opts.faultRate
-		cfgs[i] = bps.RunConfig{Storage: storage, Seed: 1, Shards: opts.shards}
+		cfgs[i] = bps.RunConfig{Storage: storage, Seed: 1}
 	}
 	if observing {
 		cfgs[0].Observe = &bps.ObserveOptions{

@@ -75,7 +75,6 @@ type Device interface {
 	BusyTime() sim.Time
 }
 
-// ErrInjectedFault is returned by fault-injecting wrappers (the
-// deprecated FaultInjector shim and the internal/faults package) for
-// requests selected to fail.
+// ErrInjectedFault is returned by the fault-injecting wrappers of the
+// internal/faults package for requests selected to fail.
 var ErrInjectedFault = errors.New("device: injected fault")

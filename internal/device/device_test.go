@@ -252,32 +252,6 @@ func TestRAMDisk(t *testing.T) {
 	}
 }
 
-func TestFaultInjector(t *testing.T) {
-	runOne(t, func(e *sim.Engine, p *sim.Proc) {
-		d := NewFaultInjector(NewRAMDisk(e, "ram", 1<<30, 0, 1e9), 3)
-		var errs int
-		for i := 0; i < 9; i++ {
-			if err := d.Access(p, Request{Offset: int64(i) * 4096, Size: 4096}); err != nil {
-				if err != ErrInjectedFault {
-					t.Fatalf("unexpected error %v", err)
-				}
-				errs++
-			}
-		}
-		if errs != 3 {
-			t.Fatalf("injected %d faults, want 3", errs)
-		}
-		s := d.Stats()
-		if s.Errors != 3 {
-			t.Fatalf("Stats.Errors = %d, want 3", s.Errors)
-		}
-		// Failed requests still consumed device time and bytes.
-		if s.Reads != 9 || s.BytesRead != 9*4096 {
-			t.Fatalf("stats = %+v, faulted ops should still be serviced", s)
-		}
-	})
-}
-
 // Property: HDD service time decomposition — for any two request sizes at
 // the same location with the head parked there, the larger request never
 // finishes first (transfer is monotone in size).

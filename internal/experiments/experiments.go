@@ -38,16 +38,6 @@ type Params struct {
 	// FaultRates overrides the FaultSweep x-axis (the "faults" figure);
 	// nil means DefaultFaultRates. The paper figures ignore it.
 	FaultRates []float64
-
-	// Shards selects the engine execution mode for every run: 0 (the
-	// default) is the classic single-calendar engine, which keeps the
-	// paper figures byte-identical to their goldens; N ≥ 1 runs each
-	// sweep point on a sharded engine with N workers. Sharded results
-	// are bit-identical for every positive N — only classic vs. sharded
-	// differ (asynchronous RPC semantics; see DESIGN.md §14). The
-	// shardscale figure is always sharded: it uses Shards when set and
-	// GOMAXPROCS otherwise.
-	Shards int
 }
 
 // Default returns the parameters used by the benchmark harness: 1/64 of
@@ -206,15 +196,13 @@ func (s *Suite) Figure(id string) (Figure, error) {
 		return s.figFaults()
 	case ClientCacheFigureID:
 		return s.figClientCache()
-	case ShardScaleFigureID:
-		return s.figShardScale()
 	case QoSFigureID:
 		return s.figQoS()
 	case LiveMemFigureID:
 		return s.figLiveMem()
 	default:
-		return Figure{}, fmt.Errorf("experiments: unknown figure %q (have %v, extensions %v, %q, %q, %q, %q, and %q)",
-			id, FigureIDs, ExtensionIDs, FaultFigureID, ClientCacheFigureID, ShardScaleFigureID, QoSFigureID, LiveMemFigureID)
+		return Figure{}, fmt.Errorf("experiments: unknown figure %q (have %v, extensions %v, %q, %q, %q, and %q)",
+			id, FigureIDs, ExtensionIDs, FaultFigureID, ClientCacheFigureID, QoSFigureID, LiveMemFigureID)
 	}
 }
 

@@ -52,11 +52,8 @@ func qosRunSpec(q qos.Config, tenants ...qos.TenantSpec) qos.RunSpec {
 // runQoSPoint executes one multi-tenant run on a fresh engine — the
 // qos-flavored sibling of runOne, returning the full qos.Result so the
 // sweep can read per-tenant outcomes.
-func runQoSPoint(seed int64, label string, shards int, observe *obs.Options, spec qos.RunSpec) (qos.Result, *Observation, error) {
+func runQoSPoint(seed int64, label string, observe *obs.Options, spec qos.RunSpec) (qos.Result, *Observation, error) {
 	e := sim.NewEngine(seed)
-	if shards > 0 {
-		e.EnableSharding(shards)
-	}
 	var ob *obs.Observer
 	if observe != nil {
 		ob = obs.Attach(e, *observe)
@@ -122,7 +119,7 @@ func (s *Suite) qosSweep() ([]Point, error) {
 
 		solo, soloObs, err := runQoSPoint(
 			DeriveSeed(s.params.Seed, QoSFigureID, "A-solo"), "A-solo",
-			s.params.Shards, s.observe,
+			s.observe,
 			qosRunSpec(qos.Config{}, qosTenantA(aBytes, 0)))
 		if err != nil {
 			return nil, err
@@ -150,7 +147,7 @@ func (s *Suite) qosSweep() ([]Point, error) {
 			sp := specs[i]
 			res, ob, err := runQoSPoint(
 				DeriveSeed(s.params.Seed, QoSFigureID, sp.label), sp.label,
-				s.params.Shards, s.observe, sp.spec)
+				s.observe, sp.spec)
 			if err != nil {
 				return err
 			}

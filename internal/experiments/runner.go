@@ -117,7 +117,7 @@ func (s *Suite) runSweep(sweepID string, specs []runSpec) ([]Point, error) {
 	observe := s.observe
 	err := ForEach(s.params.Parallel, len(specs), func(i int) error {
 		sp := specs[i]
-		pt, ob, err := runOne(DeriveSeed(s.params.Seed, sweepID, sp.label), sp.label, s.params.Shards, observe, sp.build)
+		pt, ob, err := runOne(DeriveSeed(s.params.Seed, sweepID, sp.label), sp.label, observe, sp.build)
 		if err != nil {
 			return err
 		}

@@ -45,16 +45,9 @@ func newPinnedFilesEnv(e *sim.Engine, spec clusterSpec, filePerProc int64) (*wor
 // and converts the result into a sweep point. It touches no suite state,
 // so the run scheduler can call it from any worker goroutine; when
 // observe is non-nil the run gets its own observer, returned alongside
-// the point. shards > 0 runs the simulation on a sharded engine with
-// that many workers (results are bit-identical for every positive
-// value); 0 keeps the classic single-calendar engine.
-func runOne(seed int64, label string, shards int, observe *obs.Options, build buildFunc) (Point, *Observation, error) {
+// the point.
+func runOne(seed int64, label string, observe *obs.Options, build buildFunc) (Point, *Observation, error) {
 	e := sim.NewEngine(seed)
-	if shards > 0 {
-		// Before obs.Attach: the observer checks e.Sharded() to decide
-		// which of its features can run against concurrent domains.
-		e.EnableSharding(shards)
-	}
 	var ob *obs.Observer
 	if observe != nil {
 		ob = obs.Attach(e, *observe)

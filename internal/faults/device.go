@@ -100,9 +100,10 @@ func (f *Injector) Access(p *sim.Proc, req device.Request) error {
 }
 
 // EveryNth wraps a device and fails every nth request, 1-based and
-// counted after the inner access succeeds — the exact semantics of the
-// deprecated device.FaultInjector, kept for stacks that want a
-// clock-like fault pattern instead of a seeded plan.
+// counted after the inner access succeeds, for stacks that want a
+// clock-like fault pattern instead of a seeded plan. A failed request
+// still consumes the inner device's full service time, modelling a
+// failed access that the BPS paper still counts in B.
 type EveryNth struct {
 	inner device.Device
 	every uint64

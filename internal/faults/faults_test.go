@@ -2,9 +2,12 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"bps/internal/device"
+	"bps/internal/netsim"
+	"bps/internal/pfs"
 	"bps/internal/sim"
 )
 
@@ -163,28 +166,62 @@ func errorPattern(t *testing.T, e *sim.Engine, dev device.Device, n int) []bool 
 	return out
 }
 
-// TestEveryNthMatchesDeprecatedShim locks the replacement to the shim it
-// deprecates: identical error pattern and identical Stats accounting.
-func TestEveryNthMatchesDeprecatedShim(t *testing.T) {
-	const n = 32
-	e1 := sim.NewEngine(1)
-	old := device.NewFaultInjector(device.NewRAMDisk(e1, "ram", 1<<30, sim.Microsecond, 1e9), 3)
-	oldPat := errorPattern(t, e1, old, n)
-
-	e2 := sim.NewEngine(1)
-	neu := NewEveryNth(device.NewRAMDisk(e2, "ram", 1<<30, sim.Microsecond, 1e9), 3)
-	newPat := errorPattern(t, e2, neu, n)
-
-	for i := range oldPat {
-		if oldPat[i] != newPat[i] {
-			t.Fatalf("access %d: shim failed=%v, EveryNth failed=%v", i, oldPat[i], newPat[i])
+// TestEveryNth pins the clock-like injector: every third access fails
+// with ErrInjectedFault, yet failed accesses are still serviced in full
+// and counted in the inner device's stats.
+func TestEveryNth(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := NewEveryNth(device.NewRAMDisk(e, "ram", 1<<30, 0, 1e9), 3)
+	pat := errorPattern(t, e, d, 9)
+	for i, failed := range pat {
+		if want := (i+1)%3 == 0; failed != want {
+			t.Fatalf("access %d: failed=%v, want %v", i, failed, want)
 		}
 	}
-	if old.Stats().Errors != neu.Stats().Errors || neu.Stats().Errors != n/3 {
-		t.Fatalf("errors: shim=%d EveryNth=%d, want %d", old.Stats().Errors, neu.Stats().Errors, n/3)
+	s := d.Stats()
+	if s.Errors != 3 {
+		t.Fatalf("Stats.Errors = %d, want 3", s.Errors)
 	}
-	if old.Name() != neu.Name() {
-		t.Errorf("names differ: %q vs %q", old.Name(), neu.Name())
+	if s.Reads != 9 || s.BytesRead != 9*4096 {
+		t.Fatalf("stats = %+v, faulted ops should still be serviced", s)
+	}
+	if !strings.HasSuffix(d.Name(), "+faults") {
+		t.Errorf("Name() = %q, want a +faults suffix", d.Name())
+	}
+}
+
+// TestDirectPathJoinsAllServerErrors: the non-recovery pfs path
+// aggregates every failing server instead of reporting only the first.
+func TestDirectPathJoinsAllServerErrors(t *testing.T) {
+	e := sim.NewEngine(1)
+	fabric := netsim.NewFabric(e, netsim.DefaultGigabit())
+	devs := make([]device.Device, 2)
+	for i := range devs {
+		// Every access fails after full service time.
+		devs[i] = NewEveryNth(device.NewRAMDisk(e, "ram", 16<<30, 10*sim.Microsecond, 500e6), 1)
+	}
+	c := pfs.NewCluster(e, fabric, pfs.Config{}, devs)
+	cl := c.NewClient("client0")
+	var readErr error
+	e.Spawn("app", func(p *sim.Proc) {
+		f, err := c.Create("data", 1<<20, c.DefaultLayout())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		readErr = cl.Read(p, f, 0, 128<<10)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if readErr == nil {
+		t.Fatal("read on all-failing devices succeeded")
+	}
+	if !errors.Is(readErr, device.ErrInjectedFault) {
+		t.Fatalf("err = %v, want ErrInjectedFault in the chain", readErr)
+	}
+	if !strings.Contains(readErr.Error(), "ios0") || !strings.Contains(readErr.Error(), "ios1") {
+		t.Fatalf("err = %v, want both failing servers named", readErr)
 	}
 }
 

@@ -3,7 +3,6 @@ package faults
 import (
 	"math/rand"
 
-	"bps/internal/netsim"
 	"bps/internal/sim"
 )
 
@@ -17,9 +16,8 @@ import (
 // (Config.Seed, "net", "link"); draws happen only inside Transfer,
 // which the engine serializes, so the stream is deterministic.
 type Link struct {
-	cfg  NetworkConfig
-	seed int64
-	rng  *rand.Rand
+	cfg NetworkConfig
+	rng *rand.Rand
 }
 
 // NewLink builds the plan's link-fault model, or nil when the network
@@ -33,22 +31,8 @@ func NewLink(c Config) *Link {
 	cfg.DropRate = clamp01(cfg.DropRate)
 	cfg.DelayRate = clamp01(cfg.DelayRate)
 	return &Link{
-		cfg:  cfg,
-		seed: c.Seed,
-		rng:  rand.New(rand.NewSource(deriveSeed(c.Seed, "net", "link"))),
-	}
-}
-
-// ForSource implements netsim.LinkFaultsBySource: an independent stream
-// per sending NIC, derived from (Seed, "net", "link:<name>"). A sharded
-// fabric consults these so a transfer's perturbation depends only on the
-// sender's own transfer order, never on the global interleaving across
-// domains — which also makes the draws identical for every shard count.
-func (l *Link) ForSource(name string) netsim.LinkFaults {
-	return &Link{
-		cfg:  l.cfg,
-		seed: l.seed,
-		rng:  rand.New(rand.NewSource(deriveSeed(l.seed, "net", "link:"+name))),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(deriveSeed(c.Seed, "net", "link"))),
 	}
 }
 

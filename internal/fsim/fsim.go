@@ -84,7 +84,7 @@ type FileSystem struct {
 	files    map[string]*File
 	nextFree int64
 	cache    *ioreq.LRU[int64]
-	rng      *rand.Rand // latched at New from the construction-cursor domain
+	rng      *rand.Rand // the engine RNG, latched at New
 
 	moved int64 // bytes actually transferred to/from the device
 

@@ -88,10 +88,9 @@ type Request struct {
 }
 
 // IDSource allocates unique request identifiers. Both *sim.Engine and
-// *sim.Proc satisfy it; issuing layers should pass the proc so IDs come
-// from the proc's own domain namespace — in classic runs that is the
-// engine counter (byte-identical), in sharded runs it keeps allocation
-// race-free and independent of cross-domain interleaving.
+// *sim.Proc satisfy it; issuing layers should pass the proc, so that a
+// simulated proc draws from its engine's counter and a detached live
+// proc from its executor's atomic counter.
 type IDSource interface {
 	NextRequestID() uint64
 }

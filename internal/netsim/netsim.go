@@ -66,17 +66,6 @@ type LinkFaults interface {
 	Perturb(size int64) (retransmits int, delay sim.Time)
 }
 
-// LinkFaultsBySource extends LinkFaults for sharded engines: one global
-// Perturb stream would make a transfer's perturbation depend on the
-// global interleaving of transfers, which concurrent domains neither
-// have nor want. ForSource returns an independent deterministic stream
-// for the named sending NIC; the fabric caches one per NIC. A sharded
-// run with faults requires this interface.
-type LinkFaultsBySource interface {
-	LinkFaults
-	ForSource(name string) LinkFaults
-}
-
 // Fabric is a switched network connecting NICs.
 type Fabric struct {
 	eng       *sim.Engine
@@ -93,19 +82,9 @@ type Fabric struct {
 	faultDelay  *obs.Counter // accumulated injected delay, ns
 }
 
-// NewFabric constructs a fabric on the engine. On a sharded engine the
-// fabric registers its link latency as the engine's conservative
-// lookahead: the switch delay is the minimum time any cross-domain
-// interaction takes, which is exactly what bounds a safe parallel
-// window.
+// NewFabric constructs a fabric on the engine.
 func NewFabric(e *sim.Engine, cfg Config) *Fabric {
 	f := &Fabric{eng: e, cfg: cfg.withDefaults()}
-	if e.Sharded() {
-		if f.cfg.Latency <= 0 {
-			panic("netsim: sharded engines need a positive link latency (it is the synchronization lookahead)")
-		}
-		e.SetLookahead(f.cfg.Latency)
-	}
 	if f.cfg.BackplaneRate > 0 {
 		f.backplane = e.NewResource("switch.backplane", 1)
 	}
@@ -132,34 +111,21 @@ func (f *Fabric) Config() Config { return f.cfg }
 func (f *Fabric) SetFaults(lf LinkFaults) { f.faults = lf }
 
 // NIC is one node's network interface: independent transmit and receive
-// resources, each serializing at line rate. A NIC belongs to the domain
-// that was current at NewNIC; on a sharded engine its receive side is an
-// event-driven serializer (see deliver) instead of a blocking resource,
-// so inbound frames need no extra goroutine per NIC.
+// resources, each serializing at line rate.
 type NIC struct {
 	fabric *Fabric
 	name   string
-	dom    int
 	tx     *sim.Resource
 	rx     *sim.Resource
 
 	sent, received int64 // bytes
-
-	// Sharded receive-side state: rxFree is when the receive side next
-	// goes idle, rxBusy the accumulated busy time; lf is the cached
-	// per-source fault stream used when this NIC transmits.
-	rxFree sim.Time
-	rxBusy sim.Time
-	lf     LinkFaults
 }
 
-// NewNIC attaches a new NIC to the fabric, bound to the engine's current
-// construction domain.
+// NewNIC attaches a new NIC to the fabric.
 func (f *Fabric) NewNIC(name string) *NIC {
 	n := &NIC{
 		fabric: f,
 		name:   name,
-		dom:    f.eng.CurrentDomain(),
 		tx:     f.eng.NewResource(name+".tx", 1),
 		rx:     f.eng.NewResource(name+".rx", 1),
 	}
@@ -185,10 +151,7 @@ func (n *NIC) Received() int64 { return n.received }
 func (n *NIC) TxBusy() sim.Time { return n.tx.BusyTime() }
 
 // RxBusy returns accumulated receive-side busy time.
-func (n *NIC) RxBusy() sim.Time { return n.rx.BusyTime() + n.rxBusy }
-
-// Domain returns the id of the domain the NIC belongs to.
-func (n *NIC) Domain() int { return n.dom }
+func (n *NIC) RxBusy() sim.Time { return n.rx.BusyTime() }
 
 // serialization returns the time to clock size bytes through one NIC side,
 // including per-frame overhead.
@@ -260,105 +223,4 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst *NIC, size int64) {
 	f.bytes.Add(size)
 	f.transferNS.Observe(int64(f.eng.Now() - start))
 	sp.End()
-}
-
-// Send moves size bytes from src to dst and runs delivered when the last
-// byte has been clocked through dst's receive side. It is the
-// shard-aware transfer primitive:
-//
-//   - Classic engine: exactly Transfer followed by delivered in the
-//     calling process — byte-identical to the historical inline pattern
-//     (Transfer; act-on-receiver).
-//   - Sharded engine: the caller pays the transmit serialization and the
-//     (contention-free) backplane delay in its own domain, then the
-//     frame is posted to dst's domain, where the receive side serializes
-//     it event-driven in FIFO arrival order. delivered runs in dst's
-//     domain and must not block (enqueue work or complete a future;
-//     spawn via the Ctx-free helpers if a blocking continuation is
-//     needed). The caller returns after transmit, not delivery — in
-//     sharded mode RPC-style blocking is built from Send plus a reply
-//     Send completing a Future.
-func (f *Fabric) Send(p *sim.Proc, src, dst *NIC, size int64, delivered func()) {
-	if size <= 0 {
-		if delivered != nil {
-			delivered()
-		}
-		return
-	}
-	if !f.eng.Sharded() || src == dst {
-		// Loopback never crosses a domain boundary, so the classic path
-		// is exact in both modes.
-		f.Transfer(p, src, dst, size)
-		if delivered != nil {
-			delivered()
-		}
-		return
-	}
-
-	start := p.Now()
-	ser := f.serialization(size)
-	txSer, extraDelay := ser, sim.Time(0)
-	if lf := f.faultsFor(src); lf != nil {
-		rt, d := lf.Perturb(size)
-		if rt > 0 {
-			txSer += sim.Time(rt) * ser
-			f.retransmits.Add(int64(rt))
-		}
-		if d > 0 {
-			extraDelay = d
-			f.faultDelay.Add(int64(d))
-		}
-	}
-
-	src.tx.Acquire(p)
-	p.Sleep(txSer)
-	src.tx.Release()
-	src.sent += size
-
-	// A finite backplane is modeled as pure added delay here: the classic
-	// engine's single shared backplane resource is a zero-lookahead
-	// global coupling no conservative schedule can run in parallel.
-	if f.cfg.BackplaneRate > 0 {
-		p.Sleep(sim.TransferTime(size, f.cfg.BackplaneRate))
-	}
-
-	at := p.Now() + f.cfg.Latency + extraDelay
-	p.Post(dst.dom, at, func(dc sim.Ctx) {
-		begin := dc.Now()
-		if dst.rxFree > begin {
-			begin = dst.rxFree
-		}
-		done := begin + ser
-		dst.rxFree = done
-		dst.rxBusy += ser
-		dc.At(done, func(dc sim.Ctx) {
-			dst.received += size
-			f.transfers.Add(1)
-			f.bytes.Add(size)
-			f.transferNS.Observe(int64(dc.Now() - start))
-			if delivered != nil {
-				delivered()
-			}
-		})
-	})
-}
-
-// faultsFor returns the link-fault stream a transfer from src should
-// consult: the shared model classically, a cached per-source stream on a
-// sharded engine.
-func (f *Fabric) faultsFor(src *NIC) LinkFaults {
-	if f.faults == nil {
-		return nil
-	}
-	if !f.eng.Sharded() {
-		return f.faults
-	}
-	if src.lf == nil {
-		bs, ok := f.faults.(LinkFaultsBySource)
-		if !ok {
-			panic("netsim: sharded engines need per-source link faults (LinkFaultsBySource)")
-		}
-		src.lf = bs.ForSource(src.name)
-	}
-	return src.lf
 }

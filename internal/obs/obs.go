@@ -100,21 +100,7 @@ type resMetrics struct {
 // (per opts) starts the sampler daemon. Call it right after NewEngine,
 // before building the simulated stack, so component constructors find it
 // via Get.
-//
-// On a sharded engine the serialized features — Chrome trace spans, the
-// attribution profiler, the sampler, and the Tick hook — are disabled:
-// domains dispatch concurrently, and those consumers depend on the
-// classic engine's total event order. The registry stays live (its
-// metrics are atomic), so counters, histograms, and post-run probes
-// work identically in both modes.
 func Attach(e *sim.Engine, opts Options) *Observer {
-	if e.Sharded() {
-		opts.ChromeTrace = false
-		opts.SampleEvery = 0
-		opts.Attribution = false
-		opts.WindowEvery = 0
-		opts.Tick = nil
-	}
 	o := &Observer{
 		eng:       e,
 		clock:     e,

@@ -20,11 +20,11 @@ import (
 // handles and call them unconditionally.
 //
 // Metric handles are registered at construction time (single-threaded)
-// and thereafter only mutated through atomic operations, so instrumented
-// layers may update them from any domain of a sharded engine; reads are
-// likewise safe mid-run or after Run has returned. Registration itself
+// and thereafter only mutated through atomic operations, so the live
+// driver's concurrent workers may update them; reads are likewise safe
+// mid-run or after Run has returned. Registration itself
 // (Counter/Gauge/Histogram/Probe) keeps the single-threaded discipline:
-// call it at construction or from classic simulation context only.
+// call it at construction or from simulation context only.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -158,7 +158,7 @@ func sortedKeys(order []string) []string {
 }
 
 // Counter is a monotonically increasing integer metric. Updates are
-// atomic, so counters may be bumped from any domain of a sharded run.
+// atomic, so the live driver's concurrent workers may bump counters.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -245,8 +245,8 @@ const HistBuckets = 64
 // v ∈ [2^(i−1), 2^i − 1]. Fixed boundaries keep observation O(1) with no
 // allocation and make histograms from different runs directly
 // comparable.
-// Updates are atomic so any domain of a sharded run may observe
-// samples; a mid-run reader may see count/sum/buckets mid-update
+// Updates are atomic so the live driver's concurrent workers may
+// observe samples; a mid-run reader may see count/sum/buckets mid-update
 // relative to each other, which the post-run reporting paths never do.
 type Histogram struct {
 	name    string

@@ -26,29 +26,19 @@ func (cl *Client) NIC() *netsim.NIC { return cl.nic }
 
 // Open looks a file up through the metadata server, paying the RPC
 // round trip and queueing behind other metadata operations — the
-// runtime equivalent of Cluster.Open. On a classic engine the client
-// walks the MDS state inline; on a sharded engine the lookup travels as
-// a real RPC into the MDS domain's request queue and the reply
-// completes a future back in the client's domain.
+// runtime equivalent of Cluster.Open.
 func (cl *Client) Open(p *sim.Proc, name string) (*File, error) {
 	c := cl.cluster
-	if !c.eng.Sharded() {
-		c.fabric.Transfer(p, cl.nic, c.mds.nic, c.cfg.RequestMsgBytes)
-		c.mds.svc.Acquire(p)
-		p.Sleep(c.cfg.MetadataService)
-		c.mds.ops++
-		c.mdsOps.Add(1)
-		c.mds.svc.Release()
-		f, err := c.Open(name)
-		// The reply travels back whether the lookup succeeded or not.
-		c.fabric.Transfer(p, c.mds.nic, cl.nic, c.cfg.RequestMsgBytes)
-		return f, err
-	}
-	op := &mdsOp{cl: cl, name: name, done: p.NewFuture()}
-	mq := c.mds.queue
-	c.fabric.Send(p, cl.nic, c.mds.nic, c.cfg.RequestMsgBytes, func() { mq.Put(op) })
-	op.done.Wait(p)
-	return op.f, op.err
+	c.fabric.Transfer(p, cl.nic, c.mds.nic, c.cfg.RequestMsgBytes)
+	c.mds.svc.Acquire(p)
+	p.Sleep(c.cfg.MetadataService)
+	c.mds.ops++
+	c.mdsOps.Add(1)
+	c.mds.svc.Release()
+	f, err := c.Open(name)
+	// The reply travels back whether the lookup succeeded or not.
+	c.fabric.Transfer(p, c.mds.nic, cl.nic, c.cfg.RequestMsgBytes)
+	return f, err
 }
 
 // ErrRPCTimeout reports that a server failed to reply within the
@@ -170,8 +160,8 @@ func (cl *Client) accessDirect(p *sim.Proc, f *File, jobs []*job) error {
 		if j.write {
 			msg += j.bytes
 		}
-		j, q := j, srv.queue
-		fabric.Send(p, cl.nic, srv.nic, msg, func() { q.Put(j) })
+		fabric.Transfer(p, cl.nic, srv.nic, msg)
+		srv.queue.Put(j)
 	}
 	var errs []error
 	for _, j := range jobs {
@@ -235,9 +225,9 @@ func (cl *Client) runRecovered(p *sim.Proc, f *File, base *job) error {
 			}
 			if base.req != nil {
 				// Each retry carries its own request copy: the abandoned
-				// attempt's job may still be queued on a server (possibly in
-				// another domain), and stamping Attempt/Deadline on a shared
-				// struct would race with its late servicing.
+				// attempt's job may still be queued on a server and serviced
+				// late, and stamping Attempt/Deadline on a shared struct
+				// would rewrite the request that late servicing reports.
 				r := *base.req
 				j.req = &r
 			}
@@ -255,8 +245,8 @@ func (cl *Client) runRecovered(p *sim.Proc, f *File, base *job) error {
 		if j.write {
 			msg += j.bytes
 		}
-		jj, q := j, srv.queue
-		c.fabric.Send(p, cl.nic, srv.nic, msg, func() { q.Put(jj) })
+		c.fabric.Transfer(p, cl.nic, srv.nic, msg)
+		srv.queue.Put(j)
 
 		replied := j.done.WaitTimeout(p, rc.Timeout)
 		switch {
@@ -344,13 +334,13 @@ func (s *Server) worker(p *sim.Proc) {
 			}
 		}
 		// Reads reply with the data; writes and failures ack only. The
-		// reply's delivery completes the job future in the client's domain.
+		// reply's delivery completes the job future.
 		reply := j.file.cluster.cfg.RequestMsgBytes
 		if !j.write && j.err == nil {
 			reply += j.bytes
 		}
-		done := j.done
-		j.file.cluster.fabric.Send(p, s.nic, j.client.nic, reply, func() { done.Complete() })
+		j.file.cluster.fabric.Transfer(p, s.nic, j.client.nic, reply)
+		j.done.Complete()
 		sp.End()
 		p.SetCtx(nil)
 	}

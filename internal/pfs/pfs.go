@@ -51,15 +51,6 @@ type Config struct {
 	// — NewCluster panics on the inconsistent combination rather than
 	// letting clients deadlock.
 	Faults func(id int) ServerFaults
-
-	// DomainOf, when non-nil, names the engine domain server i's
-	// machinery (NIC, file system, queue, worker processes) is built
-	// in. Sharded runs set it so each server owns a calendar; the
-	// caller must have constructed devices[i] with the same domain as
-	// construction cursor, since a device's resources and RNG bind to
-	// the cursor domain. Harmless on classic engines, where every
-	// domain id resolves to the single calendar.
-	DomainOf func(i int) int
 }
 
 // ServerFaults is one server's fault model, queried by its workers.
@@ -159,26 +150,12 @@ type Cluster struct {
 	failed    *obs.Counter // RPCs that exhausted their retry budget
 }
 
-// metadataServer services lookup/open RPCs, one at a time. On a classic
-// engine clients serialize directly on svc; on a sharded engine the
-// server owns its own domain, lookup requests arrive through queue as
-// fabric deliveries, and a single daemon drains them in FIFO order
-// (equivalent discipline to the capacity-1 svc resource).
+// metadataServer services lookup/open RPCs, one at a time: clients
+// serialize on svc.
 type metadataServer struct {
-	nic   *netsim.NIC
-	svc   *sim.Resource
-	queue *sim.Queue // sharded engines only
-	ops   uint64
-}
-
-// mdsOp is one in-flight metadata lookup on a sharded engine. done is a
-// future in the client's domain; the reply transfer completes it.
-type mdsOp struct {
-	cl   *Client
-	name string
-	done *sim.Future
-	f    *File
-	err  error
+	nic *netsim.NIC
+	svc *sim.Resource
+	ops uint64
 }
 
 // Server is one I/O server: NIC + local file system + request queue
@@ -218,16 +195,10 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 		cfg:    cfg,
 		files:  make(map[string]*File),
 	}
-	mdsPrev := e.SetDomain(e.NewDomain("mds"))
 	c.mds = &metadataServer{
 		nic: fabric.NewNIC("mds"),
 		svc: e.NewResource("mds.svc", 1),
 	}
-	if e.Sharded() {
-		c.mds.queue = e.NewQueue()
-		e.SpawnDaemon("mds.worker", c.mdsWorker)
-	}
-	e.SetDomain(mdsPrev)
 	c.o = obs.Get(e)
 	reg := c.o.Registry()
 	c.fanout = reg.Histogram("pfs/client/fanout")
@@ -241,11 +212,6 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 		reg.Probe("pfs/mds/utilization", func() float64 { return svc.Utilization(e.Now()) })
 	}
 	for i, dev := range devices {
-		dom := 0
-		if cfg.DomainOf != nil {
-			dom = cfg.DomainOf(i)
-		}
-		prev := e.SetDomain(dom)
 		fscfg := cfg.ServerFS
 		fscfg.Name = fmt.Sprintf("ios%d.fs", i)
 		srv := &Server{
@@ -271,28 +237,8 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 		for w := 0; w < cfg.ServerWorkers; w++ {
 			e.SpawnDaemon(fmt.Sprintf("ios%d.worker%d", i, w), srv.worker)
 		}
-		e.SetDomain(prev)
 	}
 	return c
-}
-
-// mdsWorker drains the sharded metadata request queue: one op at a
-// time, paying the same service time (and keeping the same utilization
-// accounting on svc) as the classic inline path, then shipping the
-// reply back over the fabric. The files map is sealed at construction,
-// so lookups from this domain are race-free.
-func (c *Cluster) mdsWorker(p *sim.Proc) {
-	for {
-		op := c.mds.queue.Get(p).(*mdsOp)
-		c.mds.svc.Acquire(p)
-		p.Sleep(c.cfg.MetadataService)
-		c.mds.ops++
-		c.mdsOps.Add(1)
-		c.mds.svc.Release()
-		op.f, op.err = c.Open(op.name)
-		done := op.done
-		c.fabric.Send(p, c.mds.nic, op.cl.nic, c.cfg.RequestMsgBytes, func() { done.Complete() })
-	}
 }
 
 // Servers returns the cluster's servers.

@@ -247,41 +247,6 @@ func TestSlowWindowDelaysService(t *testing.T) {
 	}
 }
 
-// TestDirectPathJoinsAllServerErrors: the non-recovery path aggregates
-// every failing server instead of reporting only the first.
-func TestDirectPathJoinsAllServerErrors(t *testing.T) {
-	e := sim.NewEngine(1)
-	fabric := netsim.NewFabric(e, netsim.DefaultGigabit())
-	devs := make([]device.Device, 2)
-	for i := range devs {
-		// Every access fails after full service time.
-		devs[i] = device.NewFaultInjector(device.NewRAMDisk(e, "ram", 16<<30, 10*sim.Microsecond, 500e6), 1)
-	}
-	c := NewCluster(e, fabric, Config{}, devs)
-	cl := c.NewClient("client0")
-	var readErr error
-	e.Spawn("app", func(p *sim.Proc) {
-		f, err := c.Create("data", 1<<20, c.DefaultLayout())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		readErr = cl.Read(p, f, 0, 128<<10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if readErr == nil {
-		t.Fatal("read on all-failing devices succeeded")
-	}
-	if !errors.Is(readErr, device.ErrInjectedFault) {
-		t.Fatalf("err = %v, want ErrInjectedFault in the chain", readErr)
-	}
-	if !strings.Contains(readErr.Error(), "ios0") || !strings.Contains(readErr.Error(), "ios1") {
-		t.Fatalf("err = %v, want both failing servers named", readErr)
-	}
-}
-
 // TestFaultsRequireRecovery: injecting faults without the recovery path
 // would deadlock clients on dropped jobs; the constructor must refuse.
 func TestFaultsRequireRecovery(t *testing.T) {

@@ -9,10 +9,9 @@
 //
 // Everything here runs inside the simulation: the throttle delays are
 // sim.Proc sleeps, the control law is evaluated at access-completion
-// events, and all state is touched only by tenant procs placed in one
-// engine domain — so the subsystem is deterministic by construction
-// (same seed, same schedule, bit-identical results for any worker
-// count) and works on both the classic and the sharded engine.
+// events, and all state is touched only by tenant procs under the
+// engine's alternation discipline — so the subsystem is deterministic
+// by construction (same seed, same schedule, bit-identical results).
 package qos
 
 import (
@@ -107,8 +106,8 @@ type Tenant struct {
 }
 
 // tenantState is the controller's per-tenant mutable state. It is only
-// ever touched from tenant procs running in the controller's domain,
-// so the engine's alternation discipline makes access race-free.
+// ever touched from tenant procs on the controller's engine, so the
+// engine's alternation discipline makes access race-free.
 type tenantState struct {
 	t   Tenant
 	est *attrib.WindowEstimator // report series (exact Busy union)
@@ -445,12 +444,12 @@ type TenantReport struct {
 	// attrib estimator (exact per-window busy union).
 	Windows []attrib.Window `json:"windows,omitempty"`
 
-	Delayed      int64   `json:"delayed"`        // requests the throttle delayed
-	DelaySeconds float64 `json:"delay_seconds"`  // total simulated delay injected
-	Shed         int64   `json:"shed"`           // requests rejected in shed mode
-	Throttled    bool    `json:"throttled"`      // still rate-limited at run end
-	RateLimit    float64 `json:"rate_limit"`     // blocks/s limit at run end (0 = none)
-	Score        Score   `json:"score"`          // interference rating
+	Delayed      int64   `json:"delayed"`       // requests the throttle delayed
+	DelaySeconds float64 `json:"delay_seconds"` // total simulated delay injected
+	Shed         int64   `json:"shed"`          // requests rejected in shed mode
+	Throttled    bool    `json:"throttled"`     // still rate-limited at run end
+	RateLimit    float64 `json:"rate_limit"`    // blocks/s limit at run end (0 = none)
+	Score        Score   `json:"score"`         // interference rating
 }
 
 // Report is the controller's end-of-run summary.

@@ -101,28 +101,6 @@ func TestInterferenceAndThrottle(t *testing.T) {
 		soloBPS, bothBPS, 100*bothBPS/soloBPS, thrBPS, 100*thrBPS/soloBPS, rep.Activations, b.Delayed, b.Shed)
 }
 
-// TestShardedWorkerInvariance pins the sharded-engine contract for
-// multi-tenant runs: results are bit-identical for every worker count.
-// All tenant procs share one domain, so the controller's state is
-// domain-local and the conservative-window schedule cannot perturb it.
-func TestShardedWorkerInvariance(t *testing.T) {
-	run := func(workers int) Result {
-		e := sim.NewEngine(42)
-		e.EnableSharding(workers)
-		res, err := Run(e, runSpecWith(Config{Enabled: true}, specA(5e4), specB()))
-		if err != nil {
-			t.Fatalf("sharded Run (w=%d): %v", workers, err)
-		}
-		return res
-	}
-	w1 := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); !reflect.DeepEqual(w1, got) {
-			t.Fatalf("sharded results differ between 1 and %d workers", w)
-		}
-	}
-}
-
 // TestDeterminism pins the determinism contract: identical seeds give
 // DeepEqual results, including the full QoS report.
 func TestDeterminism(t *testing.T) {

@@ -84,11 +84,6 @@ type Result struct {
 // built on e, with the QoS controller's admission middleware at the top
 // of each tenant's pipeline. The engine must be fresh; Run drives it to
 // completion and shuts it down.
-//
-// On a sharded engine all tenant client processes share one engine
-// domain (like the shared client cache), so the controller's state is
-// domain-local and the alternation discipline keeps it race-free; the
-// I/O servers keep their own domains and still execute concurrently.
 func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 	if len(spec.Tenants) == 0 {
 		return Result{}, fmt.Errorf("qos: no tenants given")
@@ -105,13 +100,6 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 		return Result{}, err
 	}
 
-	// All tenant clients and processes live in one domain so the
-	// controller's shared state stays domain-local.
-	clientDom := 0
-	if e.Sharded() {
-		clientDom = e.NewDomain("qos-cn")
-	}
-
 	var cluster *pfs.Cluster
 	var localFS *fsim.FileSystem
 	if spec.Servers > 0 {
@@ -123,9 +111,6 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 			ServerCache: spec.ServerCache,
 		})
 	} else {
-		if e.Sharded() {
-			return Result{}, fmt.Errorf("qos: sharded runs need a cluster stack (Servers > 0)")
-		}
 		dev := faults.WrapDevice(e, testbed.NewDevice(e, spec.Media), spec.Faults, "local."+spec.Media.String())
 		localFS = fsim.New(e, dev, fsim.Config{Name: "local"})
 	}
@@ -138,8 +123,8 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 
 	var pendings []*workload.Pending
 	firstPID := int64(0)
-	for ti, t := range spec.Tenants {
-		env, err := tenantEnv(e, cluster, localFS, clientDom, ti, t, ctl.Middleware(t.Name))
+	for _, t := range spec.Tenants {
+		env, err := tenantEnv(cluster, localFS, t, ctl.Middleware(t.Name))
 		if err != nil {
 			return Result{}, fmt.Errorf("qos: tenant %q: %w", t.Name, err)
 		}
@@ -183,10 +168,9 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 	return res, nil
 }
 
-// tenantEnv builds tenant ti's private files and clients on the shared
-// infrastructure, with the tenant's admission middleware outermost. On
-// a sharded engine every client binds to the shared tenant domain dom.
-func tenantEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, dom, ti int, t TenantSpec, mw ioreq.Middleware) (workload.Env, error) {
+// tenantEnv builds tenant t's private files and clients on the shared
+// infrastructure, with the tenant's admission middleware outermost.
+func tenantEnv(cluster *pfs.Cluster, localFS *fsim.FileSystem, t TenantSpec, mw ioreq.Middleware) (workload.Env, error) {
 	if cluster != nil {
 		env := &workload.ClusterEnv{Cluster: cluster, Wrap: mw}
 		for i := 0; i < t.Processes; i++ {
@@ -195,10 +179,7 @@ func tenantEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, do
 				return nil, err
 			}
 			env.Files = append(env.Files, f)
-			prev := e.SetDomain(dom)
 			env.Clients = append(env.Clients, cluster.NewClient(fmt.Sprintf("%s.cn%d", t.Name, i)))
-			e.SetDomain(prev)
-			env.Domains = append(env.Domains, dom)
 		}
 		return env, nil
 	}

@@ -57,8 +57,8 @@ func BenchmarkEngineCalendarDepth(b *testing.B) {
 }
 
 // BenchmarkEngineCalendarDepth100k is the same replace-the-minimum
-// pattern at 10^5 pending events — the calendar population a
-// shardscale-sized run keeps outstanding. It pins the deep-heap sift
+// pattern at 10^5 pending events — the calendar population of a run
+// with ~10^5 processes each holding a pending wake-up. It pins the deep-heap sift
 // cost that the 1024-deep benchmark above is too shallow to see;
 // benchguard guards it alongside the dispatch hot path.
 func BenchmarkEngineCalendarDepth100k(b *testing.B) {

@@ -84,25 +84,25 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// domain is one sequential partition of a simulation: an event calendar
-// with its own clock, FIFO sequence, RNG, request-ID space, and process
-// set. A classic (unsharded) engine is exactly one domain — Engine
-// embeds it, so the single-calendar hot path pays no indirection. A
-// sharded engine holds many domains that execute concurrently inside
-// conservative lookahead windows (see shard.go) and interact only via
-// Proc.Post mailboxes.
-type domain struct {
-	eng  *Engine
-	id   int
-	name string
-
+// Engine is a deterministic discrete-event simulation engine: one event
+// calendar with its own clock, FIFO sequence, RNG, request-ID space, and
+// process set.
+//
+// The zero value is not usable; construct with NewEngine. All methods must
+// be called either before Run, from inside an event callback, or from a
+// running Proc — the engine enforces single-threaded execution, so no
+// additional locking is required by users. Distinct engines are fully
+// independent: programs may run many of them concurrently on different
+// goroutines (one goroutine driving each), which is how the experiment
+// runner parallelizes sweeps.
+type Engine struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
 	nevents uint64
 	fg      int // scheduled foreground events still in the calendar
 
-	// yield is the proc→domain handshake: whichever process goroutine is
+	// yield is the proc→engine handshake: whichever process goroutine is
 	// currently running signals on yield exactly once when it parks or
 	// terminates, returning control to the dispatch loop.
 	yield chan struct{}
@@ -121,166 +121,68 @@ type domain struct {
 	// goroutine.
 	trap interface{}
 
-	// rng is created lazily from rngSeed (except for domain 0, which is
-	// seeded eagerly at NewEngine): at 10^5 client domains an eager
-	// math/rand state per domain would dominate the engine's footprint.
-	rng     *rand.Rand
-	rngSeed int64
+	rng *rand.Rand
 
-	// nextReq is the last request identifier handed out by NextRequestID
-	// (namespaced by domain id; see nextRequestID).
+	// nextReq is the last request identifier handed out by NextRequestID.
 	nextReq uint64
 
-	// outbox stages cross-domain mail posted during the current window;
-	// outSeq is the per-domain FIFO tie-break that, with the domain id,
-	// makes the merge order deterministic. hpos is the domain's index in
-	// its shard worker's scheduling heap.
-	outbox []mail
-	outSeq uint64
-	hpos   int
-}
-
-// waitYield blocks until the currently-running process parks or ends,
-// then re-raises any panic the process trapped.
-func (d *domain) waitYield() {
-	<-d.yield
-	if d.trap != nil {
-		t := d.trap
-		d.trap = nil
-		panic(t)
-	}
-}
-
-func (d *domain) schedule(t Time, fn func(), bg bool) {
-	if t < d.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, d.now))
-	}
-	d.seq++
-	if !bg {
-		d.fg++
-	}
-	d.events.push(event{at: t, seq: d.seq, fn: fn, bg: bg})
-}
-
-// scheduleWake schedules parked process p to be resumed at absolute time
-// t. The calendar stores the proc pointer itself, so the ubiquitous
-// Sleep/wake path allocates no wrapper closure.
-func (d *domain) scheduleWake(t Time, p *Proc, bg bool) {
-	if t < d.now {
-		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", t, d.now))
-	}
-	d.seq++
-	if !bg {
-		d.fg++
-	}
-	d.events.push(event{at: t, seq: d.seq, p: p, bg: bg})
-}
-
-// wake schedules p to be resumed at the domain's current time, preserving
-// FIFO order with other wakes. It must only be called while p's domain is
-// the executing one (the same-domain discipline every blocking primitive
-// already follows).
-func (d *domain) wake(p *Proc) {
-	d.scheduleWake(d.now, p, false)
-}
-
-// Rand returns the domain's deterministic random source, creating it on
-// first use.
-func (d *domain) Rand() *rand.Rand {
-	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(d.rngSeed))
-	}
-	return d.rng
-}
-
-// nextRequestID hands out the next request identifier. Domain 0 keeps
-// the historical engine-wide sequence; other domains namespace their
-// counter with the domain id so concurrent domains never collide and the
-// ids stay independent of shard-worker interleaving.
-func (d *domain) nextRequestID() uint64 {
-	d.nextReq++
-	if d.id == 0 {
-		return d.nextReq
-	}
-	return uint64(d.id)<<40 | d.nextReq
-}
-
-// nextEventAt returns the time of the domain's earliest pending event,
-// or MaxTime when the calendar is empty.
-func (d *domain) nextEventAt() Time {
-	if len(d.events) == 0 {
-		return MaxTime
-	}
-	return d.events[0].at
-}
-
-// runTo dispatches every event strictly before horizon. It is the
-// sharded window body: no tracer hooks (engine tracer hooks are a
-// classic-mode feature), no foreground-drain check (that is global
-// across domains and enforced by the coordinator between windows).
-func (d *domain) runTo(horizon Time) {
-	for len(d.events) > 0 && d.events[0].at < horizon {
-		ev := d.events.pop()
-		if !ev.bg {
-			d.fg--
-		}
-		d.now = ev.at
-		d.nevents++
-		if ev.p != nil {
-			d.unpark(ev.p)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// Engine is a deterministic discrete-event simulation engine.
-//
-// The zero value is not usable; construct with NewEngine. All methods must
-// be called either before Run, from inside an event callback, or from a
-// running Proc — the engine enforces single-threaded execution per domain,
-// so no additional locking is required by users. Distinct engines are fully
-// independent: programs may run many of them concurrently on different
-// goroutines (one goroutine driving each), which is how the experiment
-// runner parallelizes sweeps.
-//
-// An engine is classically one event calendar. With EnableSharding, model
-// construction may partition the simulation into domains (NewDomain /
-// SetDomain); Run then executes domains concurrently under conservative
-// lookahead windows while remaining bit-for-bit deterministic for any
-// worker count. Engine embeds domain 0, so the classic path accesses its
-// calendar fields directly with no extra indirection.
-type Engine struct {
-	domain // domain 0: the root (and, classically, only) calendar
-
 	// tracer, when non-nil, observes event dispatch, process lifecycle,
-	// and resource admission in classic mode. See Tracer. Sharded runs
-	// skip engine-level hooks (domains dispatch concurrently); the
-	// observability layer's own counters remain available.
+	// and resource admission. See Tracer.
 	tracer Tracer
-
-	seed       int64
-	domains    []*domain
-	cur        *domain // construction cursor for Spawn/NewResource/At
-	shardingOn bool
-	workers    int
-	lookahead  Time
 }
 
 // NewEngine returns an engine with simulated time 0 and an RNG seeded with
 // seed. Two engines with the same seed executing the same program produce
 // identical schedules.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{seed: seed}
-	e.domain.eng = e
-	e.domain.yield = make(chan struct{})
-	e.domain.live = make(map[*Proc]struct{})
-	e.domain.procs = make(map[*Proc]struct{})
-	e.domain.rngSeed = seed
-	e.domain.rng = rand.New(rand.NewSource(seed))
-	e.domains = []*domain{&e.domain}
-	e.cur = &e.domain
-	return e
+	return &Engine{
+		yield: make(chan struct{}),
+		live:  make(map[*Proc]struct{}),
+		procs: make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+	}
+}
+
+// waitYield blocks until the currently-running process parks or ends,
+// then re-raises any panic the process trapped.
+func (e *Engine) waitYield() {
+	<-e.yield
+	if e.trap != nil {
+		t := e.trap
+		e.trap = nil
+		panic(t)
+	}
+}
+
+func (e *Engine) schedule(t Time, fn func(), bg bool) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	e.seq++
+	if !bg {
+		e.fg++
+	}
+	e.events.push(event{at: t, seq: e.seq, fn: fn, bg: bg})
+}
+
+// scheduleWake schedules parked process p to be resumed at absolute time
+// t. The calendar stores the proc pointer itself, so the ubiquitous
+// Sleep/wake path allocates no wrapper closure.
+func (e *Engine) scheduleWake(t Time, p *Proc, bg bool) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", t, e.now))
+	}
+	e.seq++
+	if !bg {
+		e.fg++
+	}
+	e.events.push(event{at: t, seq: e.seq, p: p, bg: bg})
+}
+
+// wake schedules p to be resumed at the current time, preserving FIFO
+// order with other wakes.
+func (e *Engine) wake(p *Proc) {
+	e.scheduleWake(e.now, p, false)
 }
 
 // Shutdown unwinds every parked process goroutine (daemon worker loops,
@@ -289,74 +191,43 @@ func NewEngine(seed int64) *Engine {
 // goroutines. It must be called after Run/RunUntil has returned, from
 // the same goroutine; the engine must not be used afterwards.
 func (e *Engine) Shutdown() {
-	for _, d := range e.domains {
-		for p := range d.procs {
-			if !p.started {
-				// The start event never fired (RunUntil stopped early); there
-				// is no goroutine to unwind.
-				delete(d.procs, p)
-				delete(d.live, p)
-				continue
-			}
-			p.resume <- true // park() panics with killed{}
-			d.waitYield()
+	for p := range e.procs {
+		if !p.started {
+			// The start event never fired (RunUntil stopped early); there
+			// is no goroutine to unwind.
+			delete(e.procs, p)
+			delete(e.live, p)
+			continue
 		}
+		p.resume <- true // park() panics with killed{}
+		e.waitYield()
 	}
 }
 
-// Now returns the current simulated time: the clock of the root domain
-// classically, or the furthest domain clock on a sharded engine (which
-// after Run is the simulation's end time). During a sharded run model
-// code must use Proc.Now, which reads its own domain's clock.
-func (e *Engine) Now() Time {
-	if len(e.domains) == 1 {
-		return e.domain.now
-	}
-	var max Time
-	for _, d := range e.domains {
-		if d.now > max {
-			max = d.now
-		}
-	}
-	return max
-}
+// Now returns the current simulated time.
+func (e *Engine) Now() Time { return e.now }
 
-// NextRequestID returns a fresh nonzero request identifier from the
-// construction-cursor domain (domain 0 classically). IDs are strictly
-// increasing per domain in allocation order, which each domain's
-// serialized execution makes deterministic. Runtime code holding a Proc
-// should prefer Proc.NextRequestID.
+// NextRequestID returns a fresh nonzero request identifier. IDs are
+// strictly increasing in allocation order, which the engine's serialized
+// execution makes deterministic.
 func (e *Engine) NextRequestID() uint64 {
-	return e.cur.nextRequestID()
+	e.nextReq++
+	return e.nextReq
 }
 
-// Events returns the number of events executed so far, across all
-// domains.
-func (e *Engine) Events() uint64 {
-	if len(e.domains) == 1 {
-		return e.domain.nevents
-	}
-	var n uint64
-	for _, d := range e.domains {
-		n += d.nevents
-	}
-	return n
-}
+// Events returns the number of events executed so far.
+func (e *Engine) Events() uint64 { return e.nevents }
 
-// Rand returns the deterministic random source of the construction-cursor
-// domain (domain 0 classically). It must only be used from simulation
-// context of that domain; runtime code holding a Proc should prefer
-// Proc.Rand.
-func (e *Engine) Rand() *rand.Rand { return e.cur.Rand() }
+// Rand returns the engine's deterministic random source. It must only be
+// used from simulation context.
+func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// At schedules fn to run at absolute simulated time t in the
-// construction-cursor domain. Scheduling in the past is an error in the
-// simulation program and panics.
-func (e *Engine) At(t Time, fn func()) { e.cur.schedule(t, fn, false) }
+// At schedules fn to run at absolute simulated time t. Scheduling in the
+// past is an error in the simulation program and panics.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, false) }
 
-// After schedules fn to run d nanoseconds from now in the
-// construction-cursor domain. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.cur.schedule(e.cur.now+d, fn, false) }
+// After schedules fn to run d nanoseconds from now. Negative d panics.
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn, false) }
 
 // DeadlockError reports that processes remained blocked with no scheduled
 // events to wake them.
@@ -383,41 +254,33 @@ func (e *Engine) Run() error { return e.RunUntil(MaxTime) }
 // called outside a running simulation), keeping the dispatch loop free
 // of per-event field loads.
 func (e *Engine) RunUntil(deadline Time) error {
-	if len(e.domains) > 1 {
-		return e.runSharded(deadline)
-	}
 	tracer := e.tracer
-	d := &e.domain
-	for d.fg > 0 {
-		if d.events[0].at > deadline {
+	for e.fg > 0 {
+		if e.events[0].at > deadline {
 			return nil
 		}
-		ev := d.events.pop()
+		ev := e.events.pop()
 		if !ev.bg {
-			d.fg--
+			e.fg--
 		}
-		d.now = ev.at
-		d.nevents++
+		e.now = ev.at
+		e.nevents++
 		if tracer != nil {
-			tracer.EventDispatched(d.now, d.nevents)
+			tracer.EventDispatched(e.now, e.nevents)
 		}
 		if ev.p != nil {
-			d.unpark(ev.p)
+			e.unpark(ev.p)
 		} else {
 			ev.fn()
 		}
 	}
-	if len(d.live) > 0 {
-		return &DeadlockError{Now: d.now, Procs: liveNames(d.live)}
+	if len(e.live) > 0 {
+		names := make([]string, 0, len(e.live))
+		for p := range e.live {
+			names = append(names, p.name)
+		}
+		sort.Strings(names)
+		return &DeadlockError{Now: e.now, Procs: names}
 	}
 	return nil
-}
-
-func liveNames(live map[*Proc]struct{}) []string {
-	names := make([]string, 0, len(live))
-	for p := range live {
-		names = append(names, p.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -10,7 +10,7 @@ import (
 // middleware, trace collectors) that simulated processes use, against a
 // pluggable clock instead of the event calendar. The simulation
 // semantics are untouched — a live Proc never parks, never schedules
-// events, and never enters a domain's dispatch loop; it only reads time,
+// events, and never enters the engine's dispatch loop; it only reads time,
 // sleeps on its clock, draws from a private RNG, and mints request IDs
 // from an atomic counter. Everything downstream of those five facilities
 // (metrics, block accounting, window estimation) is pure over the
@@ -35,7 +35,7 @@ type LiveClock interface {
 }
 
 // liveState carries the per-proc live facilities that replace the
-// domain's: the clock, a private deterministic RNG, and a handle to the
+// engine's: the clock, a private deterministic RNG, and a handle to the
 // executor's shared request-ID counter.
 type liveState struct {
 	clock LiveClock

@@ -28,9 +28,6 @@ func TestLiveProcClock(t *testing.T) {
 	if p.Now() != 7*Millisecond {
 		t.Fatalf("Now after Sleep = %v, want 7ms", p.Now())
 	}
-	if p.DomainID() != 0 {
-		t.Fatalf("DomainID = %d, want 0", p.DomainID())
-	}
 	if p.Engine() != exec.Engine() {
 		t.Fatalf("Engine() is not the executor's engine")
 	}

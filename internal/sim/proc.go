@@ -3,19 +3,15 @@ package sim
 import "math/rand"
 
 // Proc is a simulation process: a Go function running on its own goroutine
-// under its domain's strict alternation discipline. At any instant either
-// the domain's dispatch loop or exactly one of its processes is executing;
+// under the engine's strict alternation discipline. At any instant either
+// the engine's dispatch loop or exactly one of its processes is executing;
 // control transfers happen only at park points (Sleep, Future.Wait,
-// Resource.Acquire, Queue ops). On a classic engine there is exactly one
-// domain, so this is the engine-wide single-runner guarantee; on a sharded
-// engine processes of different domains run concurrently but never touch
-// each other's state except through Proc.Post.
+// Resource.Acquire, Queue ops).
 //
 // A Proc must not be shared across goroutines and must only be used by the
 // body function it was created for.
 type Proc struct {
 	eng     *Engine
-	dom     *domain
 	name    string
 	resume  chan bool // true = killed by Shutdown
 	started bool
@@ -23,7 +19,7 @@ type Proc struct {
 
 	// live is non-nil for a detached live-measurement process (see
 	// LiveExec): the proc runs on an ordinary goroutine against a
-	// pluggable clock instead of a domain's event loop. All event-loop
+	// pluggable clock instead of the engine's event loop. All event-loop
 	// facilities (Spawn, At, futures) are unavailable in that mode.
 	live *liveState
 }
@@ -38,15 +34,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// DomainID returns the id of the domain the process belongs to (0 on a
-// classic engine and for detached live processes).
-func (p *Proc) DomainID() int {
-	if p.live != nil {
-		return 0
-	}
-	return p.dom.id
-}
-
 // Ctx returns the process's current request context (nil when idle).
 // Layers install the in-flight request here so components lower in the
 // stack — and cross-cutting concerns like trace-span tagging — can see
@@ -59,67 +46,62 @@ func (p *Proc) Ctx() any { return p.ctx }
 // requests unwind correctly.
 func (p *Proc) SetCtx(v any) { p.ctx = v }
 
-// Now returns the current time of the process's domain — simulated time
-// for an engine-driven process, the live clock's time for a detached one.
+// Now returns the current time — simulated time for an engine-driven
+// process, the live clock's time for a detached one.
 func (p *Proc) Now() Time {
 	if p.live != nil {
 		return p.live.clock.Now()
 	}
-	return p.dom.now
+	return p.eng.now
 }
 
-// Rand returns the deterministic random source of the process's domain.
-// Runtime code must draw randomness through here (not Engine.Rand) so
-// that a domain's random stream stays independent of other domains.
-// Detached live processes own a private RNG, so concurrent workers never
-// share one stream.
+// Rand returns the engine's deterministic random source. Detached live
+// processes own a private RNG, so concurrent workers never share one
+// stream.
 func (p *Proc) Rand() *rand.Rand {
 	if p.live != nil {
 		return p.live.rng
 	}
-	return p.dom.Rand()
+	return p.eng.rng
 }
 
-// NextRequestID returns a fresh request identifier from the process's
-// domain (see Engine.NextRequestID). Detached live processes draw from
-// their LiveExec's atomic counter.
+// NextRequestID returns a fresh request identifier (see
+// Engine.NextRequestID). Detached live processes draw from their
+// LiveExec's atomic counter.
 func (p *Proc) NextRequestID() uint64 {
 	if p.live != nil {
 		return p.live.exec.ids.Add(1)
 	}
-	return p.dom.nextRequestID()
+	return p.eng.NextRequestID()
 }
 
-// NewFuture returns an incomplete Future bound to the process's domain.
+// NewFuture returns an incomplete Future.
 func (p *Proc) NewFuture() *Future {
 	if p.live != nil {
 		panic("sim: futures are not available on a detached live proc")
 	}
-	return &Future{dom: p.dom}
+	return &Future{eng: p.eng}
 }
 
-// Spawn creates a process in the caller's domain that begins executing
-// body at the caller's current simulated time. Runtime code must spawn
-// through here (not Engine.Spawn, whose cursor is a construction-time
-// concept).
+// Spawn creates a process that begins executing body at the caller's
+// current simulated time.
 func (p *Proc) Spawn(name string, body func(*Proc)) *Proc {
 	if p.live != nil {
 		panic("sim: Spawn is not available on a detached live proc")
 	}
-	return p.dom.spawn(p.dom.now, name, body, false)
+	return p.eng.spawn(p.eng.now, name, body, false)
 }
 
-// Spawn creates a process in the construction-cursor domain that begins
-// executing body at the current simulated time (after already-scheduled
-// events at that time). It may be called before Run or from simulation
-// context of that domain.
+// Spawn creates a process that begins executing body at the current
+// simulated time (after already-scheduled events at that time). It may
+// be called before Run or from simulation context.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	return e.cur.spawn(e.cur.now, name, body, false)
+	return e.spawn(e.now, name, body, false)
 }
 
 // SpawnAt creates a process that begins executing body at absolute time t.
 func (e *Engine) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
-	return e.cur.spawn(t, name, body, false)
+	return e.spawn(t, name, body, false)
 }
 
 // SpawnDaemon creates an infrastructure process (e.g. a server worker
@@ -127,19 +109,18 @@ func (e *Engine) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
 // excluded from deadlock detection. Its goroutine remains parked when the
 // simulation ends.
 func (e *Engine) SpawnDaemon(name string, body func(*Proc)) *Proc {
-	return e.cur.spawn(e.cur.now, name, body, true)
+	return e.spawn(e.now, name, body, true)
 }
 
-func (d *domain) spawn(t Time, name string, body func(*Proc), daemon bool) *Proc {
-	e := d.eng
-	p := &Proc{eng: e, dom: d, name: name, resume: make(chan bool)}
+func (e *Engine) spawn(t Time, name string, body func(*Proc), daemon bool) *Proc {
+	p := &Proc{eng: e, name: name, resume: make(chan bool)}
 	if !daemon {
-		d.live[p] = struct{}{}
+		e.live[p] = struct{}{}
 	}
-	d.procs[p] = struct{}{}
-	d.schedule(t, func() {
+	e.procs[p] = struct{}{}
+	e.schedule(t, func() {
 		p.started = true
-		if tr := e.tracer; tr != nil && !e.shardingOn {
+		if tr := e.tracer; tr != nil {
 			tr.ProcStarted(p)
 		}
 		go func() {
@@ -149,29 +130,29 @@ func (d *domain) spawn(t Time, name string, body func(*Proc), daemon bool) *Proc
 				// dispatching goroutine inside Run.
 				if r := recover(); r != nil {
 					if _, ok := r.(killed); !ok {
-						d.trap = r
+						e.trap = r
 					}
-				} else if tr := e.tracer; tr != nil && !e.shardingOn {
+				} else if tr := e.tracer; tr != nil {
 					// Safe: the dispatch loop is blocked on yield below, so
 					// the tracer still sees serialized calls.
 					tr.ProcEnded(p)
 				}
-				delete(d.live, p) // safe: dispatch loop is blocked on yield below
-				delete(d.procs, p)
-				d.yield <- struct{}{}
+				delete(e.live, p) // safe: dispatch loop is blocked on yield below
+				delete(e.procs, p)
+				e.yield <- struct{}{}
 			}()
 			body(p)
 		}()
-		d.waitYield()
+		e.waitYield()
 	}, false)
 	return p
 }
 
-// park suspends the calling process and returns control to its domain's
+// park suspends the calling process and returns control to the engine's
 // dispatch loop. The process stays suspended until some event callback
 // calls unpark, or Engine.Shutdown kills it.
 func (p *Proc) park() {
-	p.dom.yield <- struct{}{}
+	p.eng.yield <- struct{}{}
 	if <-p.resume {
 		panic(killed{})
 	}
@@ -180,28 +161,26 @@ func (p *Proc) park() {
 // unpark transfers control from the dispatch loop to process p and blocks
 // until p parks again or terminates. It must be called only from an event
 // callback (dispatch context), never from another process.
-func (d *domain) unpark(p *Proc) {
+func (e *Engine) unpark(p *Proc) {
 	p.resume <- false
-	d.waitYield()
+	e.waitYield()
 }
 
-// At schedules fn as a foreground event at absolute time t in p's
-// domain. It is the process-scoped counterpart of Engine.At: the event
-// runs on p's own calendar, so it is safe (and deterministic) in
-// sharded runs where the engine-level cursor is construction-only.
+// At schedules fn as a foreground event at absolute time t. It is the
+// process-scoped counterpart of Engine.At.
 func (p *Proc) At(t Time, fn func()) {
 	if p.live != nil {
 		panic("sim: At is not available on a detached live proc")
 	}
-	p.dom.schedule(t, fn, false)
+	p.eng.schedule(t, fn, false)
 }
 
-// After schedules fn d nanoseconds from now in p's domain (see At).
+// After schedules fn d nanoseconds from now (see At).
 func (p *Proc) After(d Time, fn func()) {
 	if p.live != nil {
 		panic("sim: After is not available on a detached live proc")
 	}
-	p.dom.schedule(p.dom.now+d, fn, false)
+	p.eng.schedule(p.eng.now+d, fn, false)
 }
 
 // Sleep suspends the process for d simulated nanoseconds. Zero d yields to
@@ -216,18 +195,15 @@ func (p *Proc) Sleep(d Time) {
 		p.live.clock.Sleep(d)
 		return
 	}
-	dom := p.dom
-	dom.scheduleWake(dom.now+d, p, false)
+	e := p.eng
+	e.scheduleWake(e.now+d, p, false)
 	p.park()
 }
 
 // Future is a one-shot completion that processes can wait on. Construct
-// with Engine.NewFuture (construction-cursor domain) or Proc.NewFuture.
-// All parties to a future — completer and waiters — must belong to its
-// domain; cross-domain completion goes through Proc.Post to an event in
-// the waiter's domain.
+// with Engine.NewFuture or Proc.NewFuture.
 type Future struct {
-	dom     *domain
+	eng     *Engine
 	done    bool
 	when    Time
 	waiters []*Proc
@@ -239,9 +215,8 @@ type Future struct {
 	onComplete []func()
 }
 
-// NewFuture returns an incomplete Future bound to the construction-cursor
-// domain.
-func (e *Engine) NewFuture() *Future { return &Future{dom: e.cur} }
+// NewFuture returns an incomplete Future.
+func (e *Engine) NewFuture() *Future { return &Future{eng: e} }
 
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
@@ -257,9 +232,9 @@ func (f *Future) Complete() {
 		panic("sim: Future completed twice")
 	}
 	f.done = true
-	f.when = f.dom.now
+	f.when = f.eng.now
 	for _, p := range f.waiters {
-		p.dom.wake(p)
+		f.eng.wake(p)
 	}
 	f.waiters = nil
 	for _, fn := range f.onComplete {
@@ -296,7 +271,7 @@ func (f *Future) WaitTimeout(p *Proc, d Time) bool {
 	if d < 0 {
 		panic("sim: negative timeout")
 	}
-	dom := p.dom
+	e := p.eng
 	// settled flips synchronously when completion or the timer fires
 	// first, so exactly one of them schedules the wake for p.
 	settled, completed := false, false
@@ -306,10 +281,10 @@ func (f *Future) WaitTimeout(p *Proc, d Time) bool {
 		}
 		settled = true
 		completed = ok
-		dom.wake(p)
+		e.wake(p)
 	}
 	f.onComplete = append(f.onComplete, func() { fire(true) })
-	dom.schedule(dom.now+d, func() { fire(false) }, false)
+	e.schedule(e.now+d, func() { fire(false) }, false)
 	p.park()
 	return completed
 }
@@ -322,8 +297,7 @@ func WaitAll(p *Proc, fs ...*Future) {
 }
 
 // WaitGroup counts outstanding work items, like sync.WaitGroup but for
-// simulated processes. As with Future, all parties must belong to one
-// domain.
+// simulated processes.
 type WaitGroup struct {
 	n       int
 	waiters []*Proc
@@ -351,7 +325,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 
 func (w *WaitGroup) release() {
 	for _, p := range w.waiters {
-		p.dom.wake(p)
+		p.eng.wake(p)
 	}
 	w.waiters = nil
 }

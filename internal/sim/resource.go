@@ -5,12 +5,8 @@ package sim
 // NIC. Waiters may request multiple units; admission is strictly in
 // arrival order — if the head waiter cannot be satisfied, later waiters
 // are not admitted ahead of it (no barging, no starvation).
-//
-// A resource belongs to the domain that was the construction cursor at
-// NewResource and must only be used from that domain's processes.
 type Resource struct {
 	eng   *Engine
-	dom   *domain
 	name  string
 	cap   int
 	inUse int
@@ -35,13 +31,12 @@ type waitReq struct {
 	since Time // when the request joined the queue
 }
 
-// NewResource returns a resource with the given capacity (≥ 1), bound to
-// the construction-cursor domain.
+// NewResource returns a resource with the given capacity (≥ 1).
 func (e *Engine) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{eng: e, dom: e.cur, name: name, cap: capacity}
+	return &Resource{eng: e, name: name, cap: capacity}
 }
 
 // Name returns the resource name.
@@ -64,7 +59,7 @@ func (r *Resource) Acquires() uint64 { return r.acquires }
 func (r *Resource) BusyTime() Time {
 	t := r.busyTotal
 	if r.inUse > 0 {
-		t += r.dom.now - r.busySince
+		t += r.eng.now - r.busySince
 	}
 	return t
 }
@@ -84,17 +79,6 @@ func (r *Resource) Utilization(now Time) float64 {
 	return float64(busy) / float64(now)
 }
 
-// hooks returns the tracer to notify, or nil. Engine-level resource
-// hooks are a classic-mode feature: sharded domains dispatch
-// concurrently, so a shared tracer would race (the observability layer
-// keeps its own thread-safe counters for sharded runs).
-func (r *Resource) hooks() Tracer {
-	if t := r.eng.tracer; t != nil && !r.eng.shardingOn {
-		return t
-	}
-	return nil
-}
-
 // Acquire obtains one unit, suspending p in FIFO order if none is free.
 func (r *Resource) Acquire(p *Proc) { r.AcquireN(p, 1) }
 
@@ -106,7 +90,7 @@ func (r *Resource) AcquireN(p *Proc, n int) {
 	}
 	if r.qhead == len(r.queue) && r.inUse+n <= r.cap {
 		r.grant(n)
-		if t := r.hooks(); t != nil {
+		if t := r.eng.tracer; t != nil {
 			t.ResourceAcquired(r, n, 0)
 		}
 		return
@@ -117,8 +101,8 @@ func (r *Resource) AcquireN(p *Proc, n int) {
 		r.queue = r.queue[:live]
 		r.qhead = 0
 	}
-	r.queue = append(r.queue, waitReq{p: p, n: n, since: r.dom.now})
-	if t := r.hooks(); t != nil {
+	r.queue = append(r.queue, waitReq{p: p, n: n, since: r.eng.now})
+	if t := r.eng.tracer; t != nil {
 		t.ResourceQueued(r, p, n)
 	}
 	p.park()
@@ -144,7 +128,7 @@ func (r *Resource) TryAcquireN(n int) bool {
 	}
 	if r.qhead == len(r.queue) && r.inUse+n <= r.cap {
 		r.grant(n)
-		if t := r.hooks(); t != nil {
+		if t := r.eng.tracer; t != nil {
 			t.ResourceAcquired(r, n, 0)
 		}
 		return true
@@ -154,7 +138,7 @@ func (r *Resource) TryAcquireN(n int) bool {
 
 func (r *Resource) grant(n int) {
 	if r.inUse == 0 {
-		r.busySince = r.dom.now
+		r.busySince = r.eng.now
 	}
 	r.inUse += n
 	r.acquires++
@@ -171,9 +155,9 @@ func (r *Resource) ReleaseN(n int) {
 	}
 	r.inUse -= n
 	if r.inUse == 0 {
-		r.busyTotal += r.dom.now - r.busySince
+		r.busyTotal += r.eng.now - r.busySince
 	}
-	if t := r.hooks(); t != nil {
+	if t := r.eng.tracer; t != nil {
 		t.ResourceReleased(r, n)
 	}
 	for r.qhead < len(r.queue) && r.inUse+r.queue[r.qhead].n <= r.cap {
@@ -185,10 +169,10 @@ func (r *Resource) ReleaseN(n int) {
 			r.qhead = 0
 		}
 		r.grant(w.n)
-		if t := r.hooks(); t != nil {
-			t.ResourceAcquired(r, w.n, r.dom.now-w.since)
+		if t := r.eng.tracer; t != nil {
+			t.ResourceAcquired(r, w.n, r.eng.now-w.since)
 		}
-		w.p.dom.wake(w.p)
+		r.eng.wake(w.p)
 	}
 }
 
@@ -199,8 +183,7 @@ func (r *Resource) Use(p *Proc, fn func()) {
 	fn()
 }
 
-// Queue is an unbounded FIFO channel between simulation processes of one
-// domain. Put never blocks; Get suspends the caller until an item is
+// Queue is an unbounded FIFO channel between simulation processes. Put never blocks; Get suspends the caller until an item is
 // available.
 type Queue struct {
 	eng     *Engine
@@ -236,7 +219,7 @@ func (q *Queue) Put(item interface{}) {
 	if len(q.waiters) > 0 {
 		p := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		p.dom.wake(p)
+		q.eng.wake(p)
 	}
 }
 

@@ -48,19 +48,19 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 // GetTracer returns the attached tracer, or nil.
 func (e *Engine) GetTracer() Tracer { return e.tracer }
 
-// AtBackground schedules fn at absolute time t as a background event in
-// the construction-cursor domain. Background events share the calendar
+// AtBackground schedules fn at absolute time t as a background event.
+// Background events share the calendar
 // and its deterministic (time, seq) order with ordinary events, but they
 // do not keep the simulation alive: Run and RunUntil return once no
 // foreground events remain, leaving pending background events unfired.
 // Periodic infrastructure — metric samplers, watchdogs — uses this so
 // that instrumentation never extends a run beyond the workload's last
 // event.
-func (e *Engine) AtBackground(t Time, fn func()) { e.cur.schedule(t, fn, true) }
+func (e *Engine) AtBackground(t Time, fn func()) { e.schedule(t, fn, true) }
 
 // AfterBackground schedules fn d nanoseconds from now as a background
 // event (see AtBackground).
-func (e *Engine) AfterBackground(d Time, fn func()) { e.cur.schedule(e.cur.now+d, fn, true) }
+func (e *Engine) AfterBackground(d Time, fn func()) { e.schedule(e.now+d, fn, true) }
 
 // SleepBackground suspends the process for d simulated nanoseconds using
 // a background wake-up: the sleep fires only while foreground events
@@ -71,7 +71,7 @@ func (p *Proc) SleepBackground(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	dom := p.dom
-	dom.scheduleWake(dom.now+d, p, true)
+	e := p.eng
+	e.scheduleWake(e.now+d, p, true)
 	p.park()
 }

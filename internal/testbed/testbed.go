@@ -142,18 +142,6 @@ func DefaultRecovery() pfs.RecoveryConfig {
 // NewCluster builds the cluster testbed: Gigabit fabric with a finite
 // backplane, one device per server, server-side cache and readahead.
 func NewCluster(e *sim.Engine, spec ClusterSpec) (*pfs.Cluster, []*pfs.Client) {
-	cluster, clients, _ := buildCluster(e, spec)
-	return cluster, clients
-}
-
-// buildCluster is NewCluster plus the engine-domain assignment of each
-// client (parallel to the returned clients). On a classic engine every
-// domain id is 0 and the construction is exactly the historical one; on
-// a sharded engine each I/O server (and the MDS, inside pfs) owns a
-// domain, and clients get one domain each — or a single shared "cn"
-// domain when a shared client cache couples every client's request
-// path, since cache state must stay domain-local.
-func buildCluster(e *sim.Engine, spec ClusterSpec) (*pfs.Cluster, []*pfs.Client, []int) {
 	fabric := netsim.NewFabric(e, netsim.Config{
 		Bandwidth:     125e6,
 		Latency:       50 * sim.Microsecond,
@@ -164,16 +152,10 @@ func buildCluster(e *sim.Engine, spec ClusterSpec) (*pfs.Cluster, []*pfs.Client,
 	if lf := faults.NewLink(spec.Faults); lf != nil {
 		fabric.SetFaults(lf)
 	}
-	// Each device is built with its server's domain as construction
-	// cursor: device resources and RNG streams bind to the cursor domain.
-	serverDoms := make([]int, spec.Servers)
 	devs := make([]device.Device, spec.Servers)
 	for i := range devs {
-		serverDoms[i] = e.NewDomain(fmt.Sprintf("ios%d", i))
-		prev := e.SetDomain(serverDoms[i])
 		devs[i] = faults.WrapDevice(e, NewDevice(e, spec.Media), spec.Faults,
 			fmt.Sprintf("ios%d.%s", i, spec.Media))
-		e.SetDomain(prev)
 	}
 	scache, sra := int64(ServerCacheBytes), int64(ServerReadAhead)
 	switch {
@@ -188,7 +170,6 @@ func buildCluster(e *sim.Engine, spec ClusterSpec) (*pfs.Cluster, []*pfs.Client,
 			ReadAhead:  sra,
 		},
 		Recovery: spec.Recovery,
-		DomainOf: func(i int) int { return serverDoms[i] },
 	}
 	if spec.Faults.Enabled() {
 		if !pcfg.Recovery.Enabled {
@@ -201,28 +182,16 @@ func buildCluster(e *sim.Engine, spec ClusterSpec) (*pfs.Cluster, []*pfs.Client,
 	}
 	cluster := pfs.NewCluster(e, fabric, pcfg, devs)
 	clients := make([]*pfs.Client, spec.Clients)
-	clientDoms := make([]int, spec.Clients)
-	sharedDom := -1
 	for i := range clients {
-		if spec.ClientCache.CapacityBytes > 0 {
-			if sharedDom < 0 {
-				sharedDom = e.NewDomain("cn")
-			}
-			clientDoms[i] = sharedDom
-		} else {
-			clientDoms[i] = e.NewDomain(fmt.Sprintf("cn%d", i))
-		}
-		prev := e.SetDomain(clientDoms[i])
 		clients[i] = cluster.NewClient(fmt.Sprintf("cn%d", i))
-		e.SetDomain(prev)
 	}
-	return cluster, clients, clientDoms
+	return cluster, clients
 }
 
 // NewSharedFileEnv builds a cluster env with one file striped over all
 // servers, shared by all clients.
 func NewSharedFileEnv(e *sim.Engine, spec ClusterSpec, fileSize int64) (*workload.ClusterEnv, error) {
-	cluster, clients, doms := buildCluster(e, spec)
+	cluster, clients := NewCluster(e, spec)
 	f, err := cluster.Create("shared", fileSize, cluster.DefaultLayout())
 	if err != nil {
 		return nil, err
@@ -233,7 +202,6 @@ func NewSharedFileEnv(e *sim.Engine, spec ClusterSpec, fileSize int64) (*workloa
 		Clients: clients,
 		Files:   []*pfs.File{f},
 		Cache:   ioreq.NewCache(spec.ClientCache),
-		Domains: doms,
 	}, nil
 }
 
@@ -276,8 +244,8 @@ func NewFilesEnv(e *sim.Engine, spec ClusterSpec, dev device.Device, prefix stri
 // are flushed after the create storm so the measured phase starts cold,
 // matching the other env constructors.
 func NewMetaFilesEnv(e *sim.Engine, spec ClusterSpec, filesPerProc int, fileSize int64) (*workload.ClusterEnv, error) {
-	cluster, clients, doms := buildCluster(e, spec)
-	env := &workload.ClusterEnv{Cluster: cluster, Clients: clients, Cache: ioreq.NewCache(spec.ClientCache), Domains: doms}
+	cluster, clients := NewCluster(e, spec)
+	env := &workload.ClusterEnv{Cluster: cluster, Clients: clients, Cache: ioreq.NewCache(spec.ClientCache)}
 	for pid := 0; pid < spec.Clients; pid++ {
 		for i := 0; i < filesPerProc; i++ {
 			f, err := cluster.Create(workload.MetaFileName(pid, i), fileSize, cluster.DefaultLayout())
@@ -294,8 +262,8 @@ func NewMetaFilesEnv(e *sim.Engine, spec ClusterSpec, filesPerProc int, fileSize
 // NewPinnedFilesEnv builds the paper's "pure" concurrency setup
 // (§IV.C.3): one file per client, pinned to server i mod Servers.
 func NewPinnedFilesEnv(e *sim.Engine, spec ClusterSpec, filePerProc int64) (*workload.ClusterEnv, error) {
-	cluster, clients, doms := buildCluster(e, spec)
-	env := &workload.ClusterEnv{Cluster: cluster, Clients: clients, Cache: ioreq.NewCache(spec.ClientCache), Domains: doms}
+	cluster, clients := NewCluster(e, spec)
+	env := &workload.ClusterEnv{Cluster: cluster, Clients: clients, Cache: ioreq.NewCache(spec.ClientCache)}
 	for i := 0; i < spec.Clients; i++ {
 		f, err := cluster.Create(fmt.Sprintf("own%d", i), filePerProc, cluster.PinnedLayout(i%spec.Servers))
 		if err != nil {

@@ -67,11 +67,6 @@ func (w InterleavedRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 		return nil, err
 	}
 	pend := newPending(e, w.Label, env, w.Processes)
-	// The pattern shares one target (and, for collective I/O, aggregator
-	// state), so every process — and the aggregators — must live in the
-	// shared target's domain.
-	prev := e.SetDomain(placeDomain(env, 0))
-	defer e.SetDomain(prev)
 	target := env.Target(0)
 	var coll *middleware.Collective
 	if w.Method == CollectiveAccess {
@@ -83,7 +78,7 @@ func (w InterleavedRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 		pid := pid
 		col := trace.NewCollector(int64(pid))
 		pend.collectors[pid] = col
-		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(pid, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			var regions []middleware.Region
 			for i := pid; i < w.TotalRegions; i += w.Processes {
 				regions = append(regions, middleware.Region{

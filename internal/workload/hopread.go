@@ -49,13 +49,12 @@ func (w HopRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 		pid := pid
 		col := trace.NewCollector(w.FirstPID + int64(pid))
 		pend.collectors[pid] = col
-		prev := e.SetDomain(placeDomain(env, pid))
 		target := env.Target(pid)
 		if w.PrefetchWindow > 0 {
 			target = target.With(middleware.NewPrefetcher(target, w.PrefetchWindow))
 		}
 		rng := rand.New(rand.NewSource(w.Seed + int64(pid)))
-		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(pid, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			io := middleware.NewPOSIX(target, col)
 			burst := int64(w.RecordsPerHop) * w.RecordSize
 			span := target.Size() - burst
@@ -72,7 +71,6 @@ func (w HopRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 				}
 			}
 		}))
-		e.SetDomain(prev)
 	}
 	return pend, nil
 }

@@ -56,8 +56,7 @@ func (w MetaRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 		col := trace.NewCollector(w.FirstPID + int64(pid))
 		pend.collectors[pid] = col
 		cl := cenv.Clients[pid%len(cenv.Clients)]
-		prev := e.SetDomain(placeDomain(env, pid))
-		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(pid, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			for i := 0; i < w.FilesPerProcess; i++ {
 				f, err := cl.Open(p, MetaFileName(pid, i))
 				if err != nil {
@@ -76,7 +75,6 @@ func (w MetaRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 				}
 			}
 		}))
-		e.SetDomain(prev)
 	}
 	return pend, nil
 }

@@ -73,7 +73,7 @@ func (w Replay) Start(e *sim.Engine, env Env) (*Pending, error) {
 		pend.collectors[slot] = col
 		target := env.Target(slot)
 		start := e.Now()
-		e.Spawn(fmt.Sprintf("%s.pid%d", w.Label, pid), pend.track(slot, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.pid%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			io := middleware.NewPOSIX(target, col)
 			var off int64
 			for _, r := range recs {

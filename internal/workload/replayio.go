@@ -112,7 +112,7 @@ func (w ReplayIO) Start(e *sim.Engine, env Env) (*Pending, error) {
 		col := trace.NewCollector(pid)
 		pend.collectors[slot] = col
 		start := e.Now()
-		e.Spawn(fmt.Sprintf("%s.pid%d", w.Label, pid), pend.track(slot, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.pid%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			// One POSIX wrapper per file slot the process touches, built
 			// lazily; all share the process's collector.
 			ios := make(map[int]*middleware.POSIX)

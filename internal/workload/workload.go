@@ -30,24 +30,6 @@ type Env interface {
 	Moved() int64
 }
 
-// DomainPlacer is implemented by envs that assign each process an
-// engine domain — sharded testbeds place every process in the domain
-// that owns its client's NIC, so all of the process's blocking
-// primitives stay domain-local. Envs without domains (and all classic
-// runs) simply don't implement it and every process spawns in the
-// default domain.
-type DomainPlacer interface {
-	DomainFor(pid int) int
-}
-
-// placeDomain returns the engine domain pid's process should spawn in.
-func placeDomain(env Env, pid int) int {
-	if dp, ok := env.(DomainPlacer); ok {
-		return dp.DomainFor(pid)
-	}
-	return 0
-}
-
 // LocalEnv is one local file system with one file per process (pid i uses
 // Files[i % len(Files)]).
 type LocalEnv struct {
@@ -89,20 +71,6 @@ type ClusterEnv struct {
 	// so QoS admission control sees the application's requests before
 	// any hit/miss splitting. Nil leaves the pipeline untouched.
 	Wrap ioreq.Middleware
-
-	// Domains, when non-empty, is the engine domain of each client
-	// (parallel to Clients); sharded testbeds populate it so workloads
-	// spawn each process in its client's domain. Empty means the
-	// default domain for every process.
-	Domains []int
-}
-
-// DomainFor implements DomainPlacer: pid i runs in its client's domain.
-func (c *ClusterEnv) DomainFor(pid int) int {
-	if len(c.Domains) == 0 {
-		return 0
-	}
-	return c.Domains[pid%len(c.Domains)]
 }
 
 // Target implements Env.
@@ -154,7 +122,7 @@ type Pending struct {
 	collectors []*trace.Collector
 	errs       []int
 	startedAt  sim.Time
-	doneAts    []sim.Time // per-process completion times (sharding-safe)
+	doneAt     sim.Time // completion time of the last process so far
 }
 
 // Result assembles the workload's measurements. Call it only after the
@@ -166,45 +134,34 @@ func (p *Pending) Result() Result {
 	for _, n := range p.errs {
 		nerr += n
 	}
-	doneAt := p.startedAt
-	for _, t := range p.doneAts {
-		if t > doneAt {
-			doneAt = t
-		}
-	}
 	return Result{
 		Label:    p.label,
-		ExecTime: doneAt - p.startedAt,
+		ExecTime: p.doneAt - p.startedAt,
 		Trace:    trace.Gather(p.collectors...),
 		Moved:    p.env.Moved(),
 		Errors:   nerr,
 	}
 }
 
-// track wraps process idx's body so the pending records its completion
-// time. Each process owns its slot, so tracking is race-free when
-// processes run in different domains; Result takes the max.
-func (p *Pending) track(idx int, body func(*sim.Proc)) func(*sim.Proc) {
+// track wraps a process body so the pending records the latest
+// completion time.
+func (p *Pending) track(body func(*sim.Proc)) func(*sim.Proc) {
 	return func(proc *sim.Proc) {
 		body(proc)
-		if proc.Now() > p.doneAts[idx] {
-			p.doneAts[idx] = proc.Now()
+		if proc.Now() > p.doneAt {
+			p.doneAt = proc.Now()
 		}
 	}
 }
 
 func newPending(e *sim.Engine, label string, env Env, procs int) *Pending {
-	done := make([]sim.Time, procs)
-	for i := range done {
-		done[i] = e.Now()
-	}
 	return &Pending{
 		label:      label,
 		env:        env,
 		collectors: make([]*trace.Collector, procs),
 		errs:       make([]int, procs),
 		startedAt:  e.Now(),
-		doneAts:    done,
+		doneAt:     e.Now(),
 	}
 }
 
@@ -252,9 +209,8 @@ func (w SeqRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 		if w.StartOffset != nil {
 			base = w.StartOffset(pid)
 		}
-		prev := e.SetDomain(placeDomain(env, pid))
 		target := env.Target(pid)
-		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(pid, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			read := accessorFor(target, col, w.UseMPIIO, w.Write)
 			for done := int64(0); done < w.BytesPerProcess; done += w.RecordSize {
 				n := w.RecordSize
@@ -269,7 +225,6 @@ func (w SeqRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 				}
 			}
 		}))
-		e.SetDomain(prev)
 	}
 	return pend, nil
 }
@@ -375,9 +330,8 @@ func (w Noncontig) Start(e *sim.Engine, env Env) (*Pending, error) {
 		if w.BaseFor != nil {
 			base = w.BaseFor(pid)
 		}
-		prev := e.SetDomain(placeDomain(env, pid))
 		target := env.Target(pid)
-		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(pid, func(p *sim.Proc) {
+		e.Spawn(fmt.Sprintf("%s.p%d", w.Label, pid), pend.track(func(p *sim.Proc) {
 			m := middleware.NewMPIIO(target, col, middleware.MPIIOConfig{
 				DataSieving:  w.Sieving,
 				SieveBufSize: w.SieveBufSize,
@@ -394,7 +348,6 @@ func (w Noncontig) Start(e *sim.Engine, env Env) (*Pending, error) {
 				}
 			}
 		}))
-		e.SetDomain(prev)
 	}
 	return pend, nil
 }

@@ -2,7 +2,6 @@ package bps
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"bps/internal/core"
@@ -95,15 +94,6 @@ type RunConfig struct {
 
 	// Seed makes runs reproducible; equal seeds give identical results.
 	Seed int64
-
-	// Shards, when positive, runs the simulation on a sharded engine
-	// with that many workers: every I/O server (and the metadata server)
-	// gets its own event calendar and the calendars execute concurrently
-	// under conservative lookahead windows. Results are bit-identical
-	// for every positive value — only classic (0) vs. sharded differ,
-	// because the sharded request path models RPCs asynchronously.
-	// Negative means GOMAXPROCS. Requires a cluster stack (Servers > 0).
-	Shards int
 
 	// Observe, when non-nil, attaches the observability subsystem to the
 	// run: metrics registry, time-series sampler, and (per the options)
@@ -199,10 +189,7 @@ func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport,
 	if len(apps) == 0 {
 		return RunReport{}, nil, fmt.Errorf("bps: no applications given")
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, nil, err
-	}
+	e := sim.NewEngine(cfg.Seed)
 	ob := attachObserver(e, cfg)
 
 	// Shared infrastructure.
@@ -304,25 +291,6 @@ func appEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, ai in
 	return env, nil
 }
 
-// newEngine builds one run's engine in the execution mode RunConfig
-// selects: classic single-calendar, or sharded with cfg.Shards workers
-// (GOMAXPROCS when negative). Sharding partitions the simulation by
-// I/O server, so it needs a cluster stack.
-func newEngine(cfg RunConfig) (*sim.Engine, error) {
-	e := sim.NewEngine(cfg.Seed)
-	shards := cfg.Shards
-	if shards < 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > 0 {
-		if cfg.Storage.Servers == 0 {
-			return nil, fmt.Errorf("bps: Shards needs a cluster stack (Storage.Servers > 0)")
-		}
-		e.EnableSharding(shards)
-	}
-	return e, nil
-}
-
 // faultPlan derives the run's fault plan from the public FaultRate
 // knob. The plan seed is a pure function of the run seed, so two runs
 // with equal configs inject identical fault patterns; a zero rate
@@ -347,12 +315,10 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 	if procs < 1 {
 		return RunReport{}, fmt.Errorf("bps: procs %d < 1", procs)
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
+	e := sim.NewEngine(cfg.Seed)
 	ob := attachObserver(e, cfg)
 	var env workload.Env
+	var err error
 	switch {
 	case cfg.Storage.Servers == 0:
 		if cfg.Storage.FaultEvery > 0 || cfg.Storage.FaultRate > 0 {
@@ -437,10 +403,7 @@ func ReplayAccesses(cfg RunConfig, accs []workload.Access) (RunReport, error) {
 // replayOn builds a replay env with one file per fileSizes entry and
 // runs w on it.
 func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, error) {
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
+	e := sim.NewEngine(cfg.Seed)
 	ob := attachObserver(e, cfg)
 	spec := testbed.ClusterSpec{
 		Servers: cfg.Storage.Servers,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bps/internal/qos"
+	"bps/internal/sim"
 )
 
 // QoSConfig configures the multi-tenant admission controller: the
@@ -51,10 +52,7 @@ func SimulateTenants(cfg RunConfig, q QoSConfig, tenants ...TenantSpec) (combine
 	if len(tenants) == 0 {
 		return RunReport{}, nil, nil, fmt.Errorf("bps: no tenants given")
 	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return RunReport{}, nil, nil, err
-	}
+	e := sim.NewEngine(cfg.Seed)
 	ob := attachObserver(e, cfg)
 	res, err := qos.Run(e, qos.RunSpec{
 		Servers: cfg.Storage.Servers,
