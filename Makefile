@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI pipeline.
 
-.PHONY: all vet staticcheck build test race cover bench bench-all bench-smoke bench-check faults clientcache attrib live qos livefs suite ci
+.PHONY: all vet staticcheck build test race cover fuzz bench bench-all bench-smoke bench-check faults clientcache attrib live qos livefs suite ci
 
 all: ci
 
@@ -30,6 +30,17 @@ race:
 cover:
 	go test -coverprofile=coverage.out ./...
 	go tool cover -func=coverage.out | tail -n 1
+
+# fuzz runs every Fuzz* target in the module for 30 s each (go test
+# -fuzz takes one target per invocation). A failing input is saved
+# under the package's testdata/fuzz, where plain go test replays it.
+fuzz:
+	@set -e; for pkg in $$(go list ./...); do \
+		for fn in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$fn"; \
+			go test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 30s $$pkg; \
+		done; \
+	done
 
 # bench runs the engine micro- and macro-benchmarks and records them as
 # test2json lines in BENCH_sim.json (the committed perf baseline), then

@@ -101,13 +101,14 @@ func ComputeMetrics(records []Record, movedBytes int64, execTime Time) Metrics {
 }
 
 // TimelinePoint is the measurement of one fixed window of a run.
-type TimelinePoint = core.TimelinePoint
+type TimelinePoint = core.Window
 
 // Timeline slices a run into fixed windows and measures each: completed
 // operations and blocks are attributed to the window containing the
 // access's completion, busy time is the exact intersection of the
 // overlap union with the window, and each window's BPS/IOPS follow. It
-// turns the single-number BPS into a time series.
+// turns the single-number BPS into a time series. A record with a
+// negative start or an end before its start is an error.
 func Timeline(records []Record, window Time) ([]TimelinePoint, error) {
 	return core.Timeline(trace.FromRecords(records), window)
 }

@@ -323,3 +323,30 @@ func TestReplayTraceOnCluster(t *testing.T) {
 		t.Fatalf("replay: errors=%d ops=%d vs %d", replayed.Errors, replayed.Metrics.Ops, orig.Metrics.Ops)
 	}
 }
+
+func TestParseStorage(t *testing.T) {
+	cases := []struct {
+		in      string
+		media   Media
+		servers int
+		ok      bool
+	}{
+		{"hdd", HDD, 0, true},
+		{"ssd", SSD, 0, true},
+		{"hddx4", HDD, 4, true},
+		{"ssdx8", SSD, 8, true},
+		{"nvme", 0, 0, false},
+		{"hddx0", 0, 0, false},
+		{"hddy4", 0, 0, false},
+	}
+	for _, c := range cases {
+		s, err := ParseStorage(c.in)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseStorage(%q) err = %v", c.in, err)
+			continue
+		}
+		if c.ok && (s.Media != c.media || s.Servers != c.servers) {
+			t.Errorf("ParseStorage(%q) = %+v", c.in, s)
+		}
+	}
+}

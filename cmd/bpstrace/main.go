@@ -52,7 +52,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 
 	"bps"
@@ -229,7 +228,7 @@ func printReplay(w io.Writer, records []bps.Record, opts options) error {
 	}
 	cfgs := make([]bps.RunConfig, len(stacks))
 	for i, stack := range stacks {
-		storage, err := parseStack(stack)
+		storage, err := bps.ParseStorage(stack)
 		if err != nil {
 			return err
 		}
@@ -304,32 +303,6 @@ func printReplay(w io.Writer, records []bps.Record, opts options) error {
 		}
 	}
 	return nil
-}
-
-// parseStack interprets hdd, ssd, hddxN, ssdxN.
-func parseStack(s string) (bps.Storage, error) {
-	media := bps.HDD
-	rest := s
-	switch {
-	case strings.HasPrefix(s, "hdd"):
-		rest = strings.TrimPrefix(s, "hdd")
-	case strings.HasPrefix(s, "ssd"):
-		media = bps.SSD
-		rest = strings.TrimPrefix(s, "ssd")
-	default:
-		return bps.Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
-	}
-	if rest == "" {
-		return bps.Storage{Media: media}, nil
-	}
-	if !strings.HasPrefix(rest, "x") {
-		return bps.Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
-	}
-	n, err := strconv.Atoi(rest[1:])
-	if err != nil || n < 1 {
-		return bps.Storage{}, fmt.Errorf("bad server count in %q", s)
-	}
-	return bps.Storage{Media: media, Servers: n, SharedFile: true}, nil
 }
 
 func printTimeline(w io.Writer, records []bps.Record, windowSeconds float64) error {

@@ -130,6 +130,19 @@ func TestRunWindowAndLatency(t *testing.T) {
 	}
 }
 
+// TestRunWindowMalformedRecord: -window on a record ending before it
+// starts is an error naming the record, not a panic.
+func TestRunWindowMalformedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(path, []byte("pid,blocks,start_ns,end_ns\n1,8,100000000,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(&bytes.Buffer{}, []string{path}, options{format: "auto", windowSeconds: 0.01})
+	if err == nil || !strings.Contains(err.Error(), "pid 1, blocks 8, start 100000000, end 0") {
+		t.Fatalf("err = %v, want an error naming the record", err)
+	}
+}
+
 func TestRunBlkparse(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.blkparse")
 	content := "8,0 1 1 0.000100 42 D R 1000 + 8 [app]\n8,0 1 2 0.005100 42 C R 1000 + 8 [0]\n"
@@ -166,33 +179,6 @@ func TestSpanHelper(t *testing.T) {
 	}
 	if got := span(recs); got != 35 {
 		t.Fatalf("span = %v, want 35", got)
-	}
-}
-
-func TestParseStack(t *testing.T) {
-	cases := []struct {
-		in      string
-		media   bps.Media
-		servers int
-		ok      bool
-	}{
-		{"hdd", bps.HDD, 0, true},
-		{"ssd", bps.SSD, 0, true},
-		{"hddx4", bps.HDD, 4, true},
-		{"ssdx8", bps.SSD, 8, true},
-		{"nvme", 0, 0, false},
-		{"hddx0", 0, 0, false},
-		{"hddy4", 0, 0, false},
-	}
-	for _, c := range cases {
-		s, err := parseStack(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("parseStack(%q) err = %v", c.in, err)
-			continue
-		}
-		if c.ok && (s.Media != c.media || s.Servers != c.servers) {
-			t.Errorf("parseStack(%q) = %+v", c.in, s)
-		}
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package clock provides the Timeline sources a measurement run can
-// tell time through. A simulated run's timeline is its engine; a live
-// run's timeline is either the wall clock (real measurements on real
-// hardware) or a deterministic virtual lane per worker (reproducible
-// figures on the in-memory backend). All downstream consumers — trace
-// records, the attrib window estimator, core.Compute — are pure over
-// the sim.Time values a timeline hands out, so the same metric stack
-// serves all three without modification.
+// Package clock provides the live time sources (sim.TimeSource) a
+// measurement run can tell time through. A simulated run's source is
+// its engine; a live run's is either the wall clock (real measurements
+// on real hardware) or a deterministic virtual lane per worker
+// (reproducible figures on the in-memory backend). All downstream
+// consumers — trace records, the window estimator, core.Compute — are
+// pure over the sim.Time values a source hands out, so the same metric
+// stack serves all three without modification.
 package clock
 
 import (
@@ -14,14 +14,7 @@ import (
 	"bps/internal/sim"
 )
 
-// Timeline is any source of current time on some timeline. *sim.Engine
-// satisfies it (simulated time), as do Wall and VirtualLane below.
-type Timeline = sim.TimeSource
-
-// Sim returns the timeline of a simulation engine: its own clock.
-func Sim(e *sim.Engine) Timeline { return e }
-
-// Wall is a live timeline anchored at an origin instant: Now reports
+// Wall is a live time source anchored at an origin instant: Now reports
 // nanoseconds elapsed since the origin, and Sleep blocks for real. One
 // Wall is shared by all workers of a live run so their timestamps are
 // mutually comparable — it is safe for concurrent use.
@@ -29,7 +22,7 @@ type Wall struct {
 	origin time.Time
 }
 
-// NewWall returns a wall-clock timeline anchored at the current instant.
+// NewWall returns a wall-clock time source anchored at the current instant.
 func NewWall() *Wall { return &Wall{origin: time.Now()} }
 
 // Now returns nanoseconds elapsed since the origin.

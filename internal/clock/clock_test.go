@@ -45,14 +45,6 @@ func TestWall(t *testing.T) {
 	}
 }
 
-func TestSimTimeline(t *testing.T) {
-	e := sim.NewEngine(1)
-	var tl Timeline = Sim(e)
-	if tl.Now() != 0 {
-		t.Fatalf("sim timeline Now = %v", tl.Now())
-	}
-}
-
 func TestCostModel(t *testing.T) {
 	m := CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 1e6} // 1 MB/s
 	if got := m.Cost(0); got != 100*sim.Microsecond {

@@ -5,7 +5,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"bps/internal/sim"
@@ -55,38 +56,36 @@ func OverlapTime(records []trace.Record) sim.Time {
 }
 
 // OverlapIntervals computes the union length of arbitrary intervals.
-// The slice is sorted in place.
+// The slice is sorted and merged in place (see Union).
 func OverlapIntervals(ivs []Interval) sim.Time {
-	if len(ivs) == 0 {
-		return 0
+	var total sim.Time
+	for _, iv := range Union(ivs) {
+		total += iv.Duration()
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
-	})
-	return overlapSorted(ivs)
+	return total
 }
 
-// overlapSorted is the merge pass of the paper's Fig. 3 algorithm: walk
-// records in start order, extending the current merged interval while the
-// next record begins before (or exactly when) it ends, otherwise banking
-// its duration and starting a new one.
-func overlapSorted(ivs []Interval) sim.Time {
-	var total sim.Time
-	cur := ivs[0]
-	for _, next := range ivs[1:] {
-		if cur.End < next.Start {
-			total += cur.Duration()
-			cur = next
+// Union is the merge pass of the paper's Fig. 3 algorithm: sort by
+// start, then walk the intervals extending the current merged span
+// while the next one begins before (or exactly when) it ends, otherwise
+// starting a new span. It works in place and returns the prefix of ivs
+// holding the disjoint, non-empty spans of the union in start order;
+// empty and inverted intervals cover nothing and vanish. It allocates
+// nothing.
+func Union(ivs []Interval) []Interval {
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+	out := ivs[:0]
+	for _, iv := range ivs {
+		if iv.End <= iv.Start {
 			continue
 		}
-		if next.End > cur.End {
-			cur.End = next.End
+		if n := len(out); n > 0 && iv.Start <= out[n-1].End {
+			out[n-1].End = max(out[n-1].End, iv.End)
+			continue
 		}
+		out = append(out, iv)
 	}
-	return total + cur.Duration()
+	return out
 }
 
 // SumTime is the naive alternative to OverlapTime: the arithmetic sum of
@@ -122,47 +121,4 @@ func Span(records []trace.Record) sim.Time {
 		return 0
 	}
 	return hi - lo
-}
-
-// MergeAccumulator is a streaming form of the Fig. 3 merge pass for
-// callers that already produce records sorted by start time (e.g. a
-// time-ordered trace file): O(1) memory instead of buffering the whole
-// collection.
-type MergeAccumulator struct {
-	total   sim.Time
-	cur     Interval
-	started bool
-	lastAdd sim.Time
-}
-
-// Add feeds the next interval. Intervals must arrive in nondecreasing
-// start order; Add panics otherwise, because a silently wrong T would
-// invalidate every metric computed from it.
-func (m *MergeAccumulator) Add(start, end sim.Time) {
-	if m.started && start < m.lastAdd {
-		panic("core: MergeAccumulator fed out-of-order interval")
-	}
-	m.lastAdd = start
-	iv := Interval{Start: start, End: end}
-	if !m.started {
-		m.cur = iv
-		m.started = true
-		return
-	}
-	if m.cur.End < iv.Start {
-		m.total += m.cur.Duration()
-		m.cur = iv
-		return
-	}
-	if iv.End > m.cur.End {
-		m.cur.End = iv.End
-	}
-}
-
-// Total returns the union length of everything added so far.
-func (m *MergeAccumulator) Total() sim.Time {
-	if !m.started {
-		return 0
-	}
-	return m.total + m.cur.Duration()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -83,35 +84,6 @@ func TestOverlapZeroLength(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("zero-length union = %v, want 0", got)
 	}
-}
-
-func TestMergeAccumulatorMatchesBatch(t *testing.T) {
-	records := []trace.Record{rec(10, 40), rec(20, 55), rec(35, 60), rec(80, 95)}
-	var acc MergeAccumulator
-	for _, r := range records { // already sorted by start
-		acc.Add(r.Start, r.End)
-	}
-	if acc.Total() != OverlapTime(records) {
-		t.Fatalf("streaming %v != batch %v", acc.Total(), OverlapTime(records))
-	}
-}
-
-func TestMergeAccumulatorEmpty(t *testing.T) {
-	var acc MergeAccumulator
-	if acc.Total() != 0 {
-		t.Fatalf("empty accumulator total = %v", acc.Total())
-	}
-}
-
-func TestMergeAccumulatorOutOfOrderPanics(t *testing.T) {
-	var acc MergeAccumulator
-	acc.Add(10, 20)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-order Add did not panic")
-		}
-	}()
-	acc.Add(5, 8)
 }
 
 // randomRecords builds n records with bounded coordinates from a seeded
@@ -200,25 +172,6 @@ func TestOverlapDuplicateInvariance(t *testing.T) {
 	}
 }
 
-// Property: the streaming accumulator agrees with the batch union on
-// sorted input.
-func TestMergeAccumulatorProperty(t *testing.T) {
-	prop := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		records := randomRecords(rng, int(nRaw%60)+1)
-		g := trace.FromRecords(append([]trace.Record(nil), records...))
-		g.SortByStart()
-		var acc MergeAccumulator
-		for _, r := range g.Records() {
-			acc.Add(r.Start, r.End)
-		}
-		return acc.Total() == OverlapTime(records)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOverlapIntervalsDirect(t *testing.T) {
 	if got := OverlapIntervals(nil); got != 0 {
 		t.Fatalf("empty = %v", got)
@@ -230,6 +183,32 @@ func TestOverlapIntervalsDirect(t *testing.T) {
 	ivs = []Interval{{Start: 0, End: 10}, {Start: 20, End: 5}}
 	if got := OverlapIntervals(ivs); got != 10 {
 		t.Fatalf("mixed = %v", got)
+	}
+}
+
+// TestUnionSpans: the merge leaves the disjoint, non-empty spans of the
+// union in start order, in place, and allocates nothing.
+func TestUnionSpans(t *testing.T) {
+	ivs := []Interval{{80, 95}, {5, 5}, {35, 60}, {10, 40}, {70, 65}, {20, 55}, {95, 99}}
+	got := Union(ivs)
+	want := []Interval{{10, 60}, {80, 99}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Union = %v, want %v", got, want)
+	}
+	if &got[0] != &ivs[0] {
+		t.Fatal("Union did not merge in place")
+	}
+	if got := Union(nil); len(got) != 0 {
+		t.Fatalf("Union(nil) = %v", got)
+	}
+	buf := make([]Interval, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range buf {
+			buf[i] = Interval{sim.Time(len(buf) - i), sim.Time(len(buf) - i + 3)}
+		}
+		Union(buf)
+	}); n != 0 {
+		t.Fatalf("Union allocates %v times per call", n)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,45 @@ func TestTimelineEmptyAndInvalid(t *testing.T) {
 	pts, err := Timeline(trace.Gather(), sim.Second)
 	if err != nil || pts != nil {
 		t.Errorf("empty trace: pts=%v err=%v", pts, err)
+	}
+}
+
+// TestTimelineRejectsMalformedRecords: a negative start or an end
+// before the start is an error naming the record, not a panic or a
+// silently dropped access.
+func TestTimelineRejectsMalformedRecords(t *testing.T) {
+	for _, r := range []trace.Record{
+		{PID: 1, Blocks: 8, Start: 100_000_000, End: 0},
+		{PID: 2, Blocks: 8, Start: -5, End: 5},
+	} {
+		good := trace.Record{PID: 3, Blocks: 1, Start: 0, End: sim.Millisecond}
+		pts, err := Timeline(trace.FromRecords([]trace.Record{good, r}), sim.Second)
+		if err == nil || pts != nil {
+			t.Fatalf("record %+v: pts=%v err=%v, want an error", r, pts, err)
+		}
+		if want := fmt.Sprintf("record 1 (pid %d, blocks 8, start %d, end %d)", r.PID, r.Start, r.End); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestEstimatorFarTimestampBounded: buckets cover the run's extent, not
+// the time since the clock origin, so an access at 1e14 ns allocates
+// one bucket, and an earlier one grows the range at most twofold.
+func TestEstimatorFarTimestampBounded(t *testing.T) {
+	const at = sim.Time(100_000_000_000_000)
+	e := NewWindowEstimator(10 * sim.Millisecond)
+	e.Add(8, at, at+sim.Millisecond)
+	if len(e.buckets) != 1 || cap(e.buckets) > 1 {
+		t.Fatalf("one access at 1e14 ns: %d buckets (cap %d), want 1", len(e.buckets), cap(e.buckets))
+	}
+	e.Add(4, at-35*sim.Millisecond, at-30*sim.Millisecond)
+	if cap(e.buckets) > 2*5 {
+		t.Fatalf("extent of 5 windows holds %d buckets", cap(e.buckets))
+	}
+	wins := e.Windows()
+	if len(wins) != 5 || wins[0].Start != at-40*sim.Millisecond || wins[4].Ops != 1 || wins[0].Ops != 1 {
+		t.Fatalf("windows = %+v", wins)
 	}
 }
 
@@ -125,5 +166,16 @@ func TestTimelineConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEstimatorNilAndDefaultWidth(t *testing.T) {
+	var ne *WindowEstimator
+	ne.Add(1, 0, 1)
+	if ne.Windows() != nil || ne.Every() != 0 {
+		t.Fatal("nil estimator produced data")
+	}
+	if got := NewWindowEstimator(0).Every(); got != 10*sim.Millisecond {
+		t.Fatalf("default width = %v, want 10ms", got)
 	}
 }

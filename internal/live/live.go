@@ -76,7 +76,7 @@ type Config struct {
 	Cost clock.CostModel
 
 	// WindowEvery sizes the streaming window estimator (default 10 ms
-	// via attrib.NewWindowEstimator).
+	// via core.NewWindowEstimator).
 	WindowEvery sim.Time
 
 	// Seed derives the per-worker RNG streams (retry jitter).
@@ -135,7 +135,7 @@ func SlotName(slot int) string { return fmt.Sprintf("slot%04d.dat", slot) }
 // method for method, so the driver can feed a serve.Publisher without
 // this package importing the HTTP layer.
 type Source interface {
-	LiveWindows() []attrib.Window
+	LiveWindows() []core.Window
 	WindowEvery() sim.Time
 	Registry() *obs.Registry
 }
@@ -147,11 +147,11 @@ type driver struct {
 	reg *obs.Registry
 
 	mu  sync.Mutex
-	est *attrib.WindowEstimator
+	est *core.WindowEstimator
 }
 
 // LiveWindows implements serve.Source.
-func (d *driver) LiveWindows() []attrib.Window {
+func (d *driver) LiveWindows() []core.Window {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.est.Windows()
@@ -291,7 +291,7 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 	o := obs.Attach(eng, obs.Options{})
 	exec := sim.NewLiveExec(eng)
 
-	d := &driver{reg: o.Registry(), est: attrib.NewWindowEstimator(cfg.WindowEvery)}
+	d := &driver{reg: o.Registry(), est: core.NewWindowEstimator(cfg.WindowEvery)}
 
 	var wall *clockWall
 	if cfg.Mode == Wall {

@@ -5,21 +5,26 @@ import (
 	"reflect"
 	"testing"
 
+	"bps/internal/core"
 	"bps/internal/sim"
 	"bps/internal/trace"
 )
 
 const win = 10 * sim.Millisecond
 
+// windowed returns a collector serving only the streaming windows; these
+// tests drive core.WindowEstimator through it.
+func windowed() *Collector { return NewCollector(Config{WindowEvery: win}) }
+
 // TestWindowsCompletionAttribution: work lands in the window containing
 // the access's end, with an end exactly on a boundary belonging to the
-// left window — the same convention as core.Timeline.
+// left window.
 func TestWindowsCompletionAttribution(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(4, 0, win)             // ends exactly on the first boundary → window 0
-	e.Add(8, win/2, win+1)       // crosses the boundary → window 1
-	e.Add(2, 2*win, 2*win+win/2) // window 2
-	wins := e.Windows()
+	e := windowed()
+	e.AddAccess(4, 0, win)             // ends exactly on the first boundary → window 0
+	e.AddAccess(8, win/2, win+1)       // crosses the boundary → window 1
+	e.AddAccess(2, 2*win, 2*win+win/2) // window 2
+	wins := e.LiveWindows()
 
 	if len(wins) != 3 {
 		t.Fatalf("windows = %d, want 3", len(wins))
@@ -44,13 +49,13 @@ func TestWindowsCompletionAttribution(t *testing.T) {
 // TestWindowsBusyUnion: busy is the overlap union clipped to each
 // window — concurrent accesses are counted once, idle gaps not at all.
 func TestWindowsBusyUnion(t *testing.T) {
-	e := NewWindowEstimator(win)
+	e := windowed()
 	// Two concurrent accesses covering [0, 6ms); idle until 8ms; then
 	// one access crossing into the second window.
-	e.Add(1, 0, 6*sim.Millisecond)
-	e.Add(1, 2*sim.Millisecond, 6*sim.Millisecond)
-	e.Add(1, 8*sim.Millisecond, 14*sim.Millisecond)
-	wins := e.Windows()
+	e.AddAccess(1, 0, 6*sim.Millisecond)
+	e.AddAccess(1, 2*sim.Millisecond, 6*sim.Millisecond)
+	e.AddAccess(1, 8*sim.Millisecond, 14*sim.Millisecond)
+	wins := e.LiveWindows()
 
 	if len(wins) != 2 {
 		t.Fatalf("windows = %d, want 2", len(wins))
@@ -69,10 +74,10 @@ func TestWindowsBusyUnion(t *testing.T) {
 // TestWindowsContinuousThroughGaps: a long idle stretch still yields
 // the in-between empty windows, so the series has no holes.
 func TestWindowsContinuousThroughGaps(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(1, 0, sim.Millisecond)
-	e.Add(1, 5*win, 5*win+sim.Millisecond)
-	wins := e.Windows()
+	e := windowed()
+	e.AddAccess(1, 0, sim.Millisecond)
+	e.AddAccess(1, 5*win, 5*win+sim.Millisecond)
+	wins := e.LiveWindows()
 
 	if len(wins) != 6 {
 		t.Fatalf("windows = %d, want 6 (gap windows included)", len(wins))
@@ -90,7 +95,7 @@ func TestWindowsContinuousThroughGaps(t *testing.T) {
 // TestWindowRates checks the per-window metric arithmetic against hand
 // computation.
 func TestWindowRates(t *testing.T) {
-	w := Window{
+	w := core.Window{
 		Start: 0, End: win,
 		Ops: 4, Blocks: 64,
 		SumDur: 8 * sim.Millisecond,
@@ -109,7 +114,7 @@ func TestWindowRates(t *testing.T) {
 		t.Errorf("ARPT = %v, want %v", got, want)
 	}
 
-	var zero Window
+	var zero core.Window
 	if zero.BPS() != 0 || zero.IOPS() != 0 || zero.Bandwidth() != 0 ||
 		zero.ARPT() != 0 || zero.Utilization() != 0 {
 		t.Error("zero window produced nonzero rates")
@@ -119,16 +124,19 @@ func TestWindowRates(t *testing.T) {
 // TestEstimatorRejectsBadInput: negative or inverted intervals are
 // dropped rather than corrupting the grid.
 func TestEstimatorRejectsBadInput(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(1, -5, 5)
-	e.Add(1, 10, 5)
-	if e.Windows() != nil {
+	e := windowed()
+	e.AddAccess(1, -5, 5)
+	e.AddAccess(1, 10, 5)
+	if e.LiveWindows() != nil {
 		t.Fatal("bad input produced windows")
 	}
-	var ne *WindowEstimator
-	ne.Add(1, 0, 1)
-	if ne.Windows() != nil || ne.Every() != 0 {
-		t.Fatal("nil estimator produced data")
+	var nc *Collector
+	nc.AddAccess(1, 0, 1)
+	if nc.LiveWindows() != nil || nc.WindowEvery() != 0 {
+		t.Fatal("nil collector produced data")
+	}
+	if c := NewCollector(Config{}); c.LiveWindows() != nil || c.WindowEvery() != 0 {
+		t.Fatal("collector without windows produced data")
 	}
 }
 
@@ -143,13 +151,13 @@ func TestEstimatorOutOfOrderFinishes(t *testing.T) {
 		{6, 25 * sim.Millisecond, 31 * sim.Millisecond},
 		{1, 9 * sim.Millisecond, 9 * sim.Millisecond},
 	}
-	feed := func(order []int) []Window {
-		e := NewWindowEstimator(win)
+	feed := func(order []int) []core.Window {
+		e := windowed()
 		for _, i := range order {
 			a := accesses[i]
-			e.Add(int64(a[0]), a[1], a[2])
+			e.AddAccess(int64(a[0]), a[1], a[2])
 		}
-		return e.Windows()
+		return e.LiveWindows()
 	}
 	sorted := feed([]int{0, 4, 2, 1, 3})
 	reversed := feed([]int{3, 1, 2, 4, 0})
@@ -164,10 +172,10 @@ func TestEstimatorOutOfOrderFinishes(t *testing.T) {
 // windows books its ops/blocks in the completion window but spreads its
 // busy time across every window it crosses.
 func TestEstimatorStraddlingSpan(t *testing.T) {
-	e := NewWindowEstimator(win)
+	e := windowed()
 	// [5ms, 35ms): crosses windows 0..3, completes in window 3.
-	e.Add(10, win/2, 3*win+win/2)
-	wins := e.Windows()
+	e.AddAccess(10, win/2, 3*win+win/2)
+	wins := e.LiveWindows()
 	if len(wins) != 4 {
 		t.Fatalf("windows = %d, want 4", len(wins))
 	}
@@ -203,9 +211,9 @@ func TestEstimatorStraddlingSpan(t *testing.T) {
 // TestEstimatorSpanEndingOnBoundary: a span ending exactly on a window
 // boundary contributes busy only to the left window and none past it.
 func TestEstimatorSpanEndingOnBoundary(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(5, win/2, 2*win) // ends exactly at the window-1/2 boundary
-	wins := e.Windows()
+	e := windowed()
+	e.AddAccess(5, win/2, 2*win) // ends exactly at the window-1/2 boundary
+	wins := e.LiveWindows()
 	if len(wins) != 2 {
 		t.Fatalf("windows = %d, want 2 (boundary end belongs left)", len(wins))
 	}
@@ -221,7 +229,7 @@ func TestEstimatorSpanEndingOnBoundary(t *testing.T) {
 // zero width, zero ops, inverted bounds — through every rate helper:
 // all must return finite values (satellite: no NaN/Inf in exports).
 func TestWindowRatesNeverNaNOrInf(t *testing.T) {
-	cases := []Window{
+	cases := []core.Window{
 		{},
 		{Start: win, End: win}, // zero width
 		{Start: win, End: 2 * win, Ops: 3, Blocks: 12}, // ops but no busy
@@ -240,7 +248,7 @@ func TestWindowRatesNeverNaNOrInf(t *testing.T) {
 		}
 	}
 	// The common degenerate values are exactly zero, not merely finite.
-	z := Window{Start: win, End: win}
+	z := core.Window{Start: win, End: win}
 	if z.BPS() != 0 || z.Utilization() != 0 {
 		t.Errorf("zero-width window rates: BPS=%v Util=%v, want 0", z.BPS(), z.Utilization())
 	}
@@ -249,10 +257,23 @@ func TestWindowRatesNeverNaNOrInf(t *testing.T) {
 // TestEstimatorZeroDuration: an instantaneous access still counts as an
 // op in its window but adds no busy time.
 func TestEstimatorZeroDuration(t *testing.T) {
-	e := NewWindowEstimator(win)
-	e.Add(3, win/2, win/2)
-	wins := e.Windows()
+	e := windowed()
+	e.AddAccess(3, win/2, win/2)
+	wins := e.LiveWindows()
 	if len(wins) != 1 || wins[0].Ops != 1 || wins[0].Blocks != 3 || wins[0].Busy != 0 {
 		t.Fatalf("zero-duration access: %+v", wins)
+	}
+}
+
+// TestEstimatorZeroLengthOnFirstStart: a zero-length access completing
+// exactly on the first window's start books in that window rather than
+// vanishing left of the series.
+func TestEstimatorZeroLengthOnFirstStart(t *testing.T) {
+	e := windowed()
+	e.AddAccess(3, win, win)
+	e.AddAccess(2, win+win/2, 2*win)
+	wins := e.LiveWindows()
+	if len(wins) != 1 || wins[0].Start != win || wins[0].Ops != 2 || wins[0].Blocks != 5 {
+		t.Fatalf("windows = %+v, want one window [%v,%v) with both accesses", wins, win, 2*win)
 	}
 }

@@ -17,7 +17,7 @@ package forecast
 import (
 	"fmt"
 
-	"bps/internal/obs/attrib"
+	"bps/internal/core"
 	"bps/internal/trace"
 )
 
@@ -377,7 +377,7 @@ func NewTracker(cfg Config) *Tracker {
 
 // ObserveWindow feeds one closed window to every tracked series and
 // returns the alerts this window raised, in series order.
-func (t *Tracker) ObserveWindow(w attrib.Window) []Alert {
+func (t *Tracker) ObserveWindow(w core.Window) []Alert {
 	var out []Alert
 	for _, s := range t.series {
 		before := len(s.alerts)

@@ -28,8 +28,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bps/internal/core"
 	"bps/internal/obs"
-	"bps/internal/obs/attrib"
 	"bps/internal/obs/forecast"
 	"bps/internal/sim"
 )
@@ -49,7 +49,7 @@ type WindowJSON struct {
 	Util   float64 `json:"utilization"`
 }
 
-func windowJSON(i int, w attrib.Window) WindowJSON {
+func windowJSON(i int, w core.Window) WindowJSON {
 	return WindowJSON{
 		Index:  i,
 		StartS: w.Start.Seconds(),
@@ -156,7 +156,7 @@ type event struct {
 // it for simulated runs; the live driver (internal/live) satisfies it
 // directly so wall-clock runs publish through the identical pipeline.
 type Source interface {
-	LiveWindows() []attrib.Window
+	LiveWindows() []core.Window
 	WindowEvery() sim.Time
 	Registry() *obs.Registry
 }

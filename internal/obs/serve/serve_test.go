@@ -391,13 +391,19 @@ func TestStreamEviction(t *testing.T) {
 		t.Fatalf("first SSE line %q (err %v), want snapshot event", line, err)
 	}
 
-	// Stop reading and flood: buffer (256) + DropLimit misses evict us.
-	for i := 0; i < 256+DropLimit+16; i++ {
+	// Stop reading and flood until DropLimit consecutive misses evict
+	// us. The handler keeps writing into the socket buffers while they
+	// have room, so a fixed-size flood can be absorbed without a single
+	// miss; flood until the subscriber is gone instead.
+	for evicted := false; !evicted; {
 		pub.broadcast([]event{{kind: "window", data: []byte("{}")}})
+		pub.smu.Lock()
+		evicted = len(pub.subs) == 0
+		pub.smu.Unlock()
 	}
 	// The handler drains the buffered prefix into the response, appends
 	// the eviction notice, and returns; the body must therefore end.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<28))
 	if err != nil {
 		t.Fatalf("reading post-eviction body: %v", err)
 	}

@@ -18,8 +18,8 @@ import (
 	"errors"
 	"fmt"
 
+	"bps/internal/core"
 	"bps/internal/ioreq"
-	"bps/internal/obs/attrib"
 	"bps/internal/sim"
 	"bps/internal/trace"
 )
@@ -110,7 +110,7 @@ type Tenant struct {
 // engine's alternation discipline makes access race-free.
 type tenantState struct {
 	t   Tenant
-	est *attrib.WindowEstimator // report series (exact Busy union)
+	est *core.WindowEstimator // report series (exact Busy union)
 
 	// Per-window delivered blocks on the control grid, indexed by
 	// window; grown on demand. The control law reads these — O(1) per
@@ -170,7 +170,7 @@ func NewController(cfg Config, tenants ...Tenant) (*Controller, error) {
 		if c.byName[t.Name] != nil {
 			return nil, fmt.Errorf("qos: duplicate tenant %q", t.Name)
 		}
-		st := &tenantState{t: t, est: attrib.NewWindowEstimator(c.cfg.WindowEvery)}
+		st := &tenantState{t: t, est: core.NewWindowEstimator(c.cfg.WindowEvery)}
 		c.order = append(c.order, st)
 		c.byName[t.Name] = st
 		if t.BPSFloor > 0 && (c.prot == nil || t.Priority > c.prot.t.Priority) {
@@ -442,7 +442,7 @@ type TenantReport struct {
 
 	// Windows is the tenant's windowed BPS/IOPS/BW/ARPT series from the
 	// attrib estimator (exact per-window busy union).
-	Windows []attrib.Window `json:"windows,omitempty"`
+	Windows []core.Window `json:"windows,omitempty"`
 
 	Delayed      int64   `json:"delayed"`       // requests the throttle delayed
 	DelaySeconds float64 `json:"delay_seconds"` // total simulated delay injected

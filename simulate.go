@@ -3,6 +3,8 @@ package bps
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"bps/internal/core"
 	"bps/internal/device"
@@ -86,6 +88,34 @@ type Storage struct {
 // cache config.
 func (s Storage) clientCache() ioreq.CacheConfig {
 	return ioreq.CacheConfig{CapacityBytes: s.ClientCacheBytes, ReadAhead: s.ClientCacheReadAhead}
+}
+
+// ParseStorage interprets the command-line stack names hdd, ssd, hddxN
+// and ssdxN: a local disk, or a parallel file system striping one
+// shared file over N servers.
+func ParseStorage(s string) (Storage, error) {
+	media := HDD
+	rest := s
+	switch {
+	case strings.HasPrefix(s, "hdd"):
+		rest = strings.TrimPrefix(s, "hdd")
+	case strings.HasPrefix(s, "ssd"):
+		media = SSD
+		rest = strings.TrimPrefix(s, "ssd")
+	default:
+		return Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
+	}
+	if rest == "" {
+		return Storage{Media: media}, nil
+	}
+	if !strings.HasPrefix(rest, "x") {
+		return Storage{}, fmt.Errorf("unknown stack %q (hdd, ssd, hddxN, ssdxN)", s)
+	}
+	n, err := strconv.Atoi(rest[1:])
+	if err != nil || n < 1 {
+		return Storage{}, fmt.Errorf("bad server count in %q", s)
+	}
+	return Storage{Media: media, Servers: n, SharedFile: true}, nil
 }
 
 // RunConfig carries the common knobs of a simulated run.
