@@ -126,8 +126,8 @@ qos:
 # degraded rate at tiny scale, enough to exercise injection at every
 # layer plus the client recovery path end to end.
 faults:
-	go run ./cmd/bpsbench -faults -scale 0.002 -fault-rates 0,0.016 -q
-	go run ./cmd/bpsbench -faults -scale 0.002 -fault-rates 0,0.064 -q
+	go run ./cmd/bpsbench -fig faults -scale 0.002 -fault-rates 0,0.016 -q
+	go run ./cmd/bpsbench -fig faults -scale 0.002 -fault-rates 0,0.064 -q
 
 # clientcache runs the client-cache sweep smoke: BPS must diverge from
 # BW as the hit rate rises (the test suite asserts it; this prints it).
@@ -182,4 +182,4 @@ suite:
 	@rm -f suite_smoke.out suite_smoke.json
 	@echo "suite smoke OK"
 
-ci: vet staticcheck build race bench-smoke live qos livefs suite
+ci: vet staticcheck build race bench-smoke faults clientcache live qos livefs suite attrib

@@ -6,12 +6,13 @@
 // Usage:
 //
 //	bpsbench [-fig all|table1|table2|fig4|...|fig12|faults|clientcache|qos|livemem|suite] [-scale 0.015625] [-seed 42] [-parallel N]
-//	bpsbench -faults [-fault-rates 0,0.004,0.016]
+//	         [-trace-out t.json] [-metrics-out m.csv] [-attrib-out a.folded] [-windows 0.01] [-windows-out w.csv] [-forecast] [-serve :8080]
+//	bpsbench -fig faults [-fault-rates 0,0.004,0.016]
 //	bpsbench -fig clientcache
 //	bpsbench -fig livemem
 //	bpsbench -fig suite [-seeds 5] [-roofline-out suite.json]
 //	bpsbench -backend mem [-live-procs 4] [-live-mb 64] [-live-record 1048576]
-//	bpsbench -backend os -dir /data/bench -wall [-direct] [-windows 0.01] [-windows-out w.csv]
+//	bpsbench -backend os -dir /data/bench -wall [-direct] [-metrics-out m.csv] [-windows 0.01] [-windows-out w.csv] [-forecast] [-serve :8080]
 //
 // The output for a CC figure is the per-run measurement table followed by
 // the normalized correlation coefficient of each metric against
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,158 +39,154 @@ import (
 	"bps/internal/clock"
 	"bps/internal/experiments"
 	"bps/internal/live"
-	"bps/internal/obs"
-	"bps/internal/obs/forecast"
-	"bps/internal/obs/serve"
+	"bps/internal/obs/obsflag"
 	"bps/internal/report"
 	"bps/internal/roofline"
 	"bps/internal/sim"
 	"bps/internal/workload"
 )
 
+// options collects bpsbench's flags.
+type options struct {
+	fig         string
+	scale       float64
+	seed        int64
+	quiet       bool
+	csv         bool
+	seeds       int
+	rooflineOut string
+	faultRates  string
+	backend     string
+	dir         string
+	direct      bool
+	wall        bool
+	liveProcs   int
+	liveMB      int64
+	liveRecord  int64
+	obs         *obsflag.Flags
+}
+
 func main() {
-	fig := flag.String("fig", "all", "what to reproduce: all, table1, table2, fig4..fig12, ext1..ext3, faults, clientcache, qos, livemem, or suite")
-	scale := flag.Float64("scale", 1.0/64, "fraction of the paper's data sizes (1.0 = full scale)")
-	seed := flag.Int64("seed", 42, "base RNG seed")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for sweep runs (results are identical for any value)")
-	quiet := flag.Bool("q", false, "suppress timing chatter")
-	asCSV := flag.Bool("csv", false, "emit per-run rows (and cc rows) as CSV instead of tables")
-	seeds := flag.Int("seeds", 0, "robustness mode: rerun the figure under N seeds and report CC ranges; for -fig suite, the number of seeds per phase (default 5)")
-	rooflineOut := flag.String("roofline-out", "", "with -fig suite: write the suite report (per-phase CC distributions, ceilings, headroom) as JSON here")
-	traceOut := flag.String("trace-out", "", "write the last reproduced run as Chrome trace-event JSON here")
-	metricsOut := flag.String("metrics-out", "", "write the last reproduced run's per-layer metrics as CSV here")
-	faultsFig := flag.Bool("faults", false, "shortcut for -fig faults: the BPS-under-degradation FaultSweep")
-	faultRates := flag.String("fault-rates", "", "comma-separated fault rates for the FaultSweep x-axis (default 0,0.001,0.004,0.016,0.064)")
-	attribOut := flag.String("attrib-out", "", "run the critical-path profiler, print the per-layer blame table, and write folded flame-graph stacks here")
-	windows := flag.Float64("windows", 0, "streaming windowed estimator width in seconds (0 = off); prints the per-window BPS/IOPS/BW/ARPT series")
-	serveAddr := flag.String("serve", "", "serve live observability on this address while runs execute (/metrics /windows /forecast /stream); forces -parallel 1 and defaults -windows to 0.01")
-	forecastOut := flag.Bool("forecast", false, "run the online burst forecaster over the last run's window series and print per-window forecasts and alerts (needs -windows)")
-	windowsOut := flag.String("windows-out", "", "write the run's window series as CSV here (needs -windows, or a live -backend where it is on by default)")
-	backendName := flag.String("backend", "sim", "what serves the I/O: sim (reproduce figures), os (measure the real directory under -dir), mem (measure the in-memory filesystem)")
-	dir := flag.String("dir", "", "directory tree to measure with -backend os")
-	direct := flag.Bool("direct", false, "open data files with O_DIRECT on -backend os (Linux; bypasses the page cache)")
-	wallClock := flag.Bool("wall", false, "live backends: time with the wall clock (real measurement) instead of deterministic per-worker virtual lanes")
-	liveProcs := flag.Int("live-procs", 4, "live backends: concurrent worker processes")
-	liveMB := flag.Int64("live-mb", 64, "live backends: MiB each worker reads from its slot file")
-	liveRecord := flag.Int64("live-record", 1<<20, "live backends: bytes per access")
-	flag.Parse()
-
-	if *faultsFig {
-		*fig = experiments.FaultFigureID
-	}
-	rates, err := parseRates(*faultRates)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpsbench: -fault-rates:", err)
-		os.Exit(1)
-	}
-
-	switch *backendName {
-	case "sim":
-		// The simulated reproduction below.
-	case "os", "mem":
-		err := runLive(os.Stdout, liveOpts{
-			backend:    *backendName,
-			dir:        *dir,
-			direct:     *direct,
-			wall:       *wallClock,
-			procs:      *liveProcs,
-			perProcMB:  *liveMB,
-			record:     *liveRecord,
-			seed:       *seed,
-			windows:    *windows,
-			windowsOut: *windowsOut,
-			serveAddr:  *serveAddr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bpsbench:", err)
-			os.Exit(1)
-		}
+	o, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
 		return
-	default:
-		fmt.Fprintf(os.Stderr, "bpsbench: unknown -backend %q (sim, os, mem)\n", *backendName)
-		os.Exit(1)
-	}
-
-	if *windowsOut != "" && *windows == 0 {
-		fmt.Fprintln(os.Stderr, "bpsbench: -windows-out needs -windows (no window series without the streaming estimator)")
-		os.Exit(1)
-	}
-
-	if *serveAddr != "" && *windows == 0 {
-		*windows = 0.01
-	}
-	if *forecastOut && *windows == 0 {
-		fmt.Fprintln(os.Stderr, "bpsbench: -forecast needs -windows (the forecaster consumes the window series)")
-		os.Exit(1)
-	}
-	if *serveAddr != "" {
-		// One publisher serves the whole sweep; runs must tick it
-		// sequentially, so the sweep cannot fan out.
-		*parallel = 1
-	}
-
-	params := experiments.Params{Scale: *scale, Seed: *seed, Parallel: *parallel, FaultRates: rates}
-
-	if *fig == experiments.SuiteFigureID {
-		nseeds := *seeds
-		if nseeds == 0 {
-			nseeds = 5
-		}
-		if err := runSuiteFig(os.Stdout, params, nseeds, *rooflineOut, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, "bpsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *rooflineOut != "" {
-		fmt.Fprintln(os.Stderr, "bpsbench: -roofline-out needs -fig suite (the suite computes the roofline fits)")
-		os.Exit(1)
-	}
-
-	if *seeds > 0 {
-		r, err := experiments.RunRobustness(params, *fig, *seeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bpsbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(r)
-		return
-	}
-
-	suite := experiments.NewSuite(params)
-	if *traceOut != "" || *metricsOut != "" || *attribOut != "" || *windows > 0 || *serveAddr != "" {
-		opts := &obs.Options{
-			ChromeTrace: *traceOut != "",
-			SampleEvery: sim.Millisecond,
-			Attribution: *attribOut != "",
-			WindowEvery: sim.Time(*windows * float64(sim.Second)),
-		}
-		if *serveAddr != "" {
-			pub := serve.NewPublisher("bpsbench -fig "+*fig, forecast.Config{})
-			srv, err := serve.Start(*serveAddr, pub)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bpsbench:", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "[serving live observability on http://%s]\n", srv.Addr())
-			opts.Tick = pub.Hook()
-		}
-		suite.SetObserve(opts)
-	}
-
-	if *asCSV {
-		err = runCSV(suite, *fig, *quiet)
-	} else {
-		err = run(suite, *fig, *quiet)
-	}
-	if err == nil {
-		err = writeObservation(suite, *traceOut, *metricsOut, *attribOut, *windowsOut, *windows > 0, *forecastOut)
 	}
 	if err != nil {
+		os.Exit(2)
+	}
+	if err := bench(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "bpsbench:", err)
 		os.Exit(1)
 	}
+}
+
+// parseArgs parses bpsbench's command line (without the program name);
+// a malformed one is reported on stderr with the usage.
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("bpsbench", flag.ContinueOnError)
+	var o options
+	fs.StringVar(&o.fig, "fig", "all", "what to reproduce: all, table1, table2, fig4..fig12, ext1..ext3, faults, clientcache, qos, livemem, or suite")
+	fs.Float64Var(&o.scale, "scale", 1.0/64, "fraction of the paper's data sizes (1.0 = full scale)")
+	fs.Int64Var(&o.seed, "seed", 42, "base RNG seed")
+	fs.BoolVar(&o.quiet, "q", false, "suppress timing chatter")
+	fs.BoolVar(&o.csv, "csv", false, "emit per-run rows (and cc rows) as CSV instead of tables")
+	fs.IntVar(&o.seeds, "seeds", 0, "robustness mode: rerun the figure under N seeds and report CC ranges; for -fig suite, the number of seeds per phase (default 5)")
+	fs.StringVar(&o.rooflineOut, "roofline-out", "", "with -fig suite: write the suite report (per-phase CC distributions, ceilings, headroom) as JSON here")
+	fs.StringVar(&o.faultRates, "fault-rates", "", "comma-separated fault rates for the FaultSweep x-axis of -fig faults (default 0,0.001,0.004,0.016,0.064)")
+	fs.StringVar(&o.backend, "backend", "sim", "what serves the I/O: sim (reproduce figures), os (measure the real directory under -dir), mem (measure the in-memory filesystem)")
+	fs.StringVar(&o.dir, "dir", "", "directory tree to measure with -backend os")
+	fs.BoolVar(&o.direct, "direct", false, "open data files with O_DIRECT on -backend os (Linux; bypasses the page cache)")
+	fs.BoolVar(&o.wall, "wall", false, "live backends: time with the wall clock (real measurement) instead of deterministic per-worker virtual lanes")
+	fs.IntVar(&o.liveProcs, "live-procs", 4, "live backends: concurrent worker processes")
+	fs.Int64Var(&o.liveMB, "live-mb", 64, "live backends: MiB each worker reads from its slot file")
+	fs.Int64Var(&o.liveRecord, "live-record", 1<<20, "live backends: bytes per access")
+	o.obs = obsflag.Register(fs)
+	return o, fs.Parse(args)
+}
+
+// bench runs what o asks for and writes its report to w.
+func bench(w io.Writer, o options) error {
+	rates, err := parseRates(o.faultRates)
+	if err != nil {
+		return fmt.Errorf("-fault-rates: %w", err)
+	}
+
+	switch o.backend {
+	case "sim":
+		// The simulated reproduction below.
+	case "os", "mem":
+		if err := o.obs.Check(obsflag.Metrics|obsflag.Windows, "a live -backend run"); err != nil {
+			return err
+		}
+		return runLive(w, o)
+	default:
+		return fmt.Errorf("unknown -backend %q (sim, os, mem)", o.backend)
+	}
+
+	// Only observed figure sweeps produce observability data; the
+	// multi-seed modes and the static or live-measured figures do not.
+	can, what := obsflag.All, ""
+	switch {
+	case o.fig == experiments.SuiteFigureID:
+		can, what = 0, "-fig suite"
+	case o.seeds > 0:
+		can, what = 0, "robustness mode (-seeds)"
+	case o.fig == "table1" || o.fig == "table2" || o.fig == experiments.LiveMemFigureID:
+		can, what = 0, "-fig "+o.fig
+	}
+	if err := o.obs.Check(can, what); err != nil {
+		return err
+	}
+
+	params := experiments.Params{Scale: o.scale, Seed: o.seed, Parallel: o.obs.Parallel, FaultRates: rates}
+
+	if o.fig == experiments.SuiteFigureID {
+		nseeds := o.seeds
+		if nseeds == 0 {
+			nseeds = 5
+		}
+		return runSuiteFig(w, params, nseeds, o.rooflineOut, o.quiet)
+	}
+	if o.rooflineOut != "" {
+		return fmt.Errorf("-roofline-out needs -fig suite (the suite computes the roofline fits)")
+	}
+
+	if o.seeds > 0 {
+		r, err := experiments.RunRobustness(params, o.fig, o.seeds)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r)
+		return nil
+	}
+
+	suite := experiments.NewSuite(params)
+	publish, stop, err := o.obs.StartServe("bpsbench -fig "+o.fig, 0)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	observe := o.obs.Options(publish)
+	suite.SetObserve(observe)
+
+	if o.csv {
+		err = runCSV(w, suite, o.fig, o.quiet)
+	} else {
+		err = run(w, suite, o.fig, o.quiet)
+	}
+	if err != nil || observe == nil {
+		return err
+	}
+	last := suite.LastObservation()
+	if last == nil {
+		return fmt.Errorf("-fig %s observed no run", o.fig)
+	}
+	return o.obs.Export(w, obsflag.Run{
+		Label:    last.Label,
+		Trace:    last.Obs.WriteChromeTrace,
+		Registry: last.Obs.Registry(),
+		Report:   last.Obs.Attribution(),
+	})
 }
 
 // runSuiteFig reproduces the IO500-style composite: the suite sweep
@@ -207,35 +203,11 @@ func runSuiteFig(w io.Writer, params experiments.Params, nseeds int, rooflineOut
 	}
 	report.WriteSuite(w, rep)
 	if rooflineOut != "" {
-		f, err := os.Create(rooflineOut)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteSuiteJSON(f, rep); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", rooflineOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[wrote suite roofline report to %s]\n", rooflineOut)
+		return obsflag.WriteFile(rooflineOut, "suite roofline report", func(f io.Writer) error {
+			return report.WriteSuiteJSON(f, rep)
+		})
 	}
 	return nil
-}
-
-// liveOpts collects the -backend os|mem knobs.
-type liveOpts struct {
-	backend    string
-	dir        string
-	direct     bool
-	wall       bool
-	procs      int
-	perProcMB  int64
-	record     int64
-	seed       int64
-	windows    float64
-	windowsOut string
-	serveAddr  string
 }
 
 // liveAccesses builds the live workload: each process sequentially
@@ -259,8 +231,8 @@ func liveAccesses(procs int, perProc, record int64) []workload.Access {
 // runLive measures a real backend: the -backend os|mem path. The same
 // middleware chain and metric stack as a simulation, but served by
 // concurrent goroutines against an actual filesystem.
-func runLive(w io.Writer, o liveOpts) error {
-	if o.procs < 1 || o.perProcMB < 1 || o.record < 1 {
+func runLive(w io.Writer, o options) error {
+	if o.liveProcs < 1 || o.liveMB < 1 || o.liveRecord < 1 {
 		return fmt.Errorf("-live-procs, -live-mb and -live-record must be positive")
 	}
 	var fsys backend.FS
@@ -284,36 +256,34 @@ func runLive(w io.Writer, o liveOpts) error {
 		FS:          fsys,
 		Mode:        mode,
 		Cost:        clock.CostModel{PerOp: 100 * sim.Microsecond, BytesPerSec: 200e6},
-		WindowEvery: sim.Time(o.windows * float64(sim.Second)),
+		WindowEvery: o.obs.WindowEvery(),
 		Seed:        o.seed,
 		Label:       "bpsbench -backend " + o.backend,
 	}
-	// The virtual clock charges exactly the cost model, so its roofline
-	// is the model itself; a wall-clock run is bounded by real hardware
-	// the model does not describe, so no ceiling is claimed there.
+	// The virtual clock charges exactly the cost model on every
+	// worker's own lane, so its roofline is the model times the worker
+	// count; a wall-clock run is bounded by real hardware the model does
+	// not describe, so no ceiling is claimed there.
 	var ceiling float64
 	if mode == live.Virtual {
 		m := roofline.Model{
 			DeviceBytesPerSec: cfg.Cost.BytesPerSec,
 			DevicePerOp:       cfg.Cost.PerOp,
-			Servers:           1,
+			Servers:           o.liveProcs,
 			Clients:           1,
 		}
-		ceiling = m.CeilingBPS(o.record, o.procs, 0)
+		ceiling = m.CeilingBPS(o.liveRecord, o.liveProcs, 0)
 	}
-	if o.serveAddr != "" {
-		pub := serve.NewPublisher(cfg.Label, forecast.Config{})
-		pub.SetRoofline(ceiling)
-		srv, err := serve.Start(o.serveAddr, pub)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "[serving live observability on http://%s]\n", srv.Addr())
-		cfg.Publish = func(now sim.Time, src live.Source) { pub.Publish(now, src) }
+	publish, stop, err := o.obs.StartServe(cfg.Label, ceiling)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	if publish != nil {
+		cfg.Publish = func(now sim.Time, src live.Source) { publish(now, src) }
 	}
 
-	accs := liveAccesses(o.procs, o.perProcMB<<20, o.record)
+	accs := liveAccesses(o.liveProcs, o.liveMB<<20, o.liveRecord)
 	t0 := time.Now()
 	rep, err := live.Run(cfg, accs)
 	if err != nil {
@@ -323,16 +293,7 @@ func runLive(w io.Writer, o liveOpts) error {
 		rep.Backend, rep.Mode, time.Since(t0).Round(time.Millisecond))
 
 	m := rep.Metrics
-	fmt.Fprintf(w, "[live %s backend, %s clock, %d workers]\n", rep.Backend, rep.Mode, o.procs)
-	fmt.Fprintf(w, "  accesses (N):        %d\n", m.Ops)
-	fmt.Fprintf(w, "  required blocks (B): %d\n", m.Blocks)
-	fmt.Fprintf(w, "  moved bytes (M):     %d\n", m.MovedBytes)
-	fmt.Fprintf(w, "  overlapped T:        %.6f s\n", m.IOTime.Seconds())
-	fmt.Fprintf(w, "  exec time:           %.6f s\n", m.ExecTime.Seconds())
-	fmt.Fprintf(w, "  IOPS:                %.2f ops/s\n", m.IOPS())
-	fmt.Fprintf(w, "  bandwidth:           %.2f MB/s\n", m.Bandwidth()/1e6)
-	fmt.Fprintf(w, "  ARPT:                %.6f s\n", m.ARPT())
-	fmt.Fprintf(w, "  BPS:                 %.2f blocks/s\n", m.BPS())
+	report.WriteMetrics(w, fmt.Sprintf("live %s backend, %s clock, %d workers", rep.Backend, rep.Mode, o.liveProcs), m)
 	if ceiling > 0 {
 		fmt.Fprintf(w, "  roofline ceiling:    %.2f blocks/s (headroom %.1f%%)\n",
 			ceiling, 100*roofline.Headroom(m.BPS(), ceiling))
@@ -340,21 +301,7 @@ func runLive(w io.Writer, o liveOpts) error {
 	if rep.Errors > 0 {
 		fmt.Fprintf(w, "  (%d accesses failed)\n", rep.Errors)
 	}
-	if o.windowsOut != "" {
-		f, err := os.Create(o.windowsOut)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteWindowsCSV(f, rep.Attribution); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", o.windowsOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[wrote window series to %s]\n", o.windowsOut)
-	}
-	return nil
+	return o.obs.Export(w, obsflag.Run{Label: cfg.Label, Registry: rep.Registry, Report: rep.Attribution})
 }
 
 // parseRates parses a comma-separated -fault-rates list; "" means nil
@@ -378,69 +325,7 @@ func parseRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-// writeObservation exports the last instrumented run's Chrome trace,
-// per-layer metrics CSV, attribution report (blame table plus windowed
-// series on stdout, folded stacks to attribOut), and/or burst forecast.
-func writeObservation(suite *experiments.Suite, traceOut, metricsOut, attribOut, windowsOut string, windows, forecastOut bool) error {
-	if traceOut == "" && metricsOut == "" && attribOut == "" && !windows && !forecastOut {
-		return nil
-	}
-	last := suite.LastObservation()
-	if last == nil {
-		return fmt.Errorf("-trace-out/-metrics-out/-attrib-out/-windows: no run was reproduced (tables only?)")
-	}
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return f.Close()
-	}
-	if traceOut != "" {
-		if err := write(traceOut, last.Obs.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[wrote Chrome trace of run %q to %s]\n", last.Label, traceOut)
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, func(f io.Writer) error {
-			return report.WriteObsCSV(f, last.Obs.Registry())
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[wrote per-layer metrics of run %q to %s]\n", last.Label, metricsOut)
-	}
-	if attribOut != "" || windows {
-		rep := last.Obs.Attribution()
-		report.WriteAttribution(os.Stdout, rep)
-		if attribOut != "" {
-			if err := write(attribOut, rep.WriteFolded); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[wrote folded stacks of run %q to %s]\n", last.Label, attribOut)
-		}
-		if windowsOut != "" {
-			if err := write(windowsOut, func(f io.Writer) error {
-				return report.WriteWindowsCSV(f, rep)
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[wrote window series of run %q to %s]\n", last.Label, windowsOut)
-		}
-	}
-	if forecastOut {
-		report.WriteForecast(os.Stdout, last.Obs.Attribution(), forecast.Config{})
-	}
-	return nil
-}
-
-func run(suite *experiments.Suite, fig string, quiet bool) error {
-	out := os.Stdout
-
+func run(out io.Writer, suite *experiments.Suite, fig string, quiet bool) error {
 	switch fig {
 	case "table1":
 		report.WriteTable1(out)
@@ -470,40 +355,27 @@ func run(suite *experiments.Suite, fig string, quiet bool) error {
 			report.WriteFigure(out, f)
 		}
 		return nil
-	case experiments.FaultFigureID:
-		f, err := timed(suite, fig, quiet)
-		if err != nil {
-			return err
-		}
-		report.WriteFaultFigure(out, f)
-		return nil
-	case experiments.ClientCacheFigureID:
-		f, err := timed(suite, fig, quiet)
-		if err != nil {
-			return err
-		}
-		report.WriteClientCacheFigure(out, f)
-		return nil
-	case experiments.QoSFigureID:
-		f, err := timed(suite, fig, quiet)
-		if err != nil {
-			return err
-		}
-		report.WriteQoSFigure(out, f)
-		return nil
-	default:
-		f, err := timed(suite, fig, quiet)
-		if err != nil {
-			return err
-		}
-		report.WriteFigure(out, f)
-		return nil
 	}
+	f, err := timed(suite, fig, quiet)
+	if err != nil {
+		return err
+	}
+	write := report.WriteFigure
+	switch fig {
+	case experiments.FaultFigureID:
+		write = report.WriteFaultFigure
+	case experiments.ClientCacheFigureID:
+		write = report.WriteClientCacheFigure
+	case experiments.QoSFigureID:
+		write = report.WriteQoSFigure
+	}
+	write(out, f)
+	return nil
 }
 
 // runCSV emits machine-readable rows for one figure (or every figure
 // when fig is "all").
-func runCSV(suite *experiments.Suite, fig string, quiet bool) error {
+func runCSV(w io.Writer, suite *experiments.Suite, fig string, quiet bool) error {
 	ids := []string{fig}
 	if fig == "all" {
 		ids = append(append([]string{}, experiments.FigureIDs...), experiments.ExtensionIDs...)
@@ -513,7 +385,7 @@ func runCSV(suite *experiments.Suite, fig string, quiet bool) error {
 		if err != nil {
 			return err
 		}
-		if err := report.WriteFigureCSV(os.Stdout, f); err != nil {
+		if err := report.WriteFigureCSV(w, f); err != nil {
 			return err
 		}
 	}

@@ -16,32 +16,15 @@
 // the trace span (first start to last end) stands in for application
 // execution time.
 //
-// Observability outputs:
-//
-//	bpstrace -trace-out out.json trace.bin
-//	    exports the application accesses as Chrome trace-event JSON
-//	    (open in Perfetto or chrome://tracing): one timeline row per
-//	    process, one slice per access.
-//
-//	bpstrace -replay hddx4 -trace-out out.json -metrics-out metrics.csv trace.bin
-//	    replays the trace on a simulated four-server HDD cluster with the
-//	    observability subsystem attached; out.json then also contains the
-//	    per-layer spans (pfs request handling, network transfers, device
-//	    service) underneath the application rows, and metrics.csv holds
-//	    the per-layer metric registry (counters, histograms, utilization
-//	    probes).
-//
-//	bpstrace -replay hddx4 -fault-rate 0.01 trace.bin
-//	    what-if under degradation: the same replay with faults injected
-//	    at every layer (device errors/stragglers, link drops/delays,
-//	    server fail/slow windows) while the clients ride through on the
-//	    retry/failover recovery policy.
-//
-//	bpstrace -replay hdd,ssd,hddx4,ssdx4 trace.bin
-//	    what-if comparison: replays the trace on every listed stack,
-//	    fanned out across -parallel workers (default NumCPU), printing
-//	    the metrics in list order. Output is bit-identical for any
-//	    -parallel value; -trace-out/-metrics-out need a single stack.
+// -replay hddx4 re-runs the trace on a simulated four-server HDD
+// cluster (-fault-rate R injects faults at every layer while the clients
+// ride through on retry/failover); a comma-separated list compares
+// several stacks, fanned out across -parallel workers with output
+// bit-identical for any worker count. The observability flags shared
+// with bpsbench (-trace-out, -metrics-out, -attrib-out, -windows,
+// -windows-out, -forecast, -serve) observe a single-stack replay;
+// without -replay, -trace-out exports the trace's own accesses as
+// Chrome trace-event JSON and the others are rejected.
 package main
 
 import (
@@ -50,66 +33,53 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
 	"bps"
-	"bps/internal/obs/forecast"
-	"bps/internal/obs/serve"
+	"bps/internal/obs/obsflag"
 	"bps/internal/report"
-	"bps/internal/sim"
 )
 
 func main() {
-	format := flag.String("format", "auto", "trace format: auto, binary, csv, jsonl, blkparse")
-	moved := flag.Int64("moved", 0, "bytes actually moved at the file-system level (default: required bytes)")
-	exec := flag.Float64("exec", 0, "application execution time in seconds (default: trace span)")
-	perPID := flag.Bool("per-pid", false, "also print a per-process breakdown")
-	window := flag.Float64("window", 0, "also print a windowed time series with this window in seconds")
-	latency := flag.Bool("latency", false, "also print the response-time distribution and histogram")
-	replay := flag.String("replay", "", "also replay the trace on simulated stacks (comma-separated what-if list): hdd, ssd, hddxN, or ssdxN (N servers)")
-	faultRate := flag.Float64("fault-rate", 0, "inject faults at this rate into every -replay stack (client recovery is enabled automatically)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for multi-stack replays (results are identical for any value)")
-	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON here (per-layer spans when combined with -replay)")
-	metricsOut := flag.String("metrics-out", "", "write the replay's per-layer metrics as CSV here (requires a single -replay stack)")
-	attribOut := flag.String("attrib-out", "", "run the replay's critical-path profiler, print the per-layer blame table, and write folded flame-graph stacks here (requires a single -replay stack)")
-	windows := flag.Float64("windows", 0, "streaming windowed estimator width in seconds for the replay (requires a single -replay stack; distinct from -window, which bins the input trace post hoc)")
-	windowsOut := flag.String("windows-out", "", "write the replay's window series as CSV here (requires -windows)")
-	serveAddr := flag.String("serve", "", "serve the replay's live observability on this address (/metrics /windows /forecast /stream); requires a single -replay stack, defaults -windows to 0.01")
-	forecastOut := flag.Bool("forecast", false, "run the online burst forecaster over the replay's window series and print per-window forecasts and alerts (requires -windows)")
-	flag.Parse()
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "bpstrace: no trace files given")
-		flag.Usage()
+	opts, files, err := parseArgs(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if (*serveAddr != "" || *forecastOut) && *windows == 0 {
-		*windows = 0.01
-	}
-	opts := options{
-		format:        *format,
-		moved:         *moved,
-		execSeconds:   *exec,
-		perPID:        *perPID,
-		windowSeconds: *window,
-		latency:       *latency,
-		replay:        *replay,
-		faultRate:     *faultRate,
-		parallel:      *parallel,
-		traceOut:      *traceOut,
-		metricsOut:    *metricsOut,
-		attribOut:     *attribOut,
-		windowsEvery:  *windows,
-		windowsOut:    *windowsOut,
-		serveAddr:     *serveAddr,
-		forecast:      *forecastOut,
-	}
-	if err := run(os.Stdout, flag.Args(), opts); err != nil {
+	if err := run(os.Stdout, files, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "bpstrace:", err)
 		os.Exit(1)
 	}
+}
+
+// parseArgs parses bpstrace's command line (without the program name)
+// into the report knobs and the trace files; a malformed one, or one
+// naming no file, is reported on stderr with the usage.
+func parseArgs(args []string) (options, []string, error) {
+	fs := flag.NewFlagSet("bpstrace", flag.ContinueOnError)
+	var opts options
+	fs.StringVar(&opts.format, "format", "auto", "trace format: auto, binary, csv, jsonl, blkparse")
+	fs.Int64Var(&opts.moved, "moved", 0, "bytes actually moved at the file-system level (default: required bytes)")
+	fs.Float64Var(&opts.execSeconds, "exec", 0, "application execution time in seconds (default: trace span)")
+	fs.BoolVar(&opts.perPID, "per-pid", false, "also print a per-process breakdown")
+	fs.Float64Var(&opts.windowSeconds, "window", 0, "also print a windowed time series of the input trace with this window in seconds (post hoc; -windows is the replay's streaming series)")
+	fs.BoolVar(&opts.latency, "latency", false, "also print the response-time distribution and histogram")
+	fs.StringVar(&opts.replay, "replay", "", "also replay the trace on simulated stacks (comma-separated what-if list): hdd, ssd, hddxN, or ssdxN (N servers)")
+	fs.Float64Var(&opts.faultRate, "fault-rate", 0, "inject faults at this rate into every -replay stack (client recovery is enabled automatically)")
+	obsFlags := obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return opts, nil, err
+	}
+	opts.obs = *obsFlags
+	if fs.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "bpstrace: no trace files given")
+		fs.Usage()
+		return opts, nil, fmt.Errorf("no trace files given")
+	}
+	return opts, fs.Args(), nil
 }
 
 // options collects the report knobs.
@@ -122,17 +92,23 @@ type options struct {
 	latency       bool
 	replay        string
 	faultRate     float64
-	parallel      int
-	traceOut      string
-	metricsOut    string
-	attribOut     string
-	windowsEvery  float64
-	windowsOut    string
-	serveAddr     string
-	forecast      bool
+	obs           obsflag.Flags
 }
 
 func run(w io.Writer, files []string, opts options) error {
+	// The replay is the only simulated run: without it the trace's own
+	// accesses make an app-layer Chrome trace and nothing else, and a
+	// what-if list has no single run to observe.
+	can, what := obsflag.ChromeTrace, "a trace without -replay"
+	if strings.Contains(opts.replay, ",") {
+		can, what = 0, "a multi-stack -replay"
+	} else if opts.replay != "" {
+		can = obsflag.All
+	}
+	if err := opts.obs.Check(can, what); err != nil {
+		return err
+	}
+
 	var records []bps.Record
 	for _, name := range files {
 		recs, err := readFile(name, opts.format)
@@ -159,7 +135,7 @@ func run(w io.Writer, files []string, opts options) error {
 	}
 
 	m := bps.ComputeMetrics(records, moved, execTime)
-	printMetrics(w, "all", m)
+	report.WriteMetrics(w, "all", m)
 	if opts.perPID {
 		printPerPID(w, records)
 	}
@@ -173,59 +149,22 @@ func run(w io.Writer, files []string, opts options) error {
 		fmt.Fprintf(w, "[%s]\n", d)
 		fmt.Fprint(w, d.Histogram(40))
 	}
-	if opts.metricsOut != "" && opts.replay == "" {
-		return fmt.Errorf("-metrics-out needs -replay: per-layer metrics only exist for a simulated run")
-	}
-	if (opts.attribOut != "" || opts.windowsEvery > 0) && opts.replay == "" {
-		return fmt.Errorf("-attrib-out/-windows need -replay: attribution only exists for a simulated run")
-	}
-	if opts.serveAddr != "" && opts.replay == "" {
-		return fmt.Errorf("-serve needs -replay: live observability only exists for a simulated run")
-	}
-	if opts.windowsOut != "" && opts.windowsEvery == 0 {
-		return fmt.Errorf("-windows-out needs -windows: no window series without the streaming estimator")
-	}
 	if opts.replay != "" {
-		if err := printReplay(w, records, opts); err != nil {
-			return err
-		}
-	} else if opts.traceOut != "" {
-		// No simulation: export the application accesses themselves.
-		if err := writeFile(opts.traceOut, func(f io.Writer) error {
-			return bps.WriteChromeTrace(f, records)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote Chrome trace (app layer) to %s\n", opts.traceOut)
+		return printReplay(w, records, opts)
 	}
-	return nil
-}
-
-// writeFile creates name and runs fn on it, closing carefully.
-func writeFile(name string, fn func(io.Writer) error) error {
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	return f.Close()
+	// No simulation: -trace-out exports the application accesses.
+	return opts.obs.Export(w, obsflag.Run{
+		Label: "app layer",
+		Trace: func(f io.Writer) error { return bps.WriteChromeTrace(f, records) },
+	})
 }
 
 // printReplay re-runs the trace on one or more simulated stacks (a
-// comma-separated what-if list, fanned out across opts.parallel workers)
-// and prints each stack's metrics in list order. With a single stack,
-// -trace-out/-metrics-out attach the observability subsystem and write
-// the collected data.
+// comma-separated what-if list, fanned out across -parallel workers)
+// and prints each stack's metrics in list order. A single stack runs
+// with the observability the flags ask for and exports it.
 func printReplay(w io.Writer, records []bps.Record, opts options) error {
 	stacks := strings.Split(opts.replay, ",")
-	observing := opts.traceOut != "" || opts.metricsOut != "" ||
-		opts.attribOut != "" || opts.windowsEvery > 0 || opts.serveAddr != ""
-	if observing && len(stacks) > 1 {
-		return fmt.Errorf("-trace-out/-metrics-out/-attrib-out/-windows/-serve need a single -replay stack, got %d", len(stacks))
-	}
 	cfgs := make([]bps.RunConfig, len(stacks))
 	for i, stack := range stacks {
 		storage, err := bps.ParseStorage(stack)
@@ -235,26 +174,14 @@ func printReplay(w io.Writer, records []bps.Record, opts options) error {
 		storage.FaultRate = opts.faultRate
 		cfgs[i] = bps.RunConfig{Storage: storage, Seed: 1}
 	}
-	if observing {
-		cfgs[0].Observe = &bps.ObserveOptions{
-			ChromeTrace: opts.traceOut != "",
-			SampleEvery: sim.Millisecond,
-			Attribution: opts.attribOut != "",
-			WindowEvery: sim.Time(opts.windowsEvery * float64(sim.Second)),
-		}
-		if opts.serveAddr != "" {
-			pub := serve.NewPublisher("bpstrace replay on "+stacks[0], forecast.Config{})
-			srv, err := serve.Start(opts.serveAddr, pub)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "bpstrace: serving live observability on http://%s\n", srv.Addr())
-			cfgs[0].Observe.Tick = pub.Hook()
-		}
+	publish, stop, err := opts.obs.StartServe("bpstrace replay on "+stacks[0], 0)
+	if err != nil {
+		return err
 	}
+	defer stop()
+	cfgs[0].Observe = opts.obs.Options(publish)
 	reps := make([]bps.RunReport, len(stacks))
-	if err := bps.SimulateEach(opts.parallel, len(stacks), func(i int) error {
+	if err := bps.SimulateEach(opts.obs.Parallel, len(stacks), func(i int) error {
 		rep, err := bps.ReplayTrace(cfgs[i], records)
 		reps[i] = rep
 		return err
@@ -262,47 +189,17 @@ func printReplay(w io.Writer, records []bps.Record, opts options) error {
 		return err
 	}
 	for i, stack := range stacks {
-		printMetrics(w, "replayed on "+stack, reps[i].Metrics)
+		report.WriteMetrics(w, "replayed on "+stack, reps[i].Metrics)
 		if reps[i].Errors > 0 {
 			fmt.Fprintf(w, "  (%d replayed accesses failed)\n", reps[i].Errors)
 		}
 	}
-	if opts.traceOut != "" {
-		if err := writeFile(opts.traceOut, reps[0].Obs.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote Chrome trace (app + sim layers) to %s\n", opts.traceOut)
-	}
-	if opts.metricsOut != "" {
-		if err := writeFile(opts.metricsOut, func(f io.Writer) error {
-			return report.WriteObsCSV(f, reps[0].Obs.Registry())
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote per-layer metrics to %s\n", opts.metricsOut)
-	}
-	if opts.attribOut != "" || opts.windowsEvery > 0 {
-		rep := reps[0].Attribution
-		report.WriteAttribution(w, rep)
-		if opts.attribOut != "" {
-			if err := writeFile(opts.attribOut, rep.WriteFolded); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote folded stacks to %s\n", opts.attribOut)
-		}
-		if opts.windowsOut != "" {
-			if err := writeFile(opts.windowsOut, func(f io.Writer) error {
-				return report.WriteWindowsCSV(f, rep)
-			}); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote window series to %s\n", opts.windowsOut)
-		}
-		if opts.forecast {
-			report.WriteForecast(w, rep, forecast.Config{})
-		}
-	}
-	return nil
+	return opts.obs.Export(w, obsflag.Run{
+		Label:    "replayed on " + stacks[0],
+		Trace:    reps[0].Obs.WriteChromeTrace,
+		Registry: reps[0].Obs.Registry(),
+		Report:   reps[0].Attribution,
+	})
 }
 
 func printTimeline(w io.Writer, records []bps.Record, windowSeconds float64) error {
@@ -376,19 +273,6 @@ func span(records []bps.Record) bps.Time {
 	return hi - lo
 }
 
-func printMetrics(w io.Writer, label string, m bps.Metrics) {
-	fmt.Fprintf(w, "[%s]\n", label)
-	fmt.Fprintf(w, "  accesses (N):        %d\n", m.Ops)
-	fmt.Fprintf(w, "  required blocks (B): %d (%d bytes)\n", m.Blocks, m.Blocks*bps.BlockSize)
-	fmt.Fprintf(w, "  moved bytes (M):     %d\n", m.MovedBytes)
-	fmt.Fprintf(w, "  overlapped T:        %.6f s\n", m.IOTime.Seconds())
-	fmt.Fprintf(w, "  exec time:           %.6f s\n", m.ExecTime.Seconds())
-	fmt.Fprintf(w, "  IOPS:                %.2f ops/s\n", m.IOPS())
-	fmt.Fprintf(w, "  bandwidth:           %.2f MB/s\n", m.Bandwidth()/1e6)
-	fmt.Fprintf(w, "  ARPT:                %.6f s\n", m.ARPT())
-	fmt.Fprintf(w, "  BPS:                 %.2f blocks/s\n", m.BPS())
-}
-
 func printPerPID(w io.Writer, records []bps.Record) {
 	byPID := make(map[int64][]bps.Record)
 	for _, r := range records {
@@ -406,6 +290,6 @@ func printPerPID(w io.Writer, records []bps.Record) {
 			required += r.Blocks * bps.BlockSize
 		}
 		m := bps.ComputeMetrics(recs, required, span(recs))
-		printMetrics(w, fmt.Sprintf("pid %d", pid), m)
+		report.WriteMetrics(w, fmt.Sprintf("pid %d", pid), m)
 	}
 }

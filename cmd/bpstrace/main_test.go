@@ -198,3 +198,97 @@ func TestRunReplay(t *testing.T) {
 		t.Error("bogus stack accepted")
 	}
 }
+
+// runArgs parses args as bpstrace's command line and runs it,
+// returning what it printed.
+func runArgs(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	opts, files, err := parseArgs(args)
+	if err != nil {
+		t.Fatalf("parseArgs(%q): %v", args, err)
+	}
+	var out bytes.Buffer
+	err = run(&out, files, opts)
+	return out.String(), err
+}
+
+func sampleTrace(t *testing.T) string {
+	recs := sampleRecords()
+	return writeTempTrace(t, "t.bin", recs, func(f *os.File) error {
+		return bps.WriteTrace(f, recs)
+	})
+}
+
+// TestRunReplayExports: a single-stack replay writes every export; the
+// "wrote" status lines stay off the report.
+func TestRunReplayExports(t *testing.T) {
+	path := sampleTrace(t)
+	dir := t.TempDir()
+	out, err := runArgs(t, "-replay", "ssd",
+		"-trace-out", filepath.Join(dir, "t.json"),
+		"-metrics-out", filepath.Join(dir, "m.csv"),
+		"-attrib-out", filepath.Join(dir, "a.folded"),
+		"-windows-out", filepath.Join(dir, "w.csv"),
+		"-forecast", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"t.json", "m.csv", "a.folded", "w.csv"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || len(data) == 0 {
+			t.Errorf("%s: missing or empty (%v)", name, err)
+			continue
+		}
+		if name == "w.csv" && !strings.HasPrefix(string(data), "start_s,end_s,ops,blocks,busy_s,") {
+			t.Errorf("windows CSV header: %q", strings.SplitN(string(data), "\n", 2)[0])
+		}
+	}
+	for _, want := range []string{"[replayed on ssd]", "Critical-path attribution", "Burst forecast"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q", want)
+		}
+	}
+	if strings.Contains(out, "wrote") {
+		t.Errorf("status lines on stdout:\n%s", out)
+	}
+}
+
+// TestRunAppTrace: without -replay, -trace-out exports the trace's own
+// accesses.
+func TestRunAppTrace(t *testing.T) {
+	name := filepath.Join(t.TempDir(), "app.json")
+	if _, err := runArgs(t, "-trace-out", name, sampleTrace(t)); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(name); err != nil || !strings.Contains(string(data), `"traceEvents"`) {
+		t.Errorf("app trace: %v\n%s", err, data)
+	}
+}
+
+// TestRunRejectsFlags: an export flag the run cannot serve fails before
+// anything prints, naming the flag the user passed.
+func TestRunRejectsFlags(t *testing.T) {
+	path := sampleTrace(t)
+	cases := [][]string{
+		{"-forecast"},
+		{"-serve", "127.0.0.1:0"},
+		{"-windows-out", "w.csv"},
+		{"-metrics-out", "m.csv"},
+		{"-attrib-out", "a.folded"},
+		{"-replay", "ssd,hdd", "-trace-out", "t.json"},
+		{"-replay", "ssd,hdd", "-windows", "0.01"},
+	}
+	for _, args := range cases {
+		flagName := args[len(args)-1]
+		if !strings.HasPrefix(flagName, "-") {
+			flagName = args[len(args)-2]
+		}
+		out, err := runArgs(t, append(args, path)...)
+		if err == nil || !strings.HasPrefix(err.Error(), flagName+" ") {
+			t.Errorf("%q: err = %v, want one naming %s", args, err, flagName)
+		}
+		if out != "" {
+			t.Errorf("%q: printed before failing:\n%s", args, out)
+		}
+	}
+}

@@ -268,10 +268,11 @@ func (r *Report) ExclusiveSum() sim.Time {
 }
 
 // Dominant returns the layer with the largest exclusive share — the
-// run's bottleneck ("" when no application time was attributed). Ties
-// resolve to the deeper layer.
+// run's bottleneck ("" when no application time was attributed, or no
+// layer spans were collected, as in a live run). Ties resolve to the
+// deeper layer.
 func (r *Report) Dominant() string {
-	if r == nil || r.Total == 0 {
+	if r == nil || r.Total == 0 || len(r.Layers) == 0 {
 		return ""
 	}
 	best := 0

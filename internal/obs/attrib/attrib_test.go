@@ -138,6 +138,10 @@ func TestDominantTieBreaksDeeper(t *testing.T) {
 	if (&Report{}).Dominant() != "" {
 		t.Errorf("zero report Dominant = %q, want \"\"", (&Report{}).Dominant())
 	}
+	// A live run's report carries T and windows but no layer spans.
+	if d := (&Report{Total: 20}).Dominant(); d != "" {
+		t.Errorf("span-less report Dominant = %q, want \"\"", d)
+	}
 }
 
 // TestLayerOf checks the span-identifier classification used by the
