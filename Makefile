@@ -46,7 +46,7 @@ fuzz:
 # test2json lines in BENCH_sim.json (the committed perf baseline), then
 # echoes the human-readable Benchmark lines.
 bench:
-	go test -run '^$$' -bench . -benchmem -json -timeout 30m ./internal/sim/... ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
+	go test -run '^$$' -bench . -benchmem -json -timeout 30m ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
 	@grep -o '"Output":"[^"]*"' BENCH_sim.json | sed -e 's/^"Output":"//' -e 's/"$$//' \
 		| tr -d '\n' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' | grep -E '^Benchmark.*ns/op'
 
@@ -57,11 +57,12 @@ bench-all:
 # bench-smoke runs each benchmark once — the CI guard that they compile
 # and execute.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime=1x ./internal/sim/... ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd
+	go test -run '^$$' -bench . -benchtime=1x ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd
 
 # bench-check is the bench-regression guard: rerun the engine
-# benchmarks and fail if the dispatch hot path regresses more than 20%
-# against the committed BENCH_sim.json. The fresh numbers land in
+# benchmarks and fail if the dispatch hot path regresses more than 20%,
+# or a guarded allocation count grows more than 2%, against the
+# committed BENCH_sim.json. The fresh numbers land in
 # BENCH_new.json (never the baseline — regenerate that with `make
 # bench` after an intended change).
 bench-check:

@@ -8,14 +8,19 @@
 //	benchguard [-baseline BENCH_sim.json] [-fresh file.json] [-threshold 0.20] [-bench BenchmarkEngineEventDispatch]
 //
 // Without -fresh it runs the benchmarks itself (go test -json on
-// ./internal/sim/..., ./internal/qos, ./internal/stats,
-// ./internal/roofline, and ./cmd/bpsd) and writes their
-// output to BENCH_new.json — never to the baseline file, so the
+// ./internal/sim/..., ./internal/ioreq, ./internal/qos,
+// ./internal/stats, ./internal/roofline, and ./cmd/bpsd) and writes
+// their output to BENCH_new.json — never to the baseline file, so the
 // committed numbers stay the reference. -bench may be repeated; the
 // default guards the event-dispatch hot paths, the QoS admission
 // middleware, the bpsd job-submit handler, and the statistics and
 // roofline hot paths (bootstrap resampling, ceiling evaluation), since
 // macro benchmarks are too noisy for a shared runner.
+//
+// Allocation counts are deterministic, so benchguard also guards
+// allocs/op, whatever -bench says, on the page-cache LRU benchmarks and
+// BenchmarkFigure9: a fresh count may exceed its baseline by at most
+// 2%, and a zero baseline must stay zero.
 //
 // -tolerances names a JSON override file so an individual benchmark can
 // carry a documented per-benchmark allowance instead of loosening the
@@ -45,11 +50,17 @@ type event struct {
 	Output string `json:"Output"`
 }
 
-// parseNsPerOp extracts "<name> → ns/op" from a test2json stream. A
-// benchmark's result line arrives as an output event carrying the
-// iteration count and "<float> ns/op" columns.
-func parseNsPerOp(r io.Reader) (map[string]float64, error) {
-	got := map[string]float64{}
+// result is one benchmark's parsed columns; allocs is -1 when the run
+// did not report allocations (no -benchmem).
+type result struct {
+	ns, allocs float64
+}
+
+// parseBench extracts each benchmark's ns/op and allocs/op from a
+// test2json stream. A benchmark's result line arrives as an output event
+// carrying the iteration count and "<value> <unit>" columns.
+func parseBench(r io.Reader) (map[string]result, error) {
+	got := map[string]result{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -64,33 +75,40 @@ func parseNsPerOp(r io.Reader) (map[string]float64, error) {
 		if ev.Action != "output" || ev.Test == "" || !strings.Contains(ev.Output, "ns/op") {
 			continue
 		}
+		res := result{allocs: -1}
 		fields := strings.Fields(ev.Output)
 		for i, f := range fields {
-			if f == "ns/op" && i > 0 {
-				v, err := strconv.ParseFloat(fields[i-1], 64)
-				if err != nil {
-					return nil, fmt.Errorf("%s: bad ns/op %q", ev.Test, fields[i-1])
-				}
-				got[ev.Test] = v
+			if i == 0 || (f != "ns/op" && f != "allocs/op") {
+				continue
+			}
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad %s %q", ev.Test, f, fields[i-1])
+			}
+			if f == "ns/op" {
+				res.ns = v
+			} else {
+				res.allocs = v
 			}
 		}
+		got[ev.Test] = res
 	}
 	return got, sc.Err()
 }
 
-func parseFile(path string) (map[string]float64, error) {
+func parseFile(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return parseNsPerOp(f)
+	return parseBench(f)
 }
 
 // runFresh executes the benchmarks and tees the test2json stream to
 // out so a failing run leaves its evidence behind.
-func runFresh(out string) (map[string]float64, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-json", "./internal/sim/...", "./internal/qos", "./internal/stats", "./internal/roofline", "./cmd/bpsd")
+func runFresh(out string) (map[string]result, error) {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-json", "./internal/sim/...", "./internal/ioreq", "./internal/qos", "./internal/stats", "./internal/roofline", "./cmd/bpsd")
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -104,7 +122,7 @@ func runFresh(out string) (map[string]float64, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	got, perr := parseNsPerOp(io.TeeReader(stdout, f))
+	got, perr := parseBench(io.TeeReader(stdout, f))
 	if err := cmd.Wait(); err != nil {
 		return nil, fmt.Errorf("benchmark run failed: %w", err)
 	}
@@ -148,14 +166,14 @@ func loadTolerances(path string, explicit bool) (map[string]float64, error) {
 	return tf.Tolerances, nil
 }
 
-// check compares fresh against base for every guarded benchmark and
-// reports to w; it returns true when any guard failed. tolerances
+// check compares fresh ns/op against base for every guarded benchmark
+// and reports to w; it returns true when any guard failed. tolerances
 // override threshold per benchmark.
-func check(w io.Writer, base, fresh map[string]float64, guarded []string, threshold float64, tolerances map[string]float64) bool {
+func check(w io.Writer, base, fresh map[string]result, guarded []string, threshold float64, tolerances map[string]float64) bool {
 	failed := false
 	for _, name := range guarded {
 		b, ok := base[name]
-		if !ok || b <= 0 {
+		if !ok || b.ns <= 0 {
 			fmt.Fprintf(os.Stderr, "benchguard: %s missing from baseline\n", name)
 			failed = true
 			continue
@@ -170,14 +188,54 @@ func check(w io.Writer, base, fresh map[string]float64, guarded []string, thresh
 		if override, ok := tolerances[name]; ok {
 			tol, note = override, fmt.Sprintf(" (tolerance %+.0f%%)", 100*override)
 		}
-		delta := (f - b) / b
+		delta := (f.ns - b.ns) / b.ns
 		status := "ok"
 		if delta > tol {
 			status = "REGRESSION"
 			failed = true
 		}
 		fmt.Fprintf(w, "%-32s baseline %10.2f ns/op   fresh %10.2f ns/op   %+6.1f%%   %s%s\n",
-			name, b, f, 100*delta, status, note)
+			name, b.ns, f.ns, 100*delta, status, note)
+	}
+	return failed
+}
+
+// allocSlack is the allocs/op growth checkAllocs tolerates: allocation
+// counts repeat up to map-growth timing and the rounding of a per-op
+// mean, so the slack is small and fixed.
+const allocSlack = 0.02
+
+// allocGuarded lists the benchmarks checkAllocs guards: the page-cache
+// LRU hot paths, which must stay allocation-free, and the Fig. 9 macro
+// benchmark whose allocation count they dominate.
+var allocGuarded = []string{"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkFigure9"}
+
+// checkAllocs compares fresh allocs/op against base for every guarded
+// benchmark and reports to w; it returns true when any guard failed. A
+// fresh count may exceed its baseline by allocSlack, so a zero baseline
+// admits no allocation.
+func checkAllocs(w io.Writer, base, fresh map[string]result, guarded []string) bool {
+	failed := false
+	for _, name := range guarded {
+		b, ok := base[name]
+		if !ok || b.allocs < 0 {
+			fmt.Fprintf(os.Stderr, "benchguard: %s allocs/op missing from baseline\n", name)
+			failed = true
+			continue
+		}
+		f, ok := fresh[name]
+		if !ok || f.allocs < 0 {
+			fmt.Fprintf(os.Stderr, "benchguard: %s allocs/op missing from fresh run\n", name)
+			failed = true
+			continue
+		}
+		status := "ok"
+		if f.allocs > b.allocs*(1+allocSlack) {
+			status = "REGRESSION"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-32s baseline %10.0f allocs/op fresh %10.0f allocs/op  %s\n",
+			name, b.allocs, f.allocs, status)
 	}
 	return failed
 }
@@ -216,7 +274,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: baseline: %v\n", err)
 		os.Exit(2)
 	}
-	var fresh map[string]float64
+	var fresh map[string]result
 	if *freshPath != "" {
 		fresh, err = parseFile(*freshPath)
 	} else {
@@ -227,9 +285,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if check(os.Stdout, base, fresh, guarded, *threshold, tolerances) {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL (threshold %+.0f%%)\n", 100**threshold)
+	nsFailed := check(os.Stdout, base, fresh, guarded, *threshold, tolerances)
+	if checkAllocs(os.Stdout, base, fresh, allocGuarded) || nsFailed {
+		fmt.Fprintf(os.Stderr, "benchguard: FAIL (threshold %+.0f%%, allocs %+.0f%%)\n", 100**threshold, 100*allocSlack)
 		os.Exit(1)
 	}
-	fmt.Printf("benchguard: ok (threshold %+.0f%%)\n", 100**threshold)
+	fmt.Printf("benchguard: ok (threshold %+.0f%%, allocs %+.0f%%)\n", 100**threshold, 100*allocSlack)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,32 +18,32 @@ func TestParseNsPerOp(t *testing.T) {
 		`{"Action":"output","Test":"BenchmarkProcSleep","Output":"--- note without ns, op\n"}`,
 		`{"Action":"pass","Package":"bps/internal/sim"}`,
 	}, "\n") + "\n"
-	got, err := parseNsPerOp(strings.NewReader(in))
+	got, err := parseBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2: %v", len(got), got)
 	}
-	if got["BenchmarkEngineEventDispatch"] != 31.07 {
+	if got["BenchmarkEngineEventDispatch"].ns != 31.07 {
 		t.Errorf("dispatch = %v, want 31.07", got["BenchmarkEngineEventDispatch"])
 	}
-	if got["BenchmarkProcSleep"] != 498.8 {
+	if got["BenchmarkProcSleep"].ns != 498.8 {
 		t.Errorf("sleep = %v, want 498.8", got["BenchmarkProcSleep"])
 	}
 }
 
 func TestParseNsPerOpRejectsGarbage(t *testing.T) {
-	if _, err := parseNsPerOp(strings.NewReader("not json\n")); err == nil {
+	if _, err := parseBench(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := parseNsPerOp(strings.NewReader(`{"Action":"output","Test":"B","Output":"x y ns/op\n"}` + "\n")); err == nil {
+	if _, err := parseBench(strings.NewReader(`{"Action":"output","Test":"B","Output":"x y ns/op\n"}` + "\n")); err == nil {
 		t.Fatal("unparseable ns/op accepted")
 	}
 }
 
 func TestParseNsPerOpEmpty(t *testing.T) {
-	got, err := parseNsPerOp(strings.NewReader(""))
+	got, err := parseBench(strings.NewReader(""))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
@@ -78,8 +79,8 @@ func TestLoadTolerances(t *testing.T) {
 }
 
 func TestCheckToleranceOverride(t *testing.T) {
-	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100}
-	fresh := map[string]float64{"BenchmarkA": 130, "BenchmarkB": 130} // +30% both
+	base := map[string]result{"BenchmarkA": {ns: 100}, "BenchmarkB": {ns: 100}}
+	fresh := map[string]result{"BenchmarkA": {ns: 130}, "BenchmarkB": {ns: 130}} // +30% both
 	guarded := []string{"BenchmarkA", "BenchmarkB"}
 
 	// Global threshold 0.20: both regress.
@@ -101,7 +102,68 @@ func TestCheckToleranceOverride(t *testing.T) {
 		t.Fatal("overridden regressions still failed")
 	}
 	// Missing benchmarks fail regardless.
-	if !check(io.Discard, base, map[string]float64{}, guarded, 0.20, both) {
+	if !check(io.Discard, base, map[string]result{}, guarded, 0.20, both) {
 		t.Fatal("missing fresh results passed")
+	}
+}
+
+// TestParseAllocsPerOp reads allocs/op beside ns/op from result lines
+// that test2json split after the benchmark name, and marks a run
+// without -benchmem as having no count.
+func TestParseAllocsPerOp(t *testing.T) {
+	cases := []struct {
+		name, output string
+		want         result
+	}{
+		{"benchmem", "  8938434\t       125.3 ns/op\t       0 B/op\t       0 allocs/op\n", result{ns: 125.3, allocs: 0}},
+		{"macro", "      27\t  64143494 ns/op\t10637685 B/op\t  172303 allocs/op\n", result{ns: 64143494, allocs: 172303}},
+		{"few", "12286772\t        84.43 ns/op\t       0 B/op\t       3 allocs/op\n", result{ns: 84.43, allocs: 3}},
+		{"no-benchmem", "  2410411\t       498.8 ns/op\n", result{ns: 498.8, allocs: -1}},
+	}
+	for _, tc := range cases {
+		var in strings.Builder
+		for _, out := range []string{"BenchmarkX     \t", tc.output} {
+			line, _ := json.Marshal(event{Action: "output", Test: "BenchmarkX", Output: out})
+			in.Write(append(line, '\n'))
+		}
+		got, err := parseBench(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got["BenchmarkX"] != tc.want {
+			t.Errorf("%s: parsed %+v, want %+v", tc.name, got["BenchmarkX"], tc.want)
+		}
+	}
+	bad := `{"Action":"output","Test":"B","Output":"1\t5 ns/op\tmany allocs/op\n"}` + "\n"
+	if _, err := parseBench(strings.NewReader(bad)); err == nil {
+		t.Fatal("unparseable allocs/op accepted")
+	}
+}
+
+func TestCheckAllocs(t *testing.T) {
+	cases := []struct {
+		name        string
+		base, fresh float64
+		fail        bool
+	}{
+		{"zero stays zero", 0, 0, false},
+		{"zero grows", 0, 1, true},
+		{"equal", 42700, 42700, false},
+		{"within slack", 42700, 43554, false},
+		{"beyond slack", 42700, 43555, true},
+		{"fewer", 42700, 30000, false},
+		{"missing from fresh run", 10, -1, true},
+		{"missing from baseline", -1, 10, true},
+	}
+	for _, tc := range cases {
+		base := map[string]result{"BenchmarkA": {ns: 1, allocs: tc.base}}
+		fresh := map[string]result{"BenchmarkA": {ns: 1, allocs: tc.fresh}}
+		var out strings.Builder
+		if got := checkAllocs(&out, base, fresh, []string{"BenchmarkA"}); got != tc.fail {
+			t.Errorf("%s: failed = %v, want %v\n%s", tc.name, got, tc.fail, out.String())
+		}
+	}
+	if !checkAllocs(io.Discard, map[string]result{}, map[string]result{}, []string{"BenchmarkA"}) {
+		t.Fatal("benchmark absent from both runs passed")
 	}
 }

@@ -7,7 +7,7 @@ package fsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"bps/internal/device"
 	"bps/internal/ioreq"
@@ -178,7 +178,7 @@ func (fs *FileSystem) flusher(p *sim.Proc) {
 			pages = append(pages, pg)
 		}
 		fs.dirty = make(map[int64]bool)
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		slices.Sort(pages)
 
 		bs := fs.cfg.BlockSize
 		for i := 0; i < len(pages); {
