@@ -42,11 +42,12 @@ fuzz:
 		done; \
 	done
 
-# bench runs the engine micro- and macro-benchmarks and records them as
-# test2json lines in BENCH_sim.json (the committed perf baseline), then
-# echoes the human-readable Benchmark lines.
+# bench runs the engine micro- and macro-benchmarks five times each and
+# records every sample as test2json lines in BENCH_sim.json (the
+# committed perf baseline), then echoes the human-readable Benchmark
+# lines. benchguard compares per-benchmark medians.
 bench:
-	go test -run '^$$' -bench . -benchmem -json -timeout 30m ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
+	go test -run '^$$' -bench . -benchmem -count 5 -json -timeout 30m ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
 	@grep -o '"Output":"[^"]*"' BENCH_sim.json | sed -e 's/^"Output":"//' -e 's/"$$//' \
 		| tr -d '\n' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' | grep -E '^Benchmark.*ns/op'
 
@@ -60,9 +61,9 @@ bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd
 
 # bench-check is the bench-regression guard: rerun the engine
-# benchmarks and fail if the dispatch hot path regresses more than 20%,
-# or a guarded allocation count grows more than 2%, against the
-# committed BENCH_sim.json. The fresh numbers land in
+# benchmarks five times each and fail if a guarded hot path's median
+# ns/op regresses more than 20%, or a guarded median allocation count
+# grows more than 2%, against the committed BENCH_sim.json. The fresh numbers land in
 # BENCH_new.json (never the baseline — regenerate that with `make
 # bench` after an intended change).
 bench-check:

@@ -1,5 +1,5 @@
 // Command benchguard is the CI bench-regression smoke: it re-runs the
-// engine benchmarks, compares each ns/op against the committed
+// engine benchmarks, compares each median ns/op against the committed
 // test2json baseline (BENCH_sim.json), and fails when a guarded
 // benchmark regresses beyond the threshold.
 //
@@ -7,15 +7,19 @@
 //
 //	benchguard [-baseline BENCH_sim.json] [-fresh file.json] [-threshold 0.20] [-bench BenchmarkEngineEventDispatch]
 //
-// Without -fresh it runs the benchmarks itself (go test -json on
-// ./internal/sim/..., ./internal/ioreq, ./internal/qos,
+// Without -fresh it runs the benchmarks itself (go test -json -count 5
+// on ./internal/sim/..., ./internal/ioreq, ./internal/qos,
 // ./internal/stats, ./internal/roofline, and ./cmd/bpsd) and writes
 // their output to BENCH_new.json — never to the baseline file, so the
-// committed numbers stay the reference. -bench may be repeated; the
-// default guards the event-dispatch hot paths, the QoS admission
-// middleware, the bpsd job-submit handler, and the statistics and
-// roofline hot paths (bootstrap resampling, ceiling evaluation), since
-// macro benchmarks are too noisy for a shared runner.
+// committed numbers stay the reference. `make bench` records the
+// baseline with the same -count, and both sides of every comparison
+// are per-benchmark medians over all recorded samples, so one noisy
+// sample cannot fail or pass the gate. -bench may be repeated; the
+// default guards the event-dispatch and proc park/unpark hot paths, the
+// QoS admission middleware, the bpsd job-submit handler, and the
+// statistics and roofline hot paths (bootstrap resampling, ceiling
+// evaluation), since macro benchmarks are too noisy for a shared
+// runner.
 //
 // Allocation counts are deterministic, so benchguard also guards
 // allocs/op, whatever -bench says, on the page-cache LRU benchmarks and
@@ -40,6 +44,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -57,10 +62,17 @@ type result struct {
 }
 
 // parseBench extracts each benchmark's ns/op and allocs/op from a
-// test2json stream. A benchmark's result line arrives as an output event
-// carrying the iteration count and "<value> <unit>" columns.
+// test2json stream and reduces them to per-benchmark medians. A
+// benchmark's result line arrives as an output event carrying the
+// iteration count and "<value> <unit>" columns; a -count run repeats it
+// once per sample, and every sample is kept until the reduction.
+// test2json names the benchmark (the event's Test field) only on its
+// first sample, so later samples go to the benchmark the output last
+// named, either by Test or by a leading "BenchmarkX-N" column that may
+// arrive in an event of its own.
 func parseBench(r io.Reader) (map[string]result, error) {
-	got := map[string]result{}
+	samples := map[string][]result{}
+	current := "" // the benchmark the output last named
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -72,18 +84,27 @@ func parseBench(r io.Reader) (map[string]result, error) {
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return nil, fmt.Errorf("bad test2json line %q: %w", line, err)
 		}
-		if ev.Action != "output" || ev.Test == "" || !strings.Contains(ev.Output, "ns/op") {
+		if ev.Action != "output" {
+			continue
+		}
+		fields := strings.Fields(ev.Output)
+		if ev.Test != "" {
+			current = ev.Test
+		}
+		if len(fields) > 0 && strings.HasPrefix(fields[0], "Benchmark") {
+			current = trimProcs(fields[0])
+		}
+		if current == "" || !strings.Contains(ev.Output, "ns/op") {
 			continue
 		}
 		res := result{allocs: -1}
-		fields := strings.Fields(ev.Output)
 		for i, f := range fields {
 			if i == 0 || (f != "ns/op" && f != "allocs/op") {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s: bad %s %q", ev.Test, f, fields[i-1])
+				return nil, fmt.Errorf("%s: bad %s %q", current, f, fields[i-1])
 			}
 			if f == "ns/op" {
 				res.ns = v
@@ -91,9 +112,40 @@ func parseBench(r io.Reader) (map[string]result, error) {
 				res.allocs = v
 			}
 		}
-		got[ev.Test] = res
+		samples[current] = append(samples[current], res)
+	}
+	got := make(map[string]result, len(samples))
+	for name, rs := range samples {
+		ns := make([]float64, len(rs))
+		allocs := make([]float64, len(rs))
+		for i, r := range rs {
+			ns[i], allocs[i] = r.ns, r.allocs
+		}
+		got[name] = result{ns: median(ns), allocs: median(allocs)}
 	}
 	return got, sc.Err()
+}
+
+// trimProcs drops the "-N" GOMAXPROCS suffix from a benchmark result
+// name, leaving the name test2json reports as Test.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// median returns the middle value of v (the mean of the middle two for
+// an even count), sorting v in place.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 func parseFile(path string) (map[string]result, error) {
@@ -108,7 +160,7 @@ func parseFile(path string) (map[string]result, error) {
 // runFresh executes the benchmarks and tees the test2json stream to
 // out so a failing run leaves its evidence behind.
 func runFresh(out string) (map[string]result, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-json", "./internal/sim/...", "./internal/ioreq", "./internal/qos", "./internal/stats", "./internal/roofline", "./cmd/bpsd")
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-count", "5", "-json", "./internal/sim/...", "./internal/ioreq", "./internal/qos", "./internal/stats", "./internal/roofline", "./cmd/bpsd")
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -252,6 +304,7 @@ func main() {
 	if len(guarded) == 0 {
 		guarded = benchList{
 			"BenchmarkEngineEventDispatch", "BenchmarkEngineCalendarDepth100k",
+			"BenchmarkProcSleep", "BenchmarkResourceContention",
 			"BenchmarkQoSServeDisabled", "BenchmarkQoSServeEnabled", "BenchmarkQoSAdmitThrottled",
 			"BenchmarkJobsSubmit",
 			"BenchmarkBootstrapDist", "BenchmarkRooflineCeiling",

@@ -140,6 +140,49 @@ func TestParseAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestParseMedianOfSamples feeds five -count samples of one benchmark
+// in the shape go test -json writes them: only the first event carries
+// Test, later samples lead with the "BenchmarkX-2" column, and one of
+// them arrives split across two events. The first sample is a far
+// outlier in both columns; the parsed result is the median, so the
+// outlier neither fails nor passes the gate by itself.
+func TestParseMedianOfSamples(t *testing.T) {
+	events := []event{
+		{Action: "output", Test: "BenchmarkX", Output: "BenchmarkX-2   \t  100\t   950.0 ns/op\t   0 B/op\t 4000 allocs/op\n"},
+		{Action: "output", Output: "BenchmarkX-2   \t  100\t    99.0 ns/op\t   0 B/op\t   40 allocs/op\n"},
+		{Action: "output", Output: "BenchmarkX-2   \t  100\t   101.0 ns/op\t   0 B/op\t   40 allocs/op\n"},
+		{Action: "output", Output: "BenchmarkX-2   \t"},
+		{Action: "output", Output: "  100\t   100.0 ns/op\t   0 B/op\t   41 allocs/op\n"},
+		{Action: "output", Output: "BenchmarkX-2   \t  100\t   102.0 ns/op\t   0 B/op\t   40 allocs/op\n"},
+		{Action: "output", Test: "BenchmarkY", Output: "BenchmarkY-2   \t  100\t     7.0 ns/op\t   0 B/op\t    0 allocs/op\n"},
+	}
+	var in strings.Builder
+	for _, ev := range events {
+		line, _ := json.Marshal(ev)
+		in.Write(append(line, '\n'))
+	}
+	got, err := parseBench(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (result{ns: 101, allocs: 40}); got["BenchmarkX"] != want {
+		t.Fatalf("parsed %+v, want the median %+v", got["BenchmarkX"], want)
+	}
+	if want := (result{ns: 7, allocs: 0}); got["BenchmarkY"] != want || len(got) != 2 {
+		t.Fatalf("parsed %+v, want only BenchmarkX and BenchmarkY %+v", got, want)
+	}
+	base := map[string]result{"BenchmarkX": {ns: 100, allocs: 40}}
+	if check(io.Discard, base, got, []string{"BenchmarkX"}, 0.20, nil) {
+		t.Error("one outlier sample failed the ns/op gate")
+	}
+	if checkAllocs(io.Discard, base, got, []string{"BenchmarkX"}) {
+		t.Error("one outlier sample failed the allocs/op gate")
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("even-count median = %v, want 2.5", got)
+	}
+}
+
 func TestCheckAllocs(t *testing.T) {
 	cases := []struct {
 		name        string

@@ -14,6 +14,13 @@ import (
 type Client struct {
 	cluster *Cluster
 	nic     *netsim.NIC
+
+	// Per-client scratch for access. chunks is done with before the
+	// access first parks, so procs sharing the client reuse one slice.
+	// A fan-out list is held across parks, so each access pops its own
+	// from spareJobs and pushes it back, cleared, when it ends.
+	chunks    []chunk
+	spareJobs [][]*job
 }
 
 // NewClient attaches a client (compute node) to the cluster fabric.
@@ -94,15 +101,18 @@ func (cl *Client) access(p *sim.Proc, f *File, req *ioreq.Request) error {
 	prev := p.Ctx()
 	p.SetCtx(req)
 	defer p.SetCtx(prev)
-	chunks := f.chunksFor(off, size)
+	cl.chunks = f.chunksFor(cl.chunks, off, size)
+	var jobs []*job
+	if n := len(cl.spareJobs); n > 0 {
+		jobs, cl.spareJobs = cl.spareJobs[n-1], cl.spareJobs[:n-1]
+	}
 
 	// Group chunks by server position, preserving per-server order: one
 	// RPC per involved server, as PVFS aggregates list I/O. Each job
 	// carries a child of req routed to its stripe position, so every
 	// server-side span keeps the request's identity.
 	perServer := make(map[int]*job)
-	var jobs []*job
-	for _, ch := range chunks {
+	for _, ch := range cl.chunks {
 		j, ok := perServer[ch.pos]
 		if !ok {
 			jr := req.Child(off, 0)
@@ -143,6 +153,8 @@ func (cl *Client) access(p *sim.Proc, f *File, req *ioreq.Request) error {
 		err = cl.accessDirect(p, f, jobs)
 	}
 	sp.End()
+	clear(jobs)
+	cl.spareJobs = append(cl.spareJobs, jobs[:0])
 	return err
 }
 

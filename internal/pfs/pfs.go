@@ -433,11 +433,11 @@ type chunk struct {
 }
 
 // chunksFor splits a global byte range into per-server chunks in global
-// offset order.
-func (f *File) chunksFor(off, size int64) []chunk {
+// offset order, reusing buf's storage.
+func (f *File) chunksFor(buf []chunk, off, size int64) []chunk {
 	ss := f.layout.StripeSize
 	n := int64(len(f.layout.Servers))
-	var out []chunk
+	out := buf[:0]
 	for size > 0 {
 		s := off / ss
 		within := off % ss

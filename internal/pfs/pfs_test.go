@@ -73,7 +73,7 @@ func TestChunksCoverProperty(t *testing.T) {
 			size:   fileSize,
 			layout: Layout{StripeSize: ss, Servers: make([]int, nn)},
 		}
-		chunks := f.chunksFor(o, s)
+		chunks := f.chunksFor(nil, o, s)
 		var covered int64
 		for _, ch := range chunks {
 			if ch.size <= 0 || ch.pos < 0 || ch.pos >= nn {
@@ -94,7 +94,7 @@ func TestChunksCoverProperty(t *testing.T) {
 
 func TestChunksMergeSingleServer(t *testing.T) {
 	f := &File{size: 1 << 20, layout: Layout{StripeSize: 64 << 10, Servers: []int{0}}}
-	chunks := f.chunksFor(0, 1<<20)
+	chunks := f.chunksFor(nil, 0, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("single-server read split into %d chunks, want 1", len(chunks))
 	}
@@ -423,6 +423,43 @@ func TestConcurrentReadersAndWritersOnSharedFile(t *testing.T) {
 	}
 }
 
+// TestProcsShareOneClient runs overlapping striped reads from several
+// procs through one client. Each access holds its own fan-out list
+// across parks, so every read completes and each server moves exactly
+// its stripe share.
+func TestProcsShareOneClient(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := newTestCluster(e, 4)
+	cl := c.NewClient("shared")
+	f, err := c.Create("data", 6<<20, c.DefaultLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for i := int64(0); i < 3; i++ {
+		base := i * 2 << 20
+		e.Spawn("reader", func(p *sim.Proc) {
+			for off := base; off < base+2<<20; off += 512 << 10 {
+				if err := cl.Read(p, f, off, 512<<10); err != nil {
+					t.Error(err)
+				}
+			}
+			done++
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done != 3 {
+		t.Fatalf("%d of 3 readers finished", done)
+	}
+	for _, s := range c.Servers() {
+		if got := s.FS().Moved(); got != 6<<20/4 {
+			t.Errorf("server %d moved %d, want %d", s.ID(), got, 6<<20/4)
+		}
+	}
+}
+
 func TestStripeSizeOverrideInLayout(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := newTestCluster(e, 2)
@@ -431,7 +468,7 @@ func TestStripeSizeOverrideInLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.chunksFor(0, 256<<10)
+	chunks := f.chunksFor(nil, 0, 256<<10)
 	if len(chunks) != 2 || chunks[0].size != 128<<10 {
 		t.Fatalf("chunks = %+v, want two 128 KiB stripes", chunks)
 	}

@@ -86,7 +86,7 @@ func BenchmarkEngineCalendarDepth100k(b *testing.B) {
 }
 
 // BenchmarkProcSleep measures a full park/unpark round trip: the
-// channel handshake plus the wake event, which dominates every
+// coroutine switch plus the wake event, which dominates every
 // device-service and think-time wait in a workload run.
 func BenchmarkProcSleep(b *testing.B) {
 	e := NewEngine(1)

@@ -8,8 +8,9 @@ import (
 
 // event is a scheduled entry in the event calendar. Exactly one of fn
 // and p is set: fn is an ordinary callback, while p marks a process
-// wake-up that the dispatch loop resumes directly — the common
-// Sleep/Resource path pays no closure allocation per wake.
+// wake-up (or a spawned process's start) that the dispatch loop resumes
+// directly — spawns and the common Sleep/Resource path pay no closure
+// allocation per wake.
 type event struct {
 	at  Time
 	seq uint64 // FIFO tie-break for events at the same time
@@ -102,24 +103,13 @@ type Engine struct {
 	nevents uint64
 	fg      int // scheduled foreground events still in the calendar
 
-	// yield is the proc→engine handshake: whichever process goroutine is
-	// currently running signals on yield exactly once when it parks or
-	// terminates, returning control to the dispatch loop.
-	yield chan struct{}
-
 	// live tracks spawned processes that have not yet terminated, so that
 	// Run can detect deadlock (live procs but an empty calendar).
 	live map[*Proc]struct{}
 
 	// procs tracks every unfinished process (including daemons), so
-	// Shutdown can unwind parked goroutines.
+	// Shutdown can unwind parked ones.
 	procs map[*Proc]struct{}
-
-	// trap carries a panic raised on a process goroutine back to the
-	// dispatching goroutine, where it re-panics inside Run — so simulation
-	// bugs surface on the caller's stack instead of crashing a detached
-	// goroutine.
-	trap interface{}
 
 	rng *rand.Rand
 
@@ -136,21 +126,9 @@ type Engine struct {
 // identical schedules.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
 		live:  make(map[*Proc]struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
-	}
-}
-
-// waitYield blocks until the currently-running process parks or ends,
-// then re-raises any panic the process trapped.
-func (e *Engine) waitYield() {
-	<-e.yield
-	if e.trap != nil {
-		t := e.trap
-		e.trap = nil
-		panic(t)
 	}
 }
 
@@ -185,22 +163,24 @@ func (e *Engine) wake(p *Proc) {
 	e.scheduleWake(e.now, p, false)
 }
 
-// Shutdown unwinds every parked process goroutine (daemon worker loops,
+// Shutdown unwinds every parked process (daemon worker loops,
 // deadlocked processes) after the simulation has finished, so that
-// programs running many simulations do not accumulate blocked
-// goroutines. It must be called after Run/RunUntil has returned, from
-// the same goroutine; the engine must not be used afterwards.
+// programs running many simulations do not accumulate suspended
+// coroutines. Stopping a proc makes its pending park panic with
+// killed{}, which runs the body's deferred calls; a real panic raised
+// while unwinding surfaces from Shutdown. It must be called after
+// Run/RunUntil has returned, from the same goroutine; the engine must
+// not be used afterwards.
 func (e *Engine) Shutdown() {
 	for p := range e.procs {
-		if !p.started {
-			// The start event never fired (RunUntil stopped early); there
-			// is no goroutine to unwind.
+		if p.co.next == nil {
+			// The first wake never fired (RunUntil stopped early); there
+			// is no coroutine to unwind.
 			delete(e.procs, p)
 			delete(e.live, p)
 			continue
 		}
-		p.resume <- true // park() panics with killed{}
-		e.waitYield()
+		p.co.stop()
 	}
 }
 

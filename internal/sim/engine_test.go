@@ -285,6 +285,77 @@ func TestShutdownUnwindsDaemons(t *testing.T) {
 	}
 }
 
+// TestShutdownParkWhileUnwinding parks a daemon again from its deferred
+// calls while Shutdown unwinds it. Once stopped, a proc's yield keeps
+// returning false, so every such park panics with killed{} at once: the
+// unwind neither hangs nor leaves a suspended coroutine behind.
+func TestShutdownParkWhileUnwinding(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := NewEngine(1)
+		f := e.NewFuture()
+		repark := 0
+		e.SpawnDaemon("cleanup", func(p *Proc) {
+			// Runs last: a park with no recover, so killed{} unwinds the
+			// rest of the body.
+			defer p.Sleep(Millisecond)
+			defer func() {
+				for j := 0; j < 3; j++ {
+					func() {
+						defer func() {
+							if _, ok := recover().(killed); ok {
+								repark++
+							}
+						}()
+						p.Sleep(Millisecond)
+					}()
+				}
+				if p.co.yield(struct{}{}) {
+					t.Error("yield returned true after stop")
+				}
+			}()
+			f.Wait(p)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		e.Shutdown()
+		if repark != 3 {
+			t.Fatalf("deferred parks unwound %d times, want 3", repark)
+		}
+		if len(e.procs) != 0 {
+			t.Fatalf("procs remain: %d", len(e.procs))
+		}
+	}
+	runtime.GC()
+	after := runtime.NumGoroutine()
+	if after > before+5 {
+		t.Fatalf("goroutines grew from %d to %d despite Shutdown", before, after)
+	}
+}
+
+// TestShutdownSurfacesDeferredPanic pins that a real panic raised by a
+// deferred call while Shutdown unwinds a proc is not mistaken for the
+// killed{} sentinel: it surfaces from Shutdown.
+func TestShutdownSurfacesDeferredPanic(t *testing.T) {
+	e := NewEngine(1)
+	f := e.NewFuture()
+	e.SpawnDaemon("bad-cleanup", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		f.Wait(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != "cleanup failed" {
+			t.Errorf("Shutdown recovered %v, want the deferred call's panic", r)
+		}
+	}()
+	e.Shutdown()
+	t.Error("Shutdown returned instead of panicking")
+}
+
 func TestShutdownUnwindsDeadlockedProcs(t *testing.T) {
 	e := NewEngine(1)
 	f := e.NewFuture()
@@ -331,6 +402,25 @@ func TestProcPanicPropagates(t *testing.T) {
 	}()
 	e := NewEngine(1)
 	e.Spawn("bad", func(p *Proc) { panic("boom") })
+	_ = e.Run()
+	t.Error("Run returned instead of panicking")
+}
+
+func TestChildProcPanicPropagates(t *testing.T) {
+	// A panic in a proc spawned by another proc reaches Run's caller too.
+	defer func() {
+		if r := recover(); r != "child boom" {
+			t.Errorf("recovered %v, want the child's panic", r)
+		}
+	}()
+	e := NewEngine(1)
+	e.Spawn("parent", func(p *Proc) {
+		p.Spawn("child", func(c *Proc) {
+			c.Sleep(Millisecond)
+			panic("child boom")
+		})
+		p.Sleep(Second)
+	})
 	_ = e.Run()
 	t.Error("Run returned instead of panicking")
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // stubClock is a LiveClock with a manually advanced cursor.
@@ -89,21 +91,39 @@ func TestLiveProcRequestIDsUnique(t *testing.T) {
 func TestLiveProcEventLoopFacilitiesPanic(t *testing.T) {
 	exec := NewLiveExec(NewEngine(1))
 	p := exec.NewProc("w0", &stubClock{}, 1)
+	q := exec.Engine().NewQueue()
+	r := exec.Engine().NewResource("disk", 1)
+	r.TryAcquire() // held, so Acquire below must queue and park
 	cases := map[string]func(){
 		"NewFuture": func() { p.NewFuture() },
 		"Spawn":     func() { p.Spawn("child", func(*Proc) {}) },
 		"At":        func() { p.At(Millisecond, func() {}) },
 		"After":     func() { p.After(Millisecond, func() {}) },
+		// Contended waits reach park, which has no dispatch loop to
+		// return to on a live proc.
+		"Queue.Get":        func() { q.Get(p) },
+		"Resource.Acquire": func() { r.Acquire(p) },
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic on a live proc", name)
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "detached live proc") {
+					t.Fatalf("%s on a live proc: recovered %q, want a detached-live-proc panic", name, msg)
 				}
 			}()
 			fn()
 		})
+	}
+}
+
+// TestProcFitsCacheLine pins Proc to one 64-byte cache line. Live
+// workers write their Procs' ctx from parallel goroutines; a Proc in a
+// larger size class shares a line with its neighbour, which slowed the
+// live replay path.
+func TestProcFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Proc{}); size > 64 {
+		t.Fatalf("Proc is %d bytes, want at most 64", size)
 	}
 }
 

@@ -1,27 +1,47 @@
 package sim
 
-import "math/rand"
+import (
+	"iter"
+	"math/rand"
+)
 
-// Proc is a simulation process: a Go function running on its own goroutine
-// under the engine's strict alternation discipline. At any instant either
-// the engine's dispatch loop or exactly one of its processes is executing;
-// control transfers happen only at park points (Sleep, Future.Wait,
-// Resource.Acquire, Queue ops).
+// Proc is a simulation process: a Go function running as a coroutine
+// (iter.Pull) of the engine's dispatch loop. At any instant either the
+// dispatch loop or exactly one of its processes is executing; control
+// transfers happen only at park points (Sleep, Future.Wait,
+// Resource.Acquire, Queue ops), where the body yields and the loop's
+// next wake of the proc resumes it. Engine.Shutdown unwinds a parked
+// body by stopping its coroutine.
 //
 // A Proc must not be shared across goroutines and must only be used by the
 // body function it was created for.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan bool // true = killed by Shutdown
-	started bool
-	ctx     any // current request context (see SetCtx)
+	eng  *Engine
+	name string
+	ctx  any // current request context (see SetCtx)
+
+	// co is the coroutine an engine-driven proc runs as (nil on a
+	// detached live proc). It sits behind a pointer so that a Proc fits
+	// one 64-byte cache line: live workers write their Procs' ctx from
+	// parallel goroutines, and two Procs sharing a line slow each other.
+	co *coroutine
 
 	// live is non-nil for a detached live-measurement process (see
 	// LiveExec): the proc runs on an ordinary goroutine against a
 	// pluggable clock instead of the engine's event loop. All event-loop
 	// facilities (Spawn, At, futures) are unavailable in that mode.
 	live *liveState
+}
+
+// coroutine is an engine-driven proc's iter.Pull state: next resumes
+// the body until it parks or returns, stop unwinds a parked body, and
+// yield (called inside the body) parks it. next is nil until the proc's
+// first wake starts the coroutine.
+type coroutine struct {
+	body  func(*Proc)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // killed is the sentinel panic value that unwinds a process during
@@ -106,64 +126,73 @@ func (e *Engine) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
 
 // SpawnDaemon creates an infrastructure process (e.g. a server worker
 // loop) that is expected to block forever once the workload drains: it is
-// excluded from deadlock detection. Its goroutine remains parked when the
-// simulation ends.
+// excluded from deadlock detection. It stays parked when the simulation
+// ends, until Engine.Shutdown unwinds it.
 func (e *Engine) SpawnDaemon(name string, body func(*Proc)) *Proc {
 	return e.spawn(e.now, name, body, true)
 }
 
 func (e *Engine) spawn(t Time, name string, body func(*Proc), daemon bool) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan bool)}
+	p := &Proc{eng: e, name: name, co: &coroutine{body: body}}
 	if !daemon {
 		e.live[p] = struct{}{}
 	}
 	e.procs[p] = struct{}{}
-	e.schedule(t, func() {
-		p.started = true
-		if tr := e.tracer; tr != nil {
-			tr.ProcStarted(p)
-		}
-		go func() {
-			defer func() {
-				// A Shutdown kill unwinds silently; real panics from the
-				// simulation program are trapped and re-raised on the
-				// dispatching goroutine inside Run.
-				if r := recover(); r != nil {
-					if _, ok := r.(killed); !ok {
-						e.trap = r
-					}
-				} else if tr := e.tracer; tr != nil {
-					// Safe: the dispatch loop is blocked on yield below, so
-					// the tracer still sees serialized calls.
-					tr.ProcEnded(p)
-				}
-				delete(e.live, p) // safe: dispatch loop is blocked on yield below
-				delete(e.procs, p)
-				e.yield <- struct{}{}
-			}()
-			body(p)
-		}()
-		e.waitYield()
-	}, false)
+	// The first wake starts the body (see unpark), so a spawn schedules
+	// no closure of its own.
+	e.scheduleWake(t, p, false)
 	return p
+}
+
+// run is the coroutine body behind p.co.next: it runs p's body to
+// completion, or until Shutdown's stop makes a park panic with
+// killed{}. Any other panic is re-raised, and iter.Pull carries it out
+// of the next or stop call that resumed p — inside Run or Shutdown, on
+// the caller's stack.
+func (p *Proc) run(yield func(struct{}) bool) {
+	e := p.eng
+	p.co.yield = yield
+	defer func() {
+		delete(e.live, p)
+		delete(e.procs, p)
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
+			}
+		} else if tr := e.tracer; tr != nil {
+			tr.ProcEnded(p)
+		}
+	}()
+	p.co.body(p)
 }
 
 // park suspends the calling process and returns control to the engine's
 // dispatch loop. The process stays suspended until some event callback
-// calls unpark, or Engine.Shutdown kills it.
+// calls unpark, or Engine.Shutdown kills it: once stop has run, yield
+// returns false at once, so a park reached while unwinding panics again
+// instead of suspending.
 func (p *Proc) park() {
-	p.eng.yield <- struct{}{}
-	if <-p.resume {
+	if p.live != nil {
+		panic("sim: park on a detached live proc")
+	}
+	if !p.co.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
 
-// unpark transfers control from the dispatch loop to process p and blocks
-// until p parks again or terminates. It must be called only from an event
-// callback (dispatch context), never from another process.
+// unpark transfers control from the dispatch loop to process p and
+// returns when p parks again or terminates. The first unpark of a proc
+// starts its body. It must be called only from an event callback
+// (dispatch context), never from another process.
 func (e *Engine) unpark(p *Proc) {
-	p.resume <- false
-	e.waitYield()
+	co := p.co
+	if co.next == nil {
+		co.next, co.stop = iter.Pull(p.run)
+		if tr := e.tracer; tr != nil {
+			tr.ProcStarted(p)
+		}
+	}
+	co.next()
 }
 
 // At schedules fn as a foreground event at absolute time t. It is the

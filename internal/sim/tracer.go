@@ -7,7 +7,7 @@ package sim
 // Every callback runs in simulation context — the engine serializes them
 // with event callbacks and process execution, so implementations need no
 // locking as long as their state is only read from simulation context or
-// after Run has returned (the engine's channel handshakes establish the
+// after Run has returned (iter.Pull's coroutine switches establish the
 // happens-before edges the race detector needs).
 //
 // An engine without a tracer pays only a nil check per hook site; no
