@@ -4,7 +4,9 @@
 
 all: ci
 
+# vet fails on any file gofmt would rewrite, then runs go vet.
 vet:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	go vet ./...
 
 # staticcheck runs when the binary is installed (CI installs it; locally

@@ -260,7 +260,7 @@ const allocSlack = 0.02
 // allocGuarded lists the benchmarks checkAllocs guards: the page-cache
 // LRU hot paths, which must stay allocation-free, and the Fig. 9 macro
 // benchmark whose allocation count they dominate.
-var allocGuarded = []string{"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkFigure9"}
+var allocGuarded = []string{"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkFigure9"}
 
 // checkAllocs compares fresh allocs/op against base for every guarded
 // benchmark and reports to w; it returns true when any guard failed. A

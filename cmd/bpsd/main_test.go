@@ -174,12 +174,12 @@ func TestJobsValidation(t *testing.T) {
 	_, ts := testManager(t, 8, 0)
 	for _, body := range []string{
 		`not json`,
-		`{}`,                                   // missing tenant
-		`{"tenant":"has space"}`,               // bad name
-		`{"tenant":"a","procs":-1}`,            // bad procs
-		`{"tenant":"a","mb":-5}`,               // bad volume
-		`{"tenant":"a","record_bytes":100}`,    // sub-block record
-		`{"tenant":"a","bps_floor":-1}`,        // negative floor
+		`{}`,                                // missing tenant
+		`{"tenant":"has space"}`,            // bad name
+		`{"tenant":"a","procs":-1}`,         // bad procs
+		`{"tenant":"a","mb":-5}`,            // bad volume
+		`{"tenant":"a","record_bytes":100}`, // sub-block record
+		`{"tenant":"a","bps_floor":-1}`,     // negative floor
 	} {
 		resp, _ := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

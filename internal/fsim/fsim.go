@@ -83,7 +83,7 @@ type FileSystem struct {
 	cfg      Config
 	files    map[string]*File
 	nextFree int64
-	cache    *ioreq.LRU[int64]
+	cache    *ioreq.LRU
 	rng      *rand.Rand // the engine RNG, latched at New
 
 	moved int64 // bytes actually transferred to/from the device
@@ -108,7 +108,7 @@ func New(e *sim.Engine, dev device.Device, cfg Config) *FileSystem {
 		rng:   e.Rand(),
 	}
 	if cfg.CacheBytes > 0 {
-		fs.cache = ioreq.NewLRU[int64](cfg.CacheBytes / cfg.BlockSize)
+		fs.cache = ioreq.NewLRU(cfg.CacheBytes / cfg.BlockSize)
 	}
 	if cfg.WriteBack {
 		if fs.cache == nil {

@@ -1,6 +1,8 @@
 package ioreq
 
 import (
+	"fmt"
+
 	"bps/internal/obs"
 	"bps/internal/sim"
 )
@@ -40,10 +42,17 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	return c
 }
 
-// pageKey identifies one cached page across files.
-type pageKey struct {
-	file string
-	page int64
+// cachePageBits is the page-number width of a cache key: page pg of
+// the file with index fi is key fi<<cachePageBits | pg, so one LRU holds
+// every file's pages, a file spans at most 2^40 pages and a cache sees
+// at most 2^23 files.
+const cachePageBits = 40
+
+// cacheFile is the per-file state: the file's key base and its
+// sequential-cursor table, found with one map lookup per request.
+type cacheFile struct {
+	base    int64 // file index << cachePageBits
+	streams cacheStreams
 }
 
 // cacheMaxStreams bounds the per-file sequential-cursor table (matching
@@ -100,9 +109,9 @@ func (s *cacheStreams) advance(off, end int64) bool {
 // ID), so a partially cached range still reaches storage as few, large
 // accesses.
 type Cache struct {
-	cfg     CacheConfig
-	pages   *LRU[pageKey]
-	streams map[string]*cacheStreams
+	cfg   CacheConfig
+	pages *LRU
+	files map[string]*cacheFile
 
 	hits      uint64 // requested pages served from cache
 	misses    uint64 // requested pages fetched downstream
@@ -124,18 +133,23 @@ func NewCache(cfg CacheConfig) *Cache {
 		capPages = 1
 	}
 	return &Cache{
-		cfg:     cfg,
-		pages:   NewLRU[pageKey](capPages),
-		streams: make(map[string]*cacheStreams),
+		cfg:   cfg,
+		pages: NewLRU(capPages),
+		files: make(map[string]*cacheFile),
 	}
 }
 
 // Middleware returns the cache as a wrapper for a pipeline serving a
 // file of fileSize bytes. The cache itself is shared across every
-// pipeline it wraps; fileSize only bounds read-ahead.
+// pipeline it wraps; fileSize only bounds read-ahead. It panics when
+// the file has more pages than a cache key can number.
 func (c *Cache) Middleware(fileSize int64) Middleware {
 	if c == nil {
 		return nil
+	}
+	if fileSize > 0 && (fileSize-1)/c.cfg.PageSize >= 1<<cachePageBits {
+		panic(fmt.Sprintf("ioreq: cache: a %d-byte file spans over 2^%d pages of %d bytes",
+			fileSize, cachePageBits, c.cfg.PageSize))
 	}
 	return func(next Layer) Layer {
 		return &cacheLayer{c: c, next: next, size: fileSize}
@@ -184,20 +198,21 @@ type cacheLayer struct {
 // Serve implements Layer.
 func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 	c := l.c
+	f := c.fileFor(req.File)
 	if req.Op == OpWrite {
 		// Write-through: the write pays full downstream cost, then the
 		// written pages are cache-resident for later readers.
 		if err := l.next.Serve(p, req); err != nil {
 			return err
 		}
-		c.insertRange(req.File, req.Off, req.End())
+		c.insertRange(f.base, req.Off, req.End())
 		return nil
 	}
 
 	off, end := req.Off, req.End()
 	fetchEnd := end
-	seq := c.streamFor(req.File).advance(off, end)
-	if c.cfg.ReadAhead > 0 && (seq || off == 0) && !c.allCached(req.File, off, end) {
+	seq := f.streams.advance(off, end)
+	if c.cfg.ReadAhead > 0 && (seq || off == 0) && !c.allCached(f.base, off, end) {
 		fetchEnd = end + c.cfg.ReadAhead
 		if fetchEnd > l.size {
 			fetchEnd = l.size
@@ -227,13 +242,13 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 		}
 		c.missBytes += hi - lo
 		for pg := start; pg < endPage; pg++ {
-			c.pages.Insert(pageKey{req.File, pg})
+			c.pages.Insert(f.base | pg)
 		}
 		return nil
 	}
 
 	for pg := first; pg <= last; pg++ {
-		if c.pages.Lookup(pageKey{req.File, pg}) {
+		if c.pages.Lookup(f.base | pg) {
 			if err := flush(pg); err != nil {
 				return err
 			}
@@ -272,34 +287,35 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 	return nil
 }
 
-// streamFor returns the file's sequential-cursor table, creating it on
+// fileFor returns the file's state, giving it the next file index on
 // first use.
-func (c *Cache) streamFor(file string) *cacheStreams {
-	s, ok := c.streams[file]
+func (c *Cache) fileFor(name string) *cacheFile {
+	f, ok := c.files[name]
 	if !ok {
-		s = &cacheStreams{}
-		c.streams[file] = s
+		f = &cacheFile{base: int64(len(c.files)) << cachePageBits}
+		c.files[name] = f
 	}
-	return s
+	return f
 }
 
-// allCached reports whether every page of [off, end) is resident,
-// without touching recency or counters.
-func (c *Cache) allCached(file string, off, end int64) bool {
+// allCached reports whether every page of [off, end) in the file with
+// key base is resident, without touching recency or counters.
+func (c *Cache) allCached(base, off, end int64) bool {
 	ps := c.cfg.PageSize
 	for pg := off / ps; pg <= (end-1)/ps; pg++ {
-		if !c.pages.Contains(pageKey{file, pg}) {
+		if !c.pages.Contains(base | pg) {
 			return false
 		}
 	}
 	return true
 }
 
-// insertRange marks every page overlapping [off, end) resident.
-func (c *Cache) insertRange(file string, off, end int64) {
+// insertRange marks every page overlapping [off, end) in the file with
+// key base resident.
+func (c *Cache) insertRange(base, off, end int64) {
 	ps := c.cfg.PageSize
 	for pg := off / ps; pg <= (end-1)/ps; pg++ {
-		c.pages.Insert(pageKey{file, pg})
+		c.pages.Insert(base | pg)
 	}
 }
 

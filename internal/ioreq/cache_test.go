@@ -45,6 +45,22 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheMiddlewareRejectsHugeFile pins the key-width limit: a page
+// key holds 2^40 pages of a file, so the last page that fits is
+// accepted and one more is refused up front.
+func TestCacheMiddlewareRejectsHugeFile(t *testing.T) {
+	c := NewCache(CacheConfig{CapacityBytes: 64 * testPage, PageSize: testPage})
+	if c.Middleware(testPage<<cachePageBits) == nil {
+		t.Fatal("a file of exactly 2^40 pages was refused")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Middleware accepted a file of 2^40+1 pages")
+		}
+	}()
+	c.Middleware(testPage<<cachePageBits + 1)
+}
+
 func TestCacheHitAvoidsDownstream(t *testing.T) {
 	cfg := CacheConfig{CapacityBytes: 64 * testPage, PageSize: testPage}
 	cacheSetup(t, cfg, 1<<20, func(p *sim.Proc, l Layer, c *Cache, rec *recordingLayer) {

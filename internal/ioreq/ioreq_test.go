@@ -87,7 +87,7 @@ func TestRequestValidate(t *testing.T) {
 }
 
 func TestLRUEvictionAndCounters(t *testing.T) {
-	c := NewLRU[int](2)
+	c := NewLRU(2)
 	c.Insert(1)
 	c.Insert(2)
 	if !c.Lookup(1) { // 1 becomes most recent

@@ -1,6 +1,7 @@
 package ioreq
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -11,17 +12,35 @@ const benchLRUKeys = 1 << 16
 
 // fullLRU returns an LRU of benchLRUKeys capacity holding keys
 // 0..benchLRUKeys-1, key 0 least recent.
-func fullLRU() *LRU[int64] {
-	c := NewLRU[int64](benchLRUKeys)
+func fullLRU() *LRU {
+	c := NewLRU(benchLRUKeys)
 	for k := int64(0); k < benchLRUKeys; k++ {
 		c.Insert(k)
 	}
 	return c
 }
 
+// lruRunKeys is the run length of BenchmarkLRUSequentialRuns: a 256 KiB
+// read in 4 KiB pages.
+const lruRunKeys = 64
+
+// sequentialRun is the fsim read pattern on a full cache: look up a run
+// of lruRunKeys missing keys from next, then insert it, evicting the
+// oldest run. It returns the next run's start.
+func sequentialRun(c *LRU, next int64) int64 {
+	for k := next; k < next+lruRunKeys; k++ {
+		c.Lookup(k)
+	}
+	for k := next; k < next+lruRunKeys; k++ {
+		c.Insert(k)
+	}
+	return next + lruRunKeys
+}
+
 // TestLRUSteadyStateAllocs pins the allocation-free hot paths: once the
-// slab and index have grown, no operation allocates, including a refill
-// after Reset up to the previous high-water mark.
+// slabs and index have grown, no operation allocates, including a
+// sequential run that recycles whole blocks and a refill after Reset up
+// to the previous high-water mark.
 func TestLRUSteadyStateAllocs(t *testing.T) {
 	c := fullLRU()
 	next := int64(benchLRUKeys)
@@ -35,6 +54,7 @@ func TestLRUSteadyStateAllocs(t *testing.T) {
 		{"lookup-hit", 10000, func() { c.Lookup(next - 1 - probe%benchLRUKeys); probe++ }},
 		{"lookup-miss", 10000, func() { c.Lookup(-1 - probe); probe++ }},
 		{"contains", 10000, func() { c.Contains(next - 1 - probe%benchLRUKeys); probe++ }},
+		{"sequential-runs", 1000, func() { next = sequentialRun(c, next) }},
 		{"reset-refill", 20, func() {
 			c.Reset()
 			for k := int64(0); k < benchLRUKeys; k++ {
@@ -56,7 +76,7 @@ func TestLRULazyMemory(t *testing.T) {
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
 		runtime.ReadMemStats(&before)
-		c := NewLRU[int64](1 << 40)
+		c := NewLRU(1 << 40)
 		for k := int64(0); k < 10; k++ {
 			c.Insert(k)
 		}
@@ -68,6 +88,44 @@ func TestLRULazyMemory(t *testing.T) {
 	}
 	if best >= 4<<10 {
 		t.Fatalf("NewLRU(1<<40) plus 10 inserts allocated %d bytes, want < 4 KiB", best)
+	}
+}
+
+// TestLRUBytesPerKey pins the live heap of a cache holding 2^18 keys. A
+// dense fill shares blocks between 16 consecutive keys and costs little
+// beyond the 16-byte list node; one key per block is the worst case,
+// paying a whole block and a map entry per key.
+func TestLRUBytesPerKey(t *testing.T) {
+	const keys = 1 << 18
+	for _, tc := range []struct {
+		name   string
+		stride int64
+		limit  float64
+	}{
+		{"dense", 1, 32},
+		{"one-per-block", lruBlockKeys, 160},
+	} {
+		best := math.Inf(1)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c := NewLRU(keys)
+			for k := int64(0); k < keys; k++ {
+				c.Insert(k * tc.stride)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if c.Len() != keys {
+				t.Fatalf("%s: Len = %d, want %d", tc.name, c.Len(), keys)
+			}
+			runtime.KeepAlive(c)
+			best = min(best, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/keys)
+		}
+		t.Logf("%s: %.1f B/key", tc.name, best)
+		if best > tc.limit {
+			t.Errorf("%s: %.1f heap bytes per resident key, want <= %v", tc.name, best, tc.limit)
+		}
 	}
 }
 
@@ -98,5 +156,18 @@ func BenchmarkLRULookupHit(b *testing.B) {
 	}
 	if hits != b.N {
 		b.Fatalf("%d of %d lookups hit", hits, b.N)
+	}
+}
+
+// BenchmarkLRUSequentialRuns measures the fsim read pattern, one op per
+// run: on a full cache, look up lruRunKeys missing consecutive keys,
+// then insert them, evicting the oldest run.
+func BenchmarkLRUSequentialRuns(b *testing.B) {
+	c := fullLRU()
+	next := int64(benchLRUKeys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next = sequentialRun(c, next)
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Resource is a counted resource with strict-FIFO admission, modelling
 // things like a disk head (capacity 1), SSD channels (capacity k), or a
 // NIC. Waiters may request multiple units; admission is strictly in
@@ -217,8 +219,11 @@ func (q *Queue) Put(item interface{}) {
 		q.maxLen = n
 	}
 	if len(q.waiters) > 0 {
+		// Pop by copy, not by re-slicing the front away, so the slice
+		// keeps its capacity and a parking Get appends without
+		// allocating; Delete clears the vacated slot.
 		p := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		q.waiters = slices.Delete(q.waiters, 0, 1)
 		q.eng.wake(p)
 	}
 }

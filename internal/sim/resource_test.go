@@ -153,6 +153,39 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueWakeAllocs pins the parked-getter path: a Put waking a
+// parked Get, repeated, allocates nothing once the queue has grown.
+func TestQueueWakeAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	q := e.NewQueue()
+	var item interface{} = struct{}{}
+	got := 0
+	e.Spawn("getter", func(p *Proc) {
+		for {
+			q.Get(p)
+			got++
+		}
+	})
+	e.Spawn("putter", func(p *Proc) {
+		for {
+			p.Sleep(Millisecond)
+			q.Put(item)
+		}
+	})
+	step := func() {
+		if err := e.RunUntil(e.Now() + Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Put waking a parked Get: %v allocs/op, want 0", allocs)
+	}
+	if got != 1001 {
+		t.Fatalf("getter took %d items, want 1001", got)
+	}
+}
+
 func TestQueueBuffered(t *testing.T) {
 	e := NewEngine(1)
 	q := e.NewQueue()
