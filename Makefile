@@ -49,7 +49,7 @@ fuzz:
 # committed perf baseline), then echoes the human-readable Benchmark
 # lines. benchguard compares per-benchmark medians.
 bench:
-	go test -run '^$$' -bench . -benchmem -count 5 -json -timeout 30m ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd > BENCH_sim.json
+	go test -run '^$$' -bench . -benchmem -count 5 -json -timeout 30m ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./internal/obs ./cmd/bpsd > BENCH_sim.json
 	@grep -o '"Output":"[^"]*"' BENCH_sim.json | sed -e 's/^"Output":"//' -e 's/"$$//' \
 		| tr -d '\n' | sed -e 's/\\n/\n/g' -e 's/\\t/\t/g' | grep -E '^Benchmark.*ns/op'
 
@@ -60,7 +60,7 @@ bench-all:
 # bench-smoke runs each benchmark once — the CI guard that they compile
 # and execute.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime=1x ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./cmd/bpsd
+	go test -run '^$$' -bench . -benchtime=1x ./internal/sim/... ./internal/ioreq ./internal/qos ./internal/stats ./internal/roofline ./internal/obs ./cmd/bpsd
 
 # bench-check is the bench-regression guard: rerun the engine
 # benchmarks five times each and fail if a guarded hot path's median

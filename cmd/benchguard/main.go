@@ -9,7 +9,8 @@
 //
 // Without -fresh it runs the benchmarks itself (go test -json -count 5
 // on ./internal/sim/..., ./internal/ioreq, ./internal/qos,
-// ./internal/stats, ./internal/roofline, and ./cmd/bpsd) and writes
+// ./internal/stats, ./internal/roofline, ./internal/obs, and
+// ./cmd/bpsd) and writes
 // their output to BENCH_new.json — never to the baseline file, so the
 // committed numbers stay the reference. `make bench` records the
 // baseline with the same -count, and both sides of every comparison
@@ -22,9 +23,10 @@
 // runner.
 //
 // Allocation counts are deterministic, so benchguard also guards
-// allocs/op, whatever -bench says, on the page-cache LRU benchmarks and
-// BenchmarkFigure9: a fresh count may exceed its baseline by at most
-// 2%, and a zero baseline must stay zero.
+// allocs/op, whatever -bench says, on the page-cache LRU benchmarks,
+// BenchmarkFigure9, the sampler pass and the bpsd job batch: a fresh
+// count may exceed its baseline by at most 2%, and a zero baseline must
+// stay zero.
 //
 // -tolerances names a JSON override file so an individual benchmark can
 // carry a documented per-benchmark allowance instead of loosening the
@@ -160,7 +162,7 @@ func parseFile(path string) (map[string]result, error) {
 // runFresh executes the benchmarks and tees the test2json stream to
 // out so a failing run leaves its evidence behind.
 func runFresh(out string) (map[string]result, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-count", "5", "-json", "./internal/sim/...", "./internal/ioreq", "./internal/qos", "./internal/stats", "./internal/roofline", "./cmd/bpsd")
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem", "-count", "5", "-json", "./internal/sim/...", "./internal/ioreq", "./internal/qos", "./internal/stats", "./internal/roofline", "./internal/obs", "./cmd/bpsd")
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -258,9 +260,14 @@ func check(w io.Writer, base, fresh map[string]result, guarded []string, thresho
 const allocSlack = 0.02
 
 // allocGuarded lists the benchmarks checkAllocs guards: the page-cache
-// LRU hot paths, which must stay allocation-free, and the Fig. 9 macro
-// benchmark whose allocation count they dominate.
-var allocGuarded = []string{"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkFigure9"}
+// LRU hot paths, which must stay allocation-free, the Fig. 9 macro
+// benchmark whose allocation count they dominate, the sampler pass,
+// which must stay allocation-free between registrations, and the bpsd
+// job batch, whose count the per-tick publisher work sets.
+var allocGuarded = []string{
+	"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkFigure9",
+	"BenchmarkSamplerTick", "BenchmarkBpsdBatch",
+}
 
 // checkAllocs compares fresh allocs/op against base for every guarded
 // benchmark and reports to w; it returns true when any guard failed. A

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bps/internal/sim"
 	"bps/internal/trace"
@@ -143,15 +144,21 @@ func (e *WindowEstimator) bucket(w int) *bucket {
 // far, each merged span spread over the windows it crosses; the merged
 // spans replace the raw intervals, so repeated calls on a growing run
 // re-merge the union rather than every access.
-func (e *WindowEstimator) Windows() []Window {
+func (e *WindowEstimator) Windows() []Window { return e.AppendWindows(nil) }
+
+// AppendWindows appends the series Windows returns to dst and returns
+// the extended slice, so a periodic reader can reuse one buffer.
+func (e *WindowEstimator) AppendWindows(dst []Window) []Window {
 	if e == nil || len(e.buckets) == 0 {
-		return nil
+		return dst
 	}
 	last := max(e.base+len(e.buckets)-1, e.first)
-	wins := make([]Window, last-e.first+1)
+	n := len(dst)
+	dst = slices.Grow(dst, last-e.first+1)[:n+last-e.first+1]
+	wins := dst[n:]
 	for i := range wins {
-		wins[i].Start = sim.Time(e.first+i) * e.every
-		wins[i].End = wins[i].Start + e.every
+		start := sim.Time(e.first+i) * e.every
+		wins[i] = Window{Start: start, End: start + e.every}
 	}
 	for i, b := range e.buckets {
 		// Only a zero-length access on the first window's start
@@ -170,7 +177,7 @@ func (e *WindowEstimator) Windows() []Window {
 			t = seg
 		}
 	}
-	return wins
+	return dst
 }
 
 // Timeline slices a run into fixed windows and measures each one,

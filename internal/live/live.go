@@ -135,7 +135,7 @@ func SlotName(slot int) string { return fmt.Sprintf("slot%04d.dat", slot) }
 // method for method, so the driver can feed a serve.Publisher without
 // this package importing the HTTP layer.
 type Source interface {
-	LiveWindows() []core.Window
+	AppendLiveWindows(dst []core.Window) []core.Window
 	WindowEvery() sim.Time
 	Registry() *obs.Registry
 }
@@ -150,11 +150,11 @@ type driver struct {
 	est *core.WindowEstimator
 }
 
-// LiveWindows implements serve.Source.
-func (d *driver) LiveWindows() []core.Window {
+// AppendLiveWindows implements serve.Source.
+func (d *driver) AppendLiveWindows(dst []core.Window) []core.Window {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.est.Windows()
+	return d.est.AppendWindows(dst)
 }
 
 // WindowEvery implements serve.Source.
@@ -448,7 +448,7 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 // maxWindowEnd approximates "now" for virtual-mode publishing: the end
 // of the latest window the estimator has seen.
 func (d *driver) maxWindowEnd() sim.Time {
-	wins := d.LiveWindows()
+	wins := d.AppendLiveWindows(nil)
 	if len(wins) == 0 {
 		return 0
 	}

@@ -284,16 +284,17 @@ func (r *Report) Dominant() string {
 	return r.Layers[best].Layer
 }
 
-// LiveWindows returns the estimator's window series as of now, without
-// memoizing a report — the live-serving path calls it mid-run, on
-// sampler ticks. Nil when windows are disabled. Windows whose end lies
-// at or before the current simulated time are final except for Busy,
-// which an in-flight long access can still extend retroactively.
-func (c *Collector) LiveWindows() []core.Window {
+// AppendLiveWindows appends the estimator's window series as of now to
+// dst, without memoizing a report — the live-serving path calls it
+// mid-run, on sampler ticks, reusing one buffer. It appends nothing
+// when windows are disabled. Windows whose end lies at or before the
+// current simulated time are final except for Busy, which an in-flight
+// long access can still extend retroactively.
+func (c *Collector) AppendLiveWindows(dst []core.Window) []core.Window {
 	if c == nil || c.est == nil {
-		return nil
+		return dst
 	}
-	return c.est.Windows()
+	return c.est.AppendWindows(dst)
 }
 
 // WindowEvery returns the estimator's window width (0 when disabled).

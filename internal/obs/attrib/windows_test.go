@@ -24,7 +24,7 @@ func TestWindowsCompletionAttribution(t *testing.T) {
 	e.AddAccess(4, 0, win)             // ends exactly on the first boundary → window 0
 	e.AddAccess(8, win/2, win+1)       // crosses the boundary → window 1
 	e.AddAccess(2, 2*win, 2*win+win/2) // window 2
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 
 	if len(wins) != 3 {
 		t.Fatalf("windows = %d, want 3", len(wins))
@@ -55,7 +55,7 @@ func TestWindowsBusyUnion(t *testing.T) {
 	e.AddAccess(1, 0, 6*sim.Millisecond)
 	e.AddAccess(1, 2*sim.Millisecond, 6*sim.Millisecond)
 	e.AddAccess(1, 8*sim.Millisecond, 14*sim.Millisecond)
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 
 	if len(wins) != 2 {
 		t.Fatalf("windows = %d, want 2", len(wins))
@@ -77,7 +77,7 @@ func TestWindowsContinuousThroughGaps(t *testing.T) {
 	e := windowed()
 	e.AddAccess(1, 0, sim.Millisecond)
 	e.AddAccess(1, 5*win, 5*win+sim.Millisecond)
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 
 	if len(wins) != 6 {
 		t.Fatalf("windows = %d, want 6 (gap windows included)", len(wins))
@@ -127,15 +127,15 @@ func TestEstimatorRejectsBadInput(t *testing.T) {
 	e := windowed()
 	e.AddAccess(1, -5, 5)
 	e.AddAccess(1, 10, 5)
-	if e.LiveWindows() != nil {
+	if e.AppendLiveWindows(nil) != nil {
 		t.Fatal("bad input produced windows")
 	}
 	var nc *Collector
 	nc.AddAccess(1, 0, 1)
-	if nc.LiveWindows() != nil || nc.WindowEvery() != 0 {
+	if nc.AppendLiveWindows(nil) != nil || nc.WindowEvery() != 0 {
 		t.Fatal("nil collector produced data")
 	}
-	if c := NewCollector(Config{}); c.LiveWindows() != nil || c.WindowEvery() != 0 {
+	if c := NewCollector(Config{}); c.AppendLiveWindows(nil) != nil || c.WindowEvery() != 0 {
 		t.Fatal("collector without windows produced data")
 	}
 }
@@ -157,7 +157,7 @@ func TestEstimatorOutOfOrderFinishes(t *testing.T) {
 			a := accesses[i]
 			e.AddAccess(int64(a[0]), a[1], a[2])
 		}
-		return e.LiveWindows()
+		return e.AppendLiveWindows(nil)
 	}
 	sorted := feed([]int{0, 4, 2, 1, 3})
 	reversed := feed([]int{3, 1, 2, 4, 0})
@@ -175,7 +175,7 @@ func TestEstimatorStraddlingSpan(t *testing.T) {
 	e := windowed()
 	// [5ms, 35ms): crosses windows 0..3, completes in window 3.
 	e.AddAccess(10, win/2, 3*win+win/2)
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 	if len(wins) != 4 {
 		t.Fatalf("windows = %d, want 4", len(wins))
 	}
@@ -213,7 +213,7 @@ func TestEstimatorStraddlingSpan(t *testing.T) {
 func TestEstimatorSpanEndingOnBoundary(t *testing.T) {
 	e := windowed()
 	e.AddAccess(5, win/2, 2*win) // ends exactly at the window-1/2 boundary
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 	if len(wins) != 2 {
 		t.Fatalf("windows = %d, want 2 (boundary end belongs left)", len(wins))
 	}
@@ -259,7 +259,7 @@ func TestWindowRatesNeverNaNOrInf(t *testing.T) {
 func TestEstimatorZeroDuration(t *testing.T) {
 	e := windowed()
 	e.AddAccess(3, win/2, win/2)
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 	if len(wins) != 1 || wins[0].Ops != 1 || wins[0].Blocks != 3 || wins[0].Busy != 0 {
 		t.Fatalf("zero-duration access: %+v", wins)
 	}
@@ -272,7 +272,7 @@ func TestEstimatorZeroLengthOnFirstStart(t *testing.T) {
 	e := windowed()
 	e.AddAccess(3, win, win)
 	e.AddAccess(2, win+win/2, 2*win)
-	wins := e.LiveWindows()
+	wins := e.AppendLiveWindows(nil)
 	if len(wins) != 1 || wins[0].Start != win || wins[0].Ops != 2 || wins[0].Blocks != 5 {
 		t.Fatalf("windows = %+v, want one window [%v,%v) with both accesses", wins, win, 2*win)
 	}

@@ -356,6 +356,7 @@ var TrackedSeries = []string{"bps", "bw", "iops"}
 type Tracker struct {
 	cfg    Config
 	series []*Series
+	alerts []Alert // every series' alerts, in window then series order
 }
 
 // NewTracker returns a tracker with one Series per TrackedSeries name.
@@ -378,7 +379,7 @@ func NewTracker(cfg Config) *Tracker {
 // ObserveWindow feeds one closed window to every tracked series and
 // returns the alerts this window raised, in series order.
 func (t *Tracker) ObserveWindow(w core.Window) []Alert {
-	var out []Alert
+	start := len(t.alerts)
 	for _, s := range t.series {
 		before := len(s.alerts)
 		switch s.name {
@@ -389,9 +390,9 @@ func (t *Tracker) ObserveWindow(w core.Window) []Alert {
 		case "iops":
 			s.Observe(w.IOPS())
 		}
-		out = append(out, s.alerts[before:]...)
+		t.alerts = append(t.alerts, s.alerts[before:]...)
 	}
-	return out
+	return t.alerts[start:len(t.alerts):len(t.alerts)]
 }
 
 // Series returns the tracked series in TrackedSeries order.
@@ -408,33 +409,11 @@ func (t *Tracker) SeriesByName(name string) *Series {
 }
 
 // Alerts returns every alert across all series, ordered by window then
-// series feed order.
-func (t *Tracker) Alerts() []Alert {
-	var out []Alert
-	for i := 0; ; i++ {
-		found := false
-		for _, s := range t.series {
-			for _, a := range s.alerts {
-				if a.Window == i {
-					out = append(out, a)
-					found = true
-				}
-			}
-		}
-		if !found {
-			done := true
-			for _, s := range t.series {
-				if len(s.points) > i {
-					done = false
-					break
-				}
-			}
-			if done {
-				return out
-			}
-		}
-	}
-}
+// series feed order: both alert kinds carry the index of the window
+// whose observation raised them, so appending each window's alerts as
+// it is fed keeps that order. The slice is the tracker's own; callers
+// must not modify it.
+func (t *Tracker) Alerts() []Alert { return t.alerts }
 
 // Windows returns how many windows have been observed.
 func (t *Tracker) Windows() int {

@@ -1,6 +1,8 @@
 package forecast
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"bps/internal/core"
@@ -223,5 +225,53 @@ func TestConfigDefaults(t *testing.T) {
 	want := Config{Alpha: 0.3, Season: 8, TrendWindow: 8, ErrWindow: 16, BurstK: 2.5, MinBaseline: 1, Warmup: 8}
 	if c != want {
 		t.Fatalf("defaults = %+v, want %+v", c, want)
+	}
+}
+
+// alertsByScan is the reference for Tracker.Alerts: for each window
+// index in turn, every series' alerts raised at that index, in series
+// feed order.
+func alertsByScan(t *Tracker) []Alert {
+	var out []Alert
+	for i := 0; i < t.Windows(); i++ {
+		for _, s := range t.series {
+			for _, a := range s.alerts {
+				if a.Window == i {
+					out = append(out, a)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestTrackerAlertsOrder checks the tracker's merged alert list against
+// the per-window scan after every window of random bursty series, and
+// that the random series raise both alert kinds.
+func TestTrackerAlertsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	kinds := map[AlertKind]int{}
+	for trial := 0; trial < 50; trial++ {
+		tr := NewTracker(Config{BurstK: 1.2 + rng.Float64(), Season: 1 + rng.Intn(6), Warmup: 1 + rng.Intn(4)})
+		for i := 0; i < 60; i++ {
+			w := core.Window{
+				Start: sim.Time(i) * 10 * sim.Millisecond, End: sim.Time(i+1) * 10 * sim.Millisecond,
+				Ops: 1 + rng.Int63n(20), Blocks: 1 + rng.Int63n(4096),
+				Busy: sim.Time(1 + rng.Int63n(int64(10*sim.Millisecond))),
+			}
+			if rng.Intn(5) == 0 {
+				w.Blocks *= 20 // a burst in BPS and bandwidth alone
+			}
+			tr.ObserveWindow(w)
+			if got, want := tr.Alerts(), alertsByScan(tr); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d window %d: Alerts() = %+v, want %+v", trial, i, got, want)
+			}
+		}
+		for _, a := range tr.Alerts() {
+			kinds[a.Kind]++
+		}
+	}
+	if kinds[AlertObserved] == 0 || kinds[AlertForecast] == 0 {
+		t.Fatalf("random series raised alerts %v, want both kinds", kinds)
 	}
 }

@@ -288,14 +288,15 @@ func (o *Observer) AppAccess(blocks int64, start, end sim.Time) {
 	o.attrib.AddAccess(blocks, start, end)
 }
 
-// LiveWindows returns the streaming estimator's window series as of the
-// current simulated time, without computing the memoized report — safe
-// to call mid-run from a Tick hook. Nil when windows are disabled.
-func (o *Observer) LiveWindows() []core.Window {
+// AppendLiveWindows appends the streaming estimator's window series as
+// of the current simulated time to dst, without computing the memoized
+// report — safe to call mid-run from a Tick hook. It appends nothing
+// when windows are disabled.
+func (o *Observer) AppendLiveWindows(dst []core.Window) []core.Window {
 	if o == nil || o.attrib == nil {
-		return nil
+		return dst
 	}
-	return o.attrib.LiveWindows()
+	return o.attrib.AppendLiveWindows(dst)
 }
 
 // WindowEvery returns the streaming estimator's window width (0 when

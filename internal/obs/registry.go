@@ -34,6 +34,10 @@ type Registry struct {
 	// order preserves registration order per kind for deterministic
 	// iteration; exported accessors sort by name instead.
 	counterOrder, gaugeOrder, histOrder []string
+
+	// gen counts registrations, so a periodic reader can keep its
+	// sorted view of the sources until the set changes.
+	gen uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -57,6 +61,7 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.counters[name] = c
 	r.counterOrder = append(r.counterOrder, name)
+	r.gen++
 	return c
 }
 
@@ -71,6 +76,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	g := &Gauge{name: name}
 	r.gauges[name] = g
 	r.gaugeOrder = append(r.gaugeOrder, name)
+	r.gen++
 	return g
 }
 
@@ -85,6 +91,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{name: name}
 	r.hists[name] = h
 	r.histOrder = append(r.histOrder, name)
+	r.gen++
 	return h
 }
 
@@ -97,6 +104,18 @@ func (r *Registry) Probe(name string, fn func() float64) {
 		return
 	}
 	r.probes = append(r.probes, Probe{Name: name, Fn: fn})
+	r.gen++
+}
+
+// Gen returns the registry's registration count: it moves whenever a
+// counter, gauge, histogram or probe is added, and only then (0 for a
+// nil registry). Like registration, read it from simulation context or
+// after the run.
+func (r *Registry) Gen() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.gen
 }
 
 // Probe is a registered sampled metric.

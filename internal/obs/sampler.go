@@ -25,6 +25,12 @@ type Sampler struct {
 	order  []string
 	lastAt sim.Time // time of the most recent sample
 
+	// sources is the registry's sources in sampling order, each bound
+	// to its series, as of registry generation gen; a tick rebuilds it
+	// only when a registration moved the generation.
+	sources []source
+	gen     uint64
+
 	// onSample, when set, additionally receives every sampled value —
 	// the observer uses it to emit Chrome counter tracks.
 	onSample func(name string, at sim.Time, v float64)
@@ -77,30 +83,54 @@ func (s *Sampler) Finish(now sim.Time) {
 	s.sample(now)
 }
 
+// source is one registered counter, gauge or probe bound to the series
+// it feeds.
+type source struct {
+	series *Series
+	read   func() float64
+}
+
 // sample appends one data point per registered source at time now.
 func (s *Sampler) sample(now sim.Time) {
 	s.lastAt = now
-	for _, c := range s.reg.Counters() {
-		s.record(c.Name(), now, float64(c.Value()))
+	if s.gen != s.reg.Gen() {
+		s.bindSources()
 	}
-	for _, g := range s.reg.Gauges() {
-		s.record(g.Name(), now, g.Value())
-	}
-	for _, pr := range s.reg.Probes() {
-		s.record(pr.Name, now, pr.Fn())
+	for _, src := range s.sources {
+		s.record(src.series, now, src.read())
 	}
 	if s.onTick != nil {
 		s.onTick(now)
 	}
 }
 
-func (s *Sampler) record(name string, now sim.Time, v float64) {
-	sr, ok := s.series[name]
-	if !ok {
-		sr = &Series{Name: name}
-		s.series[name] = sr
-		s.order = append(s.order, name)
+// bindSources rebuilds the sampling order: counters, then gauges, then
+// probes, each sorted by name, so the onSample events (and the Chrome
+// counter tracks built from them) come out in a fixed order.
+func (s *Sampler) bindSources() {
+	s.gen = s.reg.Gen()
+	s.sources = s.sources[:0]
+	add := func(name string, read func() float64) {
+		sr, ok := s.series[name]
+		if !ok {
+			sr = &Series{Name: name}
+			s.series[name] = sr
+			s.order = append(s.order, name)
+		}
+		s.sources = append(s.sources, source{series: sr, read: read})
 	}
+	for _, c := range s.reg.Counters() {
+		add(c.Name(), func() float64 { return float64(c.Value()) })
+	}
+	for _, g := range s.reg.Gauges() {
+		add(g.Name(), g.Value)
+	}
+	for _, pr := range s.reg.Probes() {
+		add(pr.Name, pr.Fn)
+	}
+}
+
+func (s *Sampler) record(sr *Series, now sim.Time, v float64) {
 	// Gap fill: a quiet stretch longer than the interval (a skipped
 	// stretch of ticks, or a Finish long after the last tick) would
 	// leave a hole in the series. Carry the previous value forward at
@@ -111,14 +141,14 @@ func (s *Sampler) record(name string, now sim.Time, v float64) {
 			sr.Times = append(sr.Times, t)
 			sr.Values = append(sr.Values, prev)
 			if s.onSample != nil {
-				s.onSample(name, t, prev)
+				s.onSample(sr.Name, t, prev)
 			}
 		}
 	}
 	sr.Times = append(sr.Times, now)
 	sr.Values = append(sr.Values, v)
 	if s.onSample != nil {
-		s.onSample(name, now, v)
+		s.onSample(sr.Name, now, v)
 	}
 }
 

@@ -9,11 +9,13 @@
 // The split keeps the timing-neutrality contract trivial to audit: the
 // only code that runs in simulation context is the Tick hook, which
 // reads observer state the simulation goroutine already owns and
-// publishes an immutable Snapshot behind a mutex. HTTP handlers (their
-// own goroutines) only ever read published snapshots; nothing they do
-// can reach back into the run. A run with serving attached produces
-// bit-identical metrics, traces, and window series to the same run
-// without it.
+// updates the publisher's one Snapshot buffer in place under a
+// read-write mutex: windows and registry values are rewritten, forecast
+// points and alerts only appended. HTTP handlers (their own goroutines)
+// only ever read deep copies of that buffer taken under the read lock;
+// nothing they do can reach back into the run. A run with serving
+// attached produces bit-identical metrics, traces, and window series to
+// the same run without it.
 package serve
 
 import (
@@ -128,7 +130,9 @@ type HistJSON struct {
 	Max   int64   `json:"max"`
 }
 
-// Snapshot is one published view of the run, immutable once built.
+// Snapshot is one published view of the run. The publisher's own
+// buffer changes at every tick; the copies Publisher.Snapshot returns
+// never do.
 type Snapshot struct {
 	Label   string       `json:"label"`
 	NowS    float64      `json:"now_s"`
@@ -156,15 +160,15 @@ type event struct {
 // it for simulated runs; the live driver (internal/live) satisfies it
 // directly so wall-clock runs publish through the identical pipeline.
 type Source interface {
-	LiveWindows() []core.Window
+	AppendLiveWindows(dst []core.Window) []core.Window
 	WindowEvery() sim.Time
 	Registry() *obs.Registry
 }
 
 // Publisher feeds the forecaster from closing windows and publishes
-// immutable snapshots for the HTTP layer. Create one per run, install
-// its Hook as obs.Options.Tick (simulated runs) or call Publish from a
-// ticker goroutine (live runs), and serve its Handler.
+// snapshots for the HTTP layer. Create one per run, install its Hook as
+// obs.Options.Tick (simulated runs) or call Publish from a ticker
+// goroutine (live runs), and serve its Handler.
 type Publisher struct {
 	label   string
 	fcfg    forecast.Config
@@ -173,10 +177,34 @@ type Publisher struct {
 	fed     int    // windows already fed to the tracker
 	lastRun Source // source of the run currently ticking
 
+	// wins is this tick's window series and prev the last tick's; the
+	// two buffers swap at every tick, and a window equal to its
+	// predecessor keeps its rendered JSON.
+	wins, prev []core.Window
+
 	ceilingBPS float64 // roofline ceiling; 0 disables the roofline view
 
-	mu   sync.RWMutex
-	snap *Snapshot
+	// restart marks the snapshot buffer as built from a forecaster that
+	// Reset replaced: the next tick empties its points and alerts
+	// before appending the new run's.
+	restart bool
+
+	// reg and gen identify the registry state the metric handles were
+	// listed from, sorted by name; a tick re-lists them only when a
+	// registration moved the generation.
+	reg      *obs.Registry
+	gen      uint64
+	counters []*obs.Counter
+	gauges   []*obs.Gauge
+	hists    []*obs.Histogram
+
+	// snap is the one snapshot buffer, and roof backs its Roofline.
+	// Ticks update both in place under the write lock; readers take
+	// deep copies under the read lock.
+	mu        sync.RWMutex
+	snap      Snapshot
+	roof      RooflineJSON
+	published bool // a tick has filled snap
 
 	smu     sync.Mutex
 	subs    map[*subscriber]bool
@@ -210,13 +238,16 @@ func NewPublisher(label string, fcfg forecast.Config) *Publisher {
 }
 
 // Reset prepares the publisher for a fresh run: new forecaster, window
-// feed restarted from index zero. The last published snapshot and any
-// SSE subscribers are kept, so a looping daemon serves continuously
-// across runs. Call it between runs only — never while a simulation
-// that ticks this publisher is in flight.
+// feed restarted from index zero, and the snapshot buffer's forecast
+// points and alerts restarted at the next tick. Until that tick readers
+// keep seeing the last published snapshot, and SSE subscribers are
+// kept, so a looping daemon serves continuously across runs. Call it
+// between runs only — never while a simulation that ticks this
+// publisher is in flight.
 func (p *Publisher) Reset() {
 	p.fed = 0
 	p.tracker = forecast.NewTracker(p.fcfg)
+	p.restart = true
 }
 
 // Tracker returns the publisher's forecast tracker (final state is
@@ -231,14 +262,14 @@ func (p *Publisher) SetRoofline(ceilingBPS float64) { p.ceilingBPS = ceilingBPS 
 
 // Hook returns the function to install as obs.Options.Tick. It runs in
 // simulation context on every sampler pass: feeds windows that have
-// closed by now to the forecaster, rebuilds the snapshot, and
+// closed by now to the forecaster, updates the snapshot, and
 // broadcasts SSE events — all without touching simulated time.
 func (p *Publisher) Hook() func(now sim.Time, o *obs.Observer) {
 	return func(now sim.Time, o *obs.Observer) { p.tick(now, o) }
 }
 
 // Publish is the live-run counterpart of the sampler Hook: feed closed
-// windows, rebuild the snapshot, broadcast. Callers must serialize
+// windows, update the snapshot, broadcast. Callers must serialize
 // their calls (the live driver publishes from a single ticker
 // goroutine), and src must be safe to read concurrently with the run's
 // workers — the Hook path gets both for free from simulation context.
@@ -255,7 +286,8 @@ func (p *Publisher) tick(now sim.Time, src Source) {
 		}
 		p.lastRun = src
 	}
-	wins := src.LiveWindows()
+	p.prev, p.wins = p.wins, src.AppendLiveWindows(p.prev[:0])
+	wins := p.wins
 	var events []event
 
 	// Feed windows whose end has passed: their ops/blocks/durations are
@@ -276,79 +308,132 @@ func (p *Publisher) tick(now sim.Time, src Source) {
 		p.fed++
 	}
 
-	p.publish(p.buildSnapshot(now, src))
+	p.mu.Lock()
+	p.update(now, src)
+	p.mu.Unlock()
 	p.broadcast(events)
 }
 
-// buildSnapshot assembles one immutable snapshot. Runs in simulation
-// context (or the live driver's single ticker goroutine), so registry
-// reads need no extra synchronization beyond the counters' own atomics.
-func (p *Publisher) buildSnapshot(now sim.Time, src Source) *Snapshot {
-	s := &Snapshot{
-		Label:   p.label,
-		NowS:    now.Seconds(),
-		WindowS: src.WindowEvery().Seconds(),
-		Closed:  p.fed,
-	}
+// update brings the snapshot buffer up to now. It runs in simulation
+// context (or the live driver's single ticker goroutine) under the
+// write lock, so registry reads need no extra synchronization beyond
+// the counters' own atomics. A window's JSON depends only on its index
+// and fields, so only windows that differ from the last tick's are
+// re-rendered (Busy of an open one can still grow); registry values
+// are re-rendered into the reused slices, and forecast points and
+// alerts only ever append, so only the new ones are built.
+func (p *Publisher) update(now sim.Time, src Source) {
+	s := &p.snap
+	s.Label = p.label
+	s.NowS = now.Seconds()
+	s.WindowS = src.WindowEvery().Seconds()
+	s.Closed = p.fed
+
 	var blocks int64
 	var busy sim.Time
-	for i, w := range src.LiveWindows() {
-		s.Windows = append(s.Windows, windowJSON(i, w))
+	if n := len(p.wins) - len(s.Windows); n > 0 {
+		s.Windows = append(s.Windows, make([]WindowJSON, n)...)
+	}
+	s.Windows = s.Windows[:len(p.wins)]
+	for i, w := range p.wins {
+		if i >= len(p.prev) || p.prev[i] != w {
+			s.Windows[i] = windowJSON(i, w)
+		}
 		blocks += w.Blocks
 		busy += w.Busy
 	}
+	s.Roofline = nil
 	if p.ceilingBPS > 0 {
 		// Sum in int64/sim.Time, divide once: the windows partition the
 		// run's completions, so measured BPS here is exactly the core
 		// metric B/T the post-hoc report prints.
-		r := &RooflineJSON{CeilingBPS: p.ceilingBPS, Blocks: blocks, BusyS: busy.Seconds()}
+		p.roof = RooflineJSON{CeilingBPS: p.ceilingBPS, Blocks: blocks, BusyS: busy.Seconds()}
 		if busy > 0 {
-			r.MeasuredBPS = float64(blocks) / busy.Seconds()
-			r.Headroom = r.MeasuredBPS / r.CeilingBPS
+			p.roof.MeasuredBPS = float64(blocks) / busy.Seconds()
+			p.roof.Headroom = p.roof.MeasuredBPS / p.roof.CeilingBPS
 		}
-		s.Roofline = r
+		s.Roofline = &p.roof
 	}
-	for _, fs := range p.tracker.Series() {
-		sj := SeriesJSON{Name: fs.Name(), Model: fs.Last().Model.String(), MAE: fs.MAE()}
-		for _, pt := range fs.Points() {
+
+	if p.restart {
+		for i := range s.Series {
+			s.Series[i].Points = s.Series[i].Points[:0]
+		}
+		s.Alerts = s.Alerts[:0]
+		p.restart = false
+	}
+	series := p.tracker.Series()
+	if len(s.Series) != len(series) {
+		s.Series = make([]SeriesJSON, len(series))
+	}
+	for i, fs := range series {
+		sj := &s.Series[i]
+		sj.Name, sj.Model, sj.MAE = fs.Name(), fs.Last().Model.String(), fs.MAE()
+		for _, pt := range fs.Points()[len(sj.Points):] {
 			sj.Points = append(sj.Points, PointJSON{
 				Index: pt.Index, Observed: pt.Observed, Forecast: pt.Forecast,
 				Model: pt.Model.String(), Baseline: pt.Baseline,
 			})
 		}
-		s.Series = append(s.Series, sj)
 	}
-	for _, a := range p.tracker.Alerts() {
+	for _, a := range p.tracker.Alerts()[len(s.Alerts):] {
 		s.Alerts = append(s.Alerts, alertJSON(a))
 	}
-	reg := src.Registry()
-	for _, c := range reg.Counters() {
+
+	if reg := src.Registry(); reg != p.reg || reg.Gen() != p.gen {
+		p.reg, p.gen = reg, reg.Gen()
+		p.counters, p.gauges, p.hists = reg.Counters(), reg.Gauges(), reg.Histograms()
+	}
+	s.Metrics = s.Metrics[:0]
+	for _, c := range p.counters {
 		s.Metrics = append(s.Metrics, MetricJSON{Name: c.Name(), Kind: "counter", Value: float64(c.Value())})
 	}
-	for _, g := range reg.Gauges() {
+	for _, g := range p.gauges {
 		s.Metrics = append(s.Metrics, MetricJSON{Name: g.Name(), Kind: "gauge", Value: g.Value()})
 	}
-	for _, h := range reg.Histograms() {
+	s.Hists = s.Hists[:0]
+	for _, h := range p.hists {
 		s.Hists = append(s.Hists, HistJSON{
 			Name: h.Name(), Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
 			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99), Max: h.Max(),
 		})
 	}
-	return s
+	p.published = true
 }
 
-func (p *Publisher) publish(s *Snapshot) {
-	p.mu.Lock()
-	p.snap = s
-	p.mu.Unlock()
-}
-
-// Snapshot returns the most recently published snapshot (nil before the
-// first tick).
+// Snapshot returns a deep copy of the most recently published snapshot
+// (nil before the first tick). The copy is the caller's: later ticks
+// never change it.
 func (p *Publisher) Snapshot() *Snapshot {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.snap
+	if !p.published {
+		return nil
+	}
+	c := p.snap
+	c.Windows = clone(c.Windows)
+	c.Series = clone(c.Series)
+	for i := range c.Series {
+		c.Series[i].Points = clone(c.Series[i].Points)
+	}
+	c.Alerts = clone(c.Alerts)
+	c.Metrics = clone(c.Metrics)
+	c.Hists = clone(c.Hists)
+	if c.Roofline != nil {
+		r := *c.Roofline
+		c.Roofline = &r
+	}
+	return &c
+}
+
+// clone copies s, returning nil for an empty s: every list of a
+// snapshot is built by appending, so an empty list publishes as JSON
+// null.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
 }
 
 // subscribe registers an SSE consumer.
@@ -440,9 +525,11 @@ type Health struct {
 // Healthz returns the current health view (also served on /healthz).
 func (p *Publisher) Healthz() Health {
 	h := Health{Status: "ok", Label: p.label, Subscribers: p.Subscribers(), StreamDropped: p.Dropped()}
-	if s := p.Snapshot(); s != nil {
-		h.NowS, h.Closed = s.NowS, s.Closed
+	p.mu.RLock()
+	if p.published {
+		h.NowS, h.Closed = p.snap.NowS, p.snap.Closed
 	}
+	p.mu.RUnlock()
 	return h
 }
 

@@ -11,13 +11,19 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bps"
+	"bps/internal/backend"
+	"bps/internal/core"
+	"bps/internal/live"
+	"bps/internal/obs"
 	"bps/internal/obs/forecast"
 	"bps/internal/sim"
+	"bps/internal/workload"
 )
 
 // runCfg is a small cluster run with windows and sampling on.
@@ -557,5 +563,296 @@ func TestRooflineAbsentByDefault(t *testing.T) {
 	mbody, _ := io.ReadAll(mresp.Body)
 	if strings.Contains(string(mbody), "bps_roofline") {
 		t.Error("/metrics exports roofline gauges without a ceiling")
+	}
+}
+
+// referenceSnapshot is the publisher's snapshot built from scratch, the
+// way every tick built it before snapshots were updated in place. The
+// oracle tests require the in-place buffer to marshal to exactly these
+// bytes at every tick.
+func referenceSnapshot(p *Publisher, now sim.Time, src Source) *Snapshot {
+	s := &Snapshot{
+		Label:   p.label,
+		NowS:    now.Seconds(),
+		WindowS: src.WindowEvery().Seconds(),
+		Closed:  p.fed,
+	}
+	var blocks int64
+	var busy sim.Time
+	for i, w := range src.AppendLiveWindows(nil) {
+		s.Windows = append(s.Windows, windowJSON(i, w))
+		blocks += w.Blocks
+		busy += w.Busy
+	}
+	if p.ceilingBPS > 0 {
+		r := &RooflineJSON{CeilingBPS: p.ceilingBPS, Blocks: blocks, BusyS: busy.Seconds()}
+		if busy > 0 {
+			r.MeasuredBPS = float64(blocks) / busy.Seconds()
+			r.Headroom = r.MeasuredBPS / r.CeilingBPS
+		}
+		s.Roofline = r
+	}
+	for _, fs := range p.tracker.Series() {
+		sj := SeriesJSON{Name: fs.Name(), Model: fs.Last().Model.String(), MAE: fs.MAE()}
+		for _, pt := range fs.Points() {
+			sj.Points = append(sj.Points, PointJSON{
+				Index: pt.Index, Observed: pt.Observed, Forecast: pt.Forecast,
+				Model: pt.Model.String(), Baseline: pt.Baseline,
+			})
+		}
+		s.Series = append(s.Series, sj)
+	}
+	for _, a := range p.tracker.Alerts() {
+		s.Alerts = append(s.Alerts, alertJSON(a))
+	}
+	reg := src.Registry()
+	for _, c := range reg.Counters() {
+		s.Metrics = append(s.Metrics, MetricJSON{Name: c.Name(), Kind: "counter", Value: float64(c.Value())})
+	}
+	for _, g := range reg.Gauges() {
+		s.Metrics = append(s.Metrics, MetricJSON{Name: g.Name(), Kind: "gauge", Value: g.Value()})
+	}
+	for _, h := range reg.Histograms() {
+		s.Hists = append(s.Hists, HistJSON{
+			Name: h.Name(), Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
+			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99), Max: h.Max(),
+		})
+	}
+	return s
+}
+
+// oracle publishes one tick and compares the snapshot's JSON with the
+// reference built from the same source.
+type oracle struct {
+	t     *testing.T
+	pub   *Publisher
+	ticks int
+}
+
+func (o *oracle) publish(now sim.Time, src Source) {
+	o.t.Helper()
+	o.pub.Publish(now, src)
+	o.ticks++
+	got, err := json.Marshal(o.pub.Snapshot())
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	want, err := json.Marshal(referenceSnapshot(o.pub, now, src))
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		lo := max(0, i-80)
+		o.t.Fatalf("tick %d at %v: snapshot differs from the reference at byte %d:\ngot  …%s\nwant …%s",
+			o.ticks, now, i, got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
+	}
+}
+
+// hook is the oracle's sampler hook.
+func (o *oracle) hook() func(sim.Time, *bps.Observer) {
+	return func(now sim.Time, ob *bps.Observer) { o.publish(now, ob) }
+}
+
+// TestSnapshotOracleTwoRuns checks every tick of two consecutive runs
+// on one publisher, so the run-boundary reset is covered. A low burst
+// threshold makes the runs raise alerts.
+func TestSnapshotOracleTwoRuns(t *testing.T) {
+	o := &oracle{t: t, pub: NewPublisher("oracle", forecast.Config{BurstK: 1.05, Warmup: 1})}
+	mustRun(t, o.hook())
+	first := o.ticks
+	mustRun(t, o.hook())
+	if first == 0 || o.ticks != 2*first {
+		t.Fatalf("ticks: first run %d, both runs %d", first, o.ticks)
+	}
+	if len(o.pub.Snapshot().Alerts) == 0 {
+		t.Error("no alert published: the oracle never compared the alert list")
+	}
+}
+
+// TestSnapshotOracleRoofline checks every tick of a run with a ceiling.
+func TestSnapshotOracleRoofline(t *testing.T) {
+	o := &oracle{t: t, pub: NewPublisher("oracle-roof", forecast.Config{})}
+	o.pub.SetRoofline(250000)
+	mustRun(t, o.hook())
+	if o.ticks == 0 || o.pub.Snapshot().Roofline == nil {
+		t.Fatalf("ticks %d, roofline %+v", o.ticks, o.pub.Snapshot().Roofline)
+	}
+}
+
+// liveAccesses is a paced two-worker stream lasting about 20 ms of wall
+// time, long enough for a 1 ms publish ticker to fire repeatedly.
+func liveAccesses() []workload.Access {
+	var accs []workload.Access
+	for pid := int64(0); pid < 2; pid++ {
+		for i := int64(0); i < 100; i++ {
+			accs = append(accs, workload.Access{
+				PID: pid, Slot: int(pid), Off: i * 4096, Size: 4096,
+				Start: sim.Time(i) * 200 * sim.Microsecond, Write: i%4 == 0,
+			})
+		}
+	}
+	return accs
+}
+
+func liveConfig(publish func(sim.Time, live.Source)) live.Config {
+	return live.Config{
+		FS:           backend.NewMemFS(),
+		Mode:         live.Wall,
+		WindowEvery:  sim.Millisecond,
+		Seed:         5,
+		Label:        "live",
+		Publish:      publish,
+		PublishEvery: time.Millisecond,
+	}
+}
+
+// frozenSource holds one moment of a live source: its windows and
+// registry values as they stood when the publish callback ran. Workers
+// keep running during a live tick, so the publisher and the reference
+// must both read this copy to see the same state. One frozenSource
+// serves the whole run, so the publisher sees one source identity.
+type frozenSource struct {
+	wins  []core.Window
+	every sim.Time
+	reg   *obs.Registry
+}
+
+func (f *frozenSource) AppendLiveWindows(dst []core.Window) []core.Window {
+	return append(dst, f.wins...)
+}
+func (f *frozenSource) WindowEvery() sim.Time   { return f.every }
+func (f *frozenSource) Registry() *obs.Registry { return f.reg }
+
+func (f *frozenSource) freeze(src live.Source) {
+	f.wins = src.AppendLiveWindows(f.wins[:0])
+	f.every = src.WindowEvery()
+	for _, c := range src.Registry().Counters() {
+		m := f.reg.Counter(c.Name())
+		m.Add(c.Value() - m.Value())
+	}
+	for _, g := range src.Registry().Gauges() {
+		f.reg.Gauge(g.Name()).Set(g.Value())
+	}
+}
+
+// TestSnapshotOracleLive checks every tick of a wall-clock memfs run
+// published through Publish.
+func TestSnapshotOracleLive(t *testing.T) {
+	o := &oracle{t: t, pub: NewPublisher("oracle-live", forecast.Config{})}
+	frozen := &frozenSource{reg: obs.NewRegistry()}
+	rep, err := live.Run(liveConfig(func(now sim.Time, src live.Source) {
+		frozen.freeze(src)
+		o.publish(now, frozen)
+	}), liveAccesses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.ticks < 2 {
+		t.Fatalf("live run published %d ticks, want several", o.ticks)
+	}
+	if got := len(o.pub.Snapshot().Windows); got != len(rep.Attribution.Windows) {
+		t.Fatalf("final snapshot has %d windows, run reported %d", got, len(rep.Attribution.Windows))
+	}
+}
+
+// TestPublisherResetBetweenRuns checks an explicit Reset: the last
+// published snapshot keeps serving until the next tick, which rebuilds
+// the forecast points and alerts from the new forecaster. The second
+// pass feeds the same source identity fewer windows, so points left
+// over from the first pass would show.
+func TestPublisherResetBetweenRuns(t *testing.T) {
+	var rec frozenSource
+	var obsv *bps.Observer
+	mustRun(t, func(now sim.Time, ob *bps.Observer) { obsv = ob })
+	rec.wins, rec.every, rec.reg = obsv.AppendLiveWindows(nil), obsv.WindowEvery(), obsv.Registry()
+	end := sim.Time(0)
+	if n := len(rec.wins); n > 0 {
+		end = rec.wins[n-1].End
+	}
+
+	o := &oracle{t: t, pub: NewPublisher("reset", forecast.Config{})}
+	o.publish(end, &rec)
+	before, _ := json.Marshal(o.pub.Snapshot())
+	o.pub.Reset()
+	after, _ := json.Marshal(o.pub.Snapshot())
+	if string(before) != string(after) {
+		t.Fatal("Reset changed the published snapshot before the next tick")
+	}
+	half := len(rec.wins) / 2
+	if half < 2 {
+		t.Fatalf("run has %d windows, want at least 4", len(rec.wins))
+	}
+	rec.wins = rec.wins[:half]
+	o.publish(rec.wins[half-1].End, &rec)
+	if got := len(o.pub.Snapshot().Series[0].Points); got != half {
+		t.Fatalf("after Reset the snapshot has %d points, want %d", got, half)
+	}
+}
+
+// TestConcurrentReaders polls every endpoint from HTTP clients while a
+// live run publishes; run it under -race.
+func TestConcurrentReaders(t *testing.T) {
+	pub := NewPublisher("readers", forecast.Config{})
+	ts := httptest.NewServer(pub.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for _, path := range []string{"/metrics", "/windows", "/forecast", "/healthz"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %s, err %v", path, resp.Status, err)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ctx.Err() == nil {
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/stream", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return // cancelled
+			}
+			br := bufio.NewReader(resp.Body)
+			for i := 0; i < 16; i++ {
+				if _, err := br.ReadString('\n'); err != nil {
+					break
+				}
+			}
+			resp.Body.Close()
+			reads.Add(1)
+		}
+	}()
+
+	_, err := live.Run(liveConfig(func(now sim.Time, src live.Source) { pub.Publish(now, src) }), liveAccesses())
+	cancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no reader completed a request")
+	}
+	if s := pub.Snapshot(); s == nil || len(s.Windows) == 0 {
+		t.Fatal("live run published no windows")
 	}
 }
