@@ -180,7 +180,7 @@ func BenchmarkAblationSieveBuffer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := sim.NewEngine(1)
 				dev := device.NewHDD(e, device.DefaultHDD())
-				fs := fsim.New(e, dev, fsim.Config{})
+				fs := fsim.New(dev, fsim.Config{})
 				f, err := fs.Create("f", 1<<30)
 				if err != nil {
 					b.Fatal(err)
@@ -217,7 +217,7 @@ func BenchmarkAblationSievingOnOff(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := sim.NewEngine(1)
 				dev := device.NewHDD(e, device.DefaultHDD())
-				fs := fsim.New(e, dev, fsim.Config{})
+				fs := fsim.New(dev, fsim.Config{})
 				f, err := fs.Create("f", 1<<30)
 				if err != nil {
 					b.Fatal(err)
@@ -281,7 +281,7 @@ func BenchmarkAblationServerReadahead(b *testing.B) {
 			cfg.CacheBytes = 1 << 30
 			cfg.ReadAhead = ra
 		}
-		fs := fsim.New(e, dev, cfg)
+		fs := fsim.New(dev, cfg)
 		f, err := fs.Create("f", 64<<20)
 		if err != nil {
 			b.Fatal(err)
@@ -355,84 +355,13 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkAblationIOScheduler compares FCFS vs SSTF vs SCAN elevators
-// on a 4-stream random-read HDD load.
-func BenchmarkAblationIOScheduler(b *testing.B) {
-	run := func(policy device.SchedPolicy) Time {
-		e := sim.NewEngine(11)
-		hdd := device.NewHDD(e, device.DefaultHDD())
-		sched := device.NewScheduler(e, hdd, policy)
-		for k := 0; k < 4; k++ {
-			k := k
-			e.Spawn("client", func(p *sim.Proc) {
-				for i := 0; i < 32; i++ {
-					off := int64((i*7919+k*104729)%60000) * 4096 * 1000
-					off %= hdd.Capacity() - 4096
-					off -= off % 512
-					if err := sched.Access(p, device.Request{Offset: off, Size: 4096}); err != nil {
-						b.Error(err)
-					}
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return e.Now()
-	}
-	for _, policy := range []device.SchedPolicy{device.FCFS, device.SSTF, device.SCAN} {
-		policy := policy
-		b.Run(policy.String(), func(b *testing.B) {
-			var took Time
-			for i := 0; i < b.N; i++ {
-				took = run(policy)
-			}
-			b.ReportMetric(took.Seconds(), "exec-s")
-		})
-	}
-}
-
-// BenchmarkAblationRAID0 sweeps the member count for one large
-// sequential read on striped HDDs.
-func BenchmarkAblationRAID0(b *testing.B) {
-	run := func(members int) Time {
-		e := sim.NewEngine(1)
-		devs := make([]device.Device, members)
-		for i := range devs {
-			devs[i] = device.NewHDD(e, device.DefaultHDD())
-		}
-		raid := device.NewRAID0(e, "raid0", devs, 64<<10)
-		e.Spawn("r", func(p *sim.Proc) {
-			for off := int64(0); off < 64<<20; off += 8 << 20 {
-				if err := raid.Access(p, device.Request{Offset: off, Size: 8 << 20}); err != nil {
-					b.Error(err)
-				}
-			}
-		})
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return e.Now()
-	}
-	for _, members := range []int{1, 2, 4, 8} {
-		members := members
-		b.Run(sizeName(members), func(b *testing.B) {
-			var took Time
-			for i := 0; i < b.N; i++ {
-				took = run(members)
-			}
-			b.ReportMetric(took.Seconds(), "exec-s")
-		})
-	}
-}
-
 // BenchmarkAblationCollectiveVsSieving compares the two ROMIO
 // optimizations on an interleaved pattern (see examples/collectiveio).
 func BenchmarkAblationCollectiveVsSieving(b *testing.B) {
 	run := func(collective bool) Time {
 		e := sim.NewEngine(1)
 		dev := device.NewHDD(e, device.DefaultHDD())
-		fs := fsim.New(e, dev, fsim.Config{})
+		fs := fsim.New(dev, fsim.Config{})
 		const regions, regionSize, procs = 512, 16 << 10, 4
 		f, err := fs.Create("f", regions*regionSize)
 		if err != nil {

@@ -60,7 +60,7 @@ func main() {
 func run(name string, useCollective bool) core.Metrics {
 	e := sim.NewEngine(1)
 	dev := device.NewHDD(e, device.DefaultHDD())
-	fs := fsim.New(e, dev, fsim.Config{Name: name})
+	fs := fsim.New(dev, fsim.Config{})
 	f, err := fs.Create("shared", fileSize)
 	if err != nil {
 		log.Fatal(err)

@@ -34,9 +34,6 @@ func (o *OSFS) Name() string { return "os" }
 // Moved returns cumulative bytes transferred through read/write calls.
 func (o *OSFS) Moved() int64 { return o.moved.Load() }
 
-// Root returns the host directory the backend is rooted at.
-func (o *OSFS) Root() string { return o.root }
-
 // hostPath maps a backend path to its host location under the root.
 func (o *OSFS) hostPath(name string) string {
 	return filepath.Join(o.root, filepath.FromSlash(path.Clean("/"+name)))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bps/internal/ioreq"
 	"bps/internal/sim"
+	"bps/internal/testbed"
 	"bps/internal/workload"
 )
 
@@ -72,9 +73,9 @@ func (s *Suite) clientCacheSweep() ([]Point, error) {
 		for i, fr := range clientCacheFractions {
 			i, fr := i, fr
 			specs = append(specs, runSpec{label: fr.label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newSharedFileEnv(e, clusterSpec{
+				env, err := testbed.NewSharedFileEnv(e, testbed.ClusterSpec{
 					Servers:     servers,
-					Media:       hdd,
+					Media:       testbed.HDD,
 					Clients:     procs,
 					ServerCache: -1,
 					ClientCache: ioreq.CacheConfig{

@@ -48,7 +48,7 @@ func (s *Suite) ext1() (Figure, error) {
 				label = sizeLabel(win)
 			}
 			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newLocalEnv(e, hdd, 1, fileSize)
+				env, err := testbed.NewLocalEnv(e, testbed.HDD, 1, fileSize)
 				return env, w, err
 			}})
 		}
@@ -131,7 +131,7 @@ func (s *Suite) ext3() (Figure, error) {
 			}
 			fileSize := w.RequiredBytes()
 			specs = append(specs, runSpec{label: method.String(), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newLocalEnv(e, hdd, 1, fileSize)
+				env, err := testbed.NewLocalEnv(e, testbed.HDD, 1, fileSize)
 				return env, w, err
 			}})
 		}

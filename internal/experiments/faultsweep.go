@@ -5,6 +5,7 @@ import (
 
 	"bps/internal/faults"
 	"bps/internal/sim"
+	"bps/internal/testbed"
 	"bps/internal/workload"
 )
 
@@ -71,9 +72,9 @@ func (s *Suite) faultSweep() ([]Point, error) {
 			// identifiers — bit-identical across worker counts.
 			planSeed := DeriveSeed(s.params.Seed, "faultsweep-plan", label)
 			specs = append(specs, runSpec{label: label, build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newSharedFileEnv(e, clusterSpec{
+				env, err := testbed.NewSharedFileEnv(e, testbed.ClusterSpec{
 					Servers: servers,
-					Media:   hdd,
+					Media:   testbed.HDD,
 					Clients: procs,
 					Faults:  faults.Profile(planSeed, rate),
 				}, fileSize)

@@ -5,6 +5,7 @@ import (
 
 	"bps/internal/core"
 	"bps/internal/sim"
+	"bps/internal/testbed"
 	"bps/internal/workload"
 )
 
@@ -29,17 +30,17 @@ func (s *Suite) set1() ([]Point, error) {
 			RecordSize:      record,
 		}
 		var specs []runSpec
-		for _, k := range []storageKind{hdd, ssd} {
+		for _, k := range []testbed.Media{testbed.HDD, testbed.SSD} {
 			k := k
 			specs = append(specs, runSpec{label: "local-" + k.String(), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newLocalEnv(e, k, 1, fileSize)
+				env, err := testbed.NewLocalEnv(e, k, 1, fileSize)
 				return env, w, err
 			}})
 		}
 		for _, n := range []int{1, 2, 4, 8} {
 			n := n
 			specs = append(specs, runSpec{label: fmt.Sprintf("pvfs-%ds", n), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newSharedFileEnv(e, clusterSpec{Servers: n, Media: hdd, Clients: 1}, fileSize)
+				env, err := testbed.NewSharedFileEnv(e, testbed.ClusterSpec{Servers: n, Media: testbed.HDD, Clients: 1}, fileSize)
 				return env, w, err
 			}})
 		}
@@ -51,7 +52,7 @@ func (s *Suite) set1() ([]Point, error) {
 var set2RecordSizes = []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}
 
 // set2 sweeps the I/O record size on a local device (paper §IV.C.2).
-func (s *Suite) set2(k storageKind) ([]Point, error) {
+func (s *Suite) set2(k testbed.Media) ([]Point, error) {
 	key := "set2-" + k.String()
 	return s.sweep(key, func() ([]Point, error) {
 		var specs []runSpec
@@ -65,7 +66,7 @@ func (s *Suite) set2(k storageKind) ([]Point, error) {
 				RecordSize:      record,
 			}
 			specs = append(specs, runSpec{label: sizeLabel(record), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newLocalEnv(e, k, 1, fileSize)
+				env, err := testbed.NewLocalEnv(e, k, 1, fileSize)
 				return env, w, err
 			}})
 		}
@@ -94,7 +95,7 @@ func (s *Suite) set3a() ([]Point, error) {
 				RecordSize:      record,
 			}
 			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newPinnedFilesEnv(e, clusterSpec{Servers: 8, Media: hdd, Clients: procs}, perProc)
+				env, err := newPinnedFilesEnv(e, testbed.ClusterSpec{Servers: 8, Media: testbed.HDD, Clients: procs}, perProc)
 				return env, w, err
 			}})
 		}
@@ -126,7 +127,7 @@ func (s *Suite) set3b() ([]Point, error) {
 				StartOffset:     func(pid int) int64 { return int64(pid) * segment },
 			}
 			specs = append(specs, runSpec{label: fmt.Sprintf("%dp", procs), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newSharedFileEnv(e, clusterSpec{Servers: 8, Media: hdd, Clients: procs}, fileSize)
+				env, err := testbed.NewSharedFileEnv(e, testbed.ClusterSpec{Servers: 8, Media: testbed.HDD, Clients: procs}, fileSize)
 				return env, w, err
 			}})
 		}
@@ -167,7 +168,7 @@ func (s *Suite) set4() ([]Point, error) {
 			span := w.Span() + w.RegionSpacing
 			fileSize := span * procs
 			specs = append(specs, runSpec{label: fmt.Sprintf("gap%dB", spacing), build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-				env, err := newSharedFileEnv(e, clusterSpec{Servers: 4, Media: hdd, Clients: procs}, fileSize)
+				env, err := testbed.NewSharedFileEnv(e, testbed.ClusterSpec{Servers: 4, Media: testbed.HDD, Clients: procs}, fileSize)
 				return env, w, err
 			}})
 		}
@@ -191,7 +192,7 @@ func (s *Suite) fig4() (Figure, error) {
 }
 
 func (s *Suite) fig5() (Figure, error) {
-	pts, err := s.set2(hdd)
+	pts, err := s.set2(testbed.HDD)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -206,7 +207,7 @@ func (s *Suite) fig5() (Figure, error) {
 }
 
 func (s *Suite) fig6() (Figure, error) {
-	pts, err := s.set2(ssd)
+	pts, err := s.set2(testbed.SSD)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -221,7 +222,7 @@ func (s *Suite) fig6() (Figure, error) {
 }
 
 func (s *Suite) fig7() (Figure, error) {
-	pts, err := s.set2(hdd)
+	pts, err := s.set2(testbed.HDD)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -237,7 +238,7 @@ func (s *Suite) fig7() (Figure, error) {
 }
 
 func (s *Suite) fig8() (Figure, error) {
-	pts, err := s.set2(ssd)
+	pts, err := s.set2(testbed.SSD)
 	if err != nil {
 		return Figure{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"bps/internal/roofline"
 	"bps/internal/sim"
 	"bps/internal/stats"
+	"bps/internal/testbed"
 	"bps/internal/workload"
 )
 
@@ -83,7 +84,7 @@ type suitePoint struct {
 	record     int64
 	extraPerOp sim.Time
 
-	spec  clusterSpec
+	spec  testbed.ClusterSpec
 	build buildFunc
 }
 
@@ -98,8 +99,8 @@ type suitePhaseSpec struct {
 func suiteSpec(p Params) []suitePhaseSpec {
 	phases := make([]suitePhaseSpec, 0, 4)
 
-	spec := func(procs int) clusterSpec {
-		return clusterSpec{Servers: 4, Media: ssd, Clients: procs}
+	spec := func(procs int) testbed.ClusterSpec {
+		return testbed.ClusterSpec{Servers: 4, Media: testbed.SSD, Clients: procs}
 	}
 
 	// Phase "easy": IOR-style segmented sequential read of a shared
@@ -118,7 +119,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				record: record,
 				spec:   cs,
 				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-					env, err := newSharedFileEnv(e, cs, int64(procs)*perProc)
+					env, err := testbed.NewSharedFileEnv(e, cs, int64(procs)*perProc)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -151,7 +152,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				record: record,
 				spec:   cs,
 				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-					env, err := newSharedFileEnv(e, cs, int64(procs)*perProc)
+					env, err := testbed.NewSharedFileEnv(e, cs, int64(procs)*perProc)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -191,7 +192,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				record: record,
 				spec:   cs,
 				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-					env, err := newSharedFileEnv(e, cs, fileSize)
+					env, err := testbed.NewSharedFileEnv(e, cs, fileSize)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -234,7 +235,7 @@ func suiteSpec(p Params) []suitePhaseSpec {
 				extraPerOp: extra,
 				spec:       cs,
 				build: func(e *sim.Engine) (workload.Env, workload.Runner, error) {
-					env, err := newMetaFilesEnv(e, cs, files, fileSize)
+					env, err := testbed.NewMetaFilesEnv(e, cs, files, fileSize)
 					if err != nil {
 						return nil, nil, err
 					}

@@ -6,6 +6,7 @@ import (
 	"bps/internal/obs"
 	"bps/internal/qos"
 	"bps/internal/sim"
+	"bps/internal/testbed"
 )
 
 // QoSFigureID names the multi-tenant QoS figure: tenant A's BPS with
@@ -46,7 +47,7 @@ func qosTenantB(bytes int64) qos.TenantSpec {
 // caching off, so tenant interference reaches the disks instead of
 // being absorbed by server readahead.
 func qosRunSpec(q qos.Config, tenants ...qos.TenantSpec) qos.RunSpec {
-	return qos.RunSpec{Servers: 4, Media: hdd, ServerCache: -1, QoS: q, Tenants: tenants}
+	return qos.RunSpec{Servers: 4, Media: testbed.HDD, ServerCache: -1, QoS: q, Tenants: tenants}
 }
 
 // runQoSPoint executes one multi-tenant run on a fresh engine — the
@@ -64,10 +65,7 @@ func runQoSPoint(seed int64, label string, observe *obs.Options, spec qos.RunSpe
 	}
 	var o *Observation
 	if ob != nil {
-		ob.FinishSampling()
-		for _, r := range res.Records {
-			ob.AddAppRecord(r.PID, r.Blocks, r.Start, r.End)
-		}
+		ob.FinishRun(res.Records)
 		o = &Observation{Label: label, Obs: ob}
 	}
 	return res, o, nil

@@ -10,30 +10,7 @@ import (
 	"bps/internal/workload"
 )
 
-// Aliases keeping the experiment code close to the paper's vocabulary;
-// the actual models live in internal/testbed.
-const (
-	hdd = testbed.HDD
-	ssd = testbed.SSD
-)
-
-type storageKind = testbed.Media
-
-type clusterSpec = testbed.ClusterSpec
-
-func newLocalEnv(e *sim.Engine, k storageKind, nfiles int, fileSize int64) (*workload.LocalEnv, error) {
-	return testbed.NewLocalEnv(e, k, nfiles, fileSize)
-}
-
-func newSharedFileEnv(e *sim.Engine, spec clusterSpec, fileSize int64) (*workload.ClusterEnv, error) {
-	return testbed.NewSharedFileEnv(e, spec, fileSize)
-}
-
-func newMetaFilesEnv(e *sim.Engine, spec clusterSpec, filesPerProc int, fileSize int64) (*workload.ClusterEnv, error) {
-	return testbed.NewMetaFilesEnv(e, spec, filesPerProc, fileSize)
-}
-
-func newPinnedFilesEnv(e *sim.Engine, spec clusterSpec, filePerProc int64) (*workload.ClusterEnv, error) {
+func newPinnedFilesEnv(e *sim.Engine, spec testbed.ClusterSpec, filePerProc int64) (*workload.ClusterEnv, error) {
 	if spec.Clients > spec.Servers {
 		return nil, fmt.Errorf("experiments: pure-concurrency env needs a server per client (%d > %d)",
 			spec.Clients, spec.Servers)
@@ -68,10 +45,7 @@ func runOne(seed int64, label string, observe *obs.Options, build buildFunc) (Po
 	}
 	var o *Observation
 	if ob != nil {
-		ob.FinishSampling()
-		for _, r := range res.Trace.Records() {
-			ob.AddAppRecord(r.PID, r.Blocks, r.Start, r.End)
-		}
+		ob.FinishRun(res.Trace.Records())
 		pt.Blame = ob.Attribution().Dominant()
 		o = &Observation{Label: label, Obs: ob}
 	}

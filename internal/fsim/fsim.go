@@ -1,13 +1,11 @@
 // Package fsim simulates a local file system on top of a simulated block
-// device: extent-based allocation mapping file offsets to device offsets,
+// device: each file is one contiguous, block-aligned run of device bytes,
 // plus an optional write-through LRU page cache that can be flushed
 // explicitly (the BPS paper flushes all caches before each run).
 package fsim
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 
 	"bps/internal/device"
 	"bps/internal/ioreq"
@@ -16,8 +14,6 @@ import (
 
 // Config parameterizes a local file system.
 type Config struct {
-	Name string
-
 	// BlockSize is the allocation and cache-page granularity (default 4096).
 	BlockSize int64
 
@@ -36,31 +32,9 @@ type Config struct {
 	// then cost one seek per readahead window instead of one per request.
 	// Detection is per-stream (multiple concurrent cursors per file).
 	ReadAhead int64
-
-	// FragmentExtent, when positive, models an aged file system:
-	// allocation happens in extents of this size scattered across the
-	// device (deterministically, from the engine's seed) instead of one
-	// contiguous run, so logically sequential reads pay seeks at every
-	// extent boundary.
-	FragmentExtent int64
-
-	// WriteBack buffers writes in memory (requires CacheBytes > 0): the
-	// application pays only a memory copy, and a flusher daemon writes
-	// dirty pages to the device after FlushDelay (or immediately on
-	// Sync). This is the behaviour the BPS paper defends against by
-	// flushing all caches before each run — with write-back on, recorded
-	// access times no longer reflect device work.
-	WriteBack bool
-
-	// FlushDelay is the write-back delay before dirty pages go to the
-	// device (default 100 ms).
-	FlushDelay sim.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "fs"
-	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 4096
 	}
@@ -70,143 +44,32 @@ func (c Config) withDefaults() Config {
 	if c.CacheHitLatency <= 0 {
 		c.CacheHitLatency = sim.Microsecond
 	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = 100 * sim.Millisecond
-	}
 	return c
 }
 
 // FileSystem is a simulated local file system bound to one device.
 type FileSystem struct {
-	eng      *sim.Engine
 	dev      device.Device
 	cfg      Config
 	files    map[string]*File
 	nextFree int64
 	cache    *ioreq.LRU
-	rng      *rand.Rand // the engine RNG, latched at New
 
 	moved int64 // bytes actually transferred to/from the device
-
-	// Write-back state: dirty device pages awaiting flush. Dirty pages
-	// live outside the LRU so eviction can never lose unwritten data.
-	dirty       map[int64]bool
-	flushSignal *sim.Queue
-	syncWaiters []*sim.Future
-	forceFlush  bool
-	flushTimer  *sim.Future // in-progress lazy delay, completable early
 }
 
 // New constructs a file system on dev.
-func New(e *sim.Engine, dev device.Device, cfg Config) *FileSystem {
+func New(dev device.Device, cfg Config) *FileSystem {
 	cfg = cfg.withDefaults()
 	fs := &FileSystem{
-		eng:   e,
 		dev:   dev,
 		cfg:   cfg,
 		files: make(map[string]*File),
-		rng:   e.Rand(),
 	}
 	if cfg.CacheBytes > 0 {
 		fs.cache = ioreq.NewLRU(cfg.CacheBytes / cfg.BlockSize)
 	}
-	if cfg.WriteBack {
-		if fs.cache == nil {
-			panic("fsim: WriteBack requires CacheBytes > 0")
-		}
-		fs.dirty = make(map[int64]bool)
-		fs.flushSignal = e.NewQueue()
-		e.SpawnDaemon(cfg.Name+".flusher", fs.flusher)
-	}
 	return fs
-}
-
-// Dirty returns the number of dirty (unflushed) pages.
-func (fs *FileSystem) Dirty() int { return len(fs.dirty) }
-
-// isDirty reports whether a device page is buffered dirty in memory.
-func (fs *FileSystem) isDirty(pg int64) bool {
-	return fs.dirty != nil && fs.dirty[pg]
-}
-
-// Sync blocks p until every dirty page has reached the device (fsync
-// semantics), skipping the flush delay for flushes that have not started
-// yet; a flush already waiting out its delay completes on its own
-// schedule. A no-op when nothing is dirty or write-back is off.
-func (fs *FileSystem) Sync(p *sim.Proc) {
-	if fs.dirty == nil || len(fs.dirty) == 0 {
-		return
-	}
-	fut := p.NewFuture()
-	fs.syncWaiters = append(fs.syncWaiters, fut)
-	fs.forceFlush = true
-	if fs.flushTimer != nil && !fs.flushTimer.Done() {
-		fs.flushTimer.Complete() // cut an in-progress lazy delay short
-	}
-	fs.flushSignal.Put(struct{}{})
-	fut.Wait(p)
-}
-
-// flusher is the write-back daemon: woken when pages first go dirty (or
-// by Sync), it waits out the flush delay, then writes the dirty snapshot
-// to the device in coalesced runs.
-func (fs *FileSystem) flusher(p *sim.Proc) {
-	for {
-		fs.flushSignal.Get(p)
-		if len(fs.dirty) == 0 {
-			fs.completeSyncs()
-			continue
-		}
-		if !fs.forceFlush {
-			// Interruptible lazy delay: Sync completes the timer early.
-			timer := p.NewFuture()
-			fs.flushTimer = timer
-			p.After(fs.cfg.FlushDelay, func() {
-				if !timer.Done() {
-					timer.Complete()
-				}
-			})
-			timer.Wait(p)
-			fs.flushTimer = nil
-		}
-		fs.forceFlush = false
-
-		// Snapshot and clear: writes landing during the device I/O
-		// re-dirty pages and deposit a fresh signal.
-		pages := make([]int64, 0, len(fs.dirty))
-		for pg := range fs.dirty {
-			pages = append(pages, pg)
-		}
-		fs.dirty = make(map[int64]bool)
-		slices.Sort(pages)
-
-		bs := fs.cfg.BlockSize
-		for i := 0; i < len(pages); {
-			j := i
-			for j+1 < len(pages) && pages[j+1] == pages[j]+1 {
-				j++
-			}
-			n := int64(j-i+1) * bs
-			fs.moved += n
-			// The flusher ignores individual write errors (as the kernel
-			// does for async write-back); data is still marked clean.
-			_ = fs.dev.Access(p, device.Request{Offset: pages[i] * bs, Size: n, Write: true})
-			for _, pg := range pages[i : j+1] {
-				fs.cache.Insert(pg)
-			}
-			i = j + 1
-		}
-		if len(fs.dirty) == 0 {
-			fs.completeSyncs()
-		}
-	}
-}
-
-func (fs *FileSystem) completeSyncs() {
-	for _, fut := range fs.syncWaiters {
-		fut.Complete()
-	}
-	fs.syncWaiters = nil
 }
 
 // Device returns the underlying device.
@@ -225,28 +88,13 @@ func (fs *FileSystem) FlushCache() {
 	}
 }
 
-// CacheHits returns the number of page-cache hits served.
-func (fs *FileSystem) CacheHits() uint64 {
-	if fs.cache == nil {
-		return 0
-	}
-	return fs.cache.Hits()
-}
-
-// File is an open file with a physical extent mapping.
+// File is an open file, stored as one contiguous run of device bytes.
 type File struct {
-	fs      *FileSystem
-	name    string
-	size    int64
-	extents []extent
-	ra      raState
-}
-
-// extent maps [FileOff, FileOff+Len) to [DevOff, DevOff+Len).
-type extent struct {
-	fileOff int64
-	devOff  int64
-	length  int64
+	fs     *FileSystem
+	name   string
+	size   int64
+	devOff int64 // device offset of the file's first byte
+	ra     raState
 }
 
 // Create allocates a file of the given size. Allocation is contiguous and
@@ -263,49 +111,9 @@ func (fs *FileSystem) Create(name string, size int64) (*File, error) {
 		return nil, fmt.Errorf("fsim: create %q: device full (%d needed, %d free)",
 			name, alloc, fs.dev.Capacity()-fs.nextFree)
 	}
-	f := &File{fs: fs, name: name, size: size}
-	if fs.cfg.FragmentExtent > 0 {
-		f.extents = fs.allocateFragmented(alloc)
-	} else {
-		f.extents = []extent{{fileOff: 0, devOff: fs.nextFree, length: alloc}}
-		fs.nextFree += alloc
-	}
+	f := &File{fs: fs, name: name, size: size, devOff: fs.nextFree}
+	fs.nextFree += alloc
 	fs.files[name] = f
-	return f, nil
-}
-
-// allocateFragmented scatters the file's extents over the device,
-// deterministically per engine seed, leaving gaps between them like an
-// aged allocator working around existing data.
-func (fs *FileSystem) allocateFragmented(alloc int64) []extent {
-	ext := roundUp(fs.cfg.FragmentExtent, fs.cfg.BlockSize)
-	rng := fs.rng
-	var extents []extent
-	var fileOff int64
-	for fileOff < alloc {
-		n := ext
-		if fileOff+n > alloc {
-			n = alloc - fileOff
-		}
-		// Skip a random gap of up to 16 extents before the next run.
-		gap := rng.Int63n(16) * ext
-		if fs.nextFree+gap+n > fs.dev.Capacity() {
-			gap = 0 // device nearly full: fall back to packing
-		}
-		fs.nextFree += gap
-		extents = append(extents, extent{fileOff: fileOff, devOff: fs.nextFree, length: n})
-		fs.nextFree += n
-		fileOff += n
-	}
-	return extents
-}
-
-// Open returns an existing file.
-func (fs *FileSystem) Open(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("fsim: open %q: no such file", name)
-	}
 	return f, nil
 }
 
@@ -346,44 +154,18 @@ func (f *File) access(p *sim.Proc, off, size int64, write bool) error {
 			}
 		}
 	}
-	for size > 0 {
-		devOff, runLen, err := f.mapOffset(off)
-		if err != nil {
-			return err
-		}
-		n := size
-		if n > runLen {
-			n = runLen
-		}
-		if err := f.fs.transfer(p, devOff, n, write); err != nil {
-			return err
-		}
-		off += n
-		size -= n
-	}
-	return nil
+	return f.fs.transfer(p, f.devOff+off, size, write)
 }
 
 // allCached reports whether every page backing [off, off+size) is in the
 // page cache, without updating recency or hit counters.
 func (f *File) allCached(off, size int64) bool {
 	bs := f.fs.cfg.BlockSize
-	for size > 0 {
-		devOff, runLen, err := f.mapOffset(off)
-		if err != nil {
+	devOff := f.devOff + off
+	for pg := devOff / bs; pg <= (devOff+size-1)/bs; pg++ {
+		if !f.fs.cache.Contains(pg) {
 			return false
 		}
-		n := size
-		if n > runLen {
-			n = runLen
-		}
-		for pg := devOff / bs; pg <= (devOff+n-1)/bs; pg++ {
-			if !f.fs.cache.Contains(pg) && !f.fs.isDirty(pg) {
-				return false
-			}
-		}
-		off += n
-		size -= n
 	}
 	return true
 }
@@ -440,17 +222,6 @@ func (s *raState) update(off, end int64) {
 	s.uses[oldest] = s.clock
 }
 
-// mapOffset translates a file offset to (device offset, contiguous bytes
-// remaining in the extent).
-func (f *File) mapOffset(off int64) (devOff, runLen int64, err error) {
-	for _, e := range f.extents {
-		if off >= e.fileOff && off < e.fileOff+e.length {
-			return e.devOff + (off - e.fileOff), e.fileOff + e.length - off, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("fsim: %s: offset %d not mapped", f.name, off)
-}
-
 // transfer moves a contiguous device range, consulting the cache.
 func (fs *FileSystem) transfer(p *sim.Proc, devOff, size int64, write bool) error {
 	if fs.cache == nil {
@@ -469,18 +240,6 @@ func (fs *FileSystem) cachedTransfer(p *sim.Proc, devOff, size int64, write bool
 	last := (devOff + size - 1) / bs
 
 	if write {
-		if fs.dirty != nil {
-			// Write-back: dirty the pages and pay only the memory copy.
-			wasClean := len(fs.dirty) == 0
-			for pg := first; pg <= last; pg++ {
-				fs.dirty[pg] = true
-			}
-			if wasClean {
-				fs.flushSignal.Put(struct{}{})
-			}
-			p.Sleep(fs.cfg.CacheHitLatency + sim.TransferTime(size, fs.cfg.MemRate))
-			return nil
-		}
 		fs.moved += size
 		if err := fs.dev.Access(p, device.Request{Offset: devOff, Size: size, Write: true}); err != nil {
 			return err
@@ -510,7 +269,7 @@ func (fs *FileSystem) cachedTransfer(p *sim.Proc, devOff, size int64, write bool
 		return nil
 	}
 	for pg := first; pg <= last; pg++ {
-		if fs.cache.Lookup(pg) || fs.isDirty(pg) {
+		if fs.cache.Lookup(pg) {
 			if err := flushMisses(pg); err != nil {
 				return err
 			}

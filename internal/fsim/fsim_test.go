@@ -10,7 +10,7 @@ import (
 
 func newRAMFS(e *sim.Engine, cfg Config) *FileSystem {
 	dev := device.NewRAMDisk(e, "ram", 1<<30, sim.Microsecond, 1e9)
-	return New(e, dev, cfg)
+	return New(dev, cfg)
 }
 
 func run(t *testing.T, body func(e *sim.Engine, p *sim.Proc)) sim.Time {
@@ -29,17 +29,11 @@ func TestCreateOpenErrors(t *testing.T) {
 		if _, err := fs.Create("a", 0); err == nil {
 			t.Error("zero-size create succeeded")
 		}
-		if _, err := fs.Create("a", 4096); err != nil {
-			t.Error(err)
+		if f, err := fs.Create("a", 4096); err != nil || f.Name() != "a" || f.Size() != 4096 {
+			t.Errorf("create: %v %v", f, err)
 		}
 		if _, err := fs.Create("a", 4096); err == nil {
 			t.Error("duplicate create succeeded")
-		}
-		if _, err := fs.Open("missing"); err == nil {
-			t.Error("open of missing file succeeded")
-		}
-		if f, err := fs.Open("a"); err != nil || f.Name() != "a" || f.Size() != 4096 {
-			t.Errorf("open: %v %v", f, err)
 		}
 		if _, err := fs.Create("huge", 2<<30); err == nil {
 			t.Error("create beyond device capacity succeeded")
@@ -94,7 +88,7 @@ func TestCacheHitsFasterAndNotMoved(t *testing.T) {
 	run(t, func(e *sim.Engine, p *sim.Proc) {
 		// Slow device so the cache effect is unmistakable.
 		dev := device.NewRAMDisk(e, "slow", 1<<30, sim.Millisecond, 50e6)
-		fs := New(e, dev, Config{CacheBytes: 64 << 20})
+		fs := New(dev, Config{CacheBytes: 64 << 20})
 		f, _ := fs.Create("f", 8<<20)
 		t0 := p.Now()
 		if err := f.ReadAt(p, 0, 8<<20); err != nil {
@@ -233,7 +227,7 @@ func TestReadAheadAmortizesDeviceOps(t *testing.T) {
 	run := func(ra int64) (devOps uint64, moved int64) {
 		e := sim.NewEngine(1)
 		dev := device.NewRAMDisk(e, "ram", 1<<30, 100*sim.Microsecond, 100e6)
-		fs := New(e, dev, Config{CacheBytes: 64 << 20, ReadAhead: ra})
+		fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: ra})
 		e.Spawn("p", func(p *sim.Proc) {
 			f, err := fs.Create("f", 8<<20)
 			if err != nil {
@@ -270,7 +264,7 @@ func TestReadAheadInterleavedStreams(t *testing.T) {
 	// detected, so device ops stay ~one per readahead window per stream.
 	e := sim.NewEngine(1)
 	dev := device.NewRAMDisk(e, "ram", 1<<30, 100*sim.Microsecond, 100e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, ReadAhead: 1 << 20})
+	fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: 1 << 20})
 	f, err := fs.Create("f", 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +290,7 @@ func TestReadAheadInterleavedStreams(t *testing.T) {
 func TestReadAheadRandomReadsNotExtended(t *testing.T) {
 	e := sim.NewEngine(1)
 	dev := device.NewRAMDisk(e, "ram", 1<<30, 10*sim.Microsecond, 100e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, ReadAhead: 1 << 20})
+	fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: 1 << 20})
 	e.Spawn("p", func(p *sim.Proc) {
 		f, err := fs.Create("f", 32<<20)
 		if err != nil {
@@ -321,7 +315,7 @@ func TestReadAheadRandomReadsNotExtended(t *testing.T) {
 func TestReadAheadStopsAtEOF(t *testing.T) {
 	e := sim.NewEngine(1)
 	dev := device.NewRAMDisk(e, "ram", 1<<30, 10*sim.Microsecond, 100e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, ReadAhead: 64 << 20})
+	fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: 64 << 20})
 	e.Spawn("p", func(p *sim.Proc) {
 		f, err := fs.Create("f", 1<<20)
 		if err != nil {
@@ -337,249 +331,5 @@ func TestReadAheadStopsAtEOF(t *testing.T) {
 	}
 	if fs.Moved() != 1<<20 {
 		t.Fatalf("readahead past EOF: moved %d, want %d", fs.Moved(), 1<<20)
-	}
-}
-
-func TestFragmentedAllocation(t *testing.T) {
-	e := sim.NewEngine(3)
-	dev := device.NewRAMDisk(e, "ram", 1<<30, 10*sim.Microsecond, 500e6)
-	fs := New(e, dev, Config{FragmentExtent: 256 << 10})
-	f, err := fs.Create("aged", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.extents) != 16 {
-		t.Fatalf("extents = %d, want 16 of 256 KiB", len(f.extents))
-	}
-	// Extents cover the file exactly and in order.
-	var off int64
-	for _, ext := range f.extents {
-		if ext.fileOff != off {
-			t.Fatalf("extent fileOff = %d, want %d", ext.fileOff, off)
-		}
-		off += ext.length
-	}
-	if off != 4<<20 {
-		t.Fatalf("covered %d", off)
-	}
-	// Reads across extent boundaries still work and move exact bytes.
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := f.ReadAt(p, 0, 4<<20); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Moved() != 4<<20 {
-		t.Fatalf("moved = %d", fs.Moved())
-	}
-}
-
-func TestFragmentationSlowsHDDSequentialRead(t *testing.T) {
-	read := func(fragment int64) sim.Time {
-		e := sim.NewEngine(3)
-		dev := device.NewHDD(e, device.DefaultHDD())
-		fs := New(e, dev, Config{FragmentExtent: fragment})
-		f, err := fs.Create("f", 32<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Spawn("p", func(p *sim.Proc) {
-			for off := int64(0); off < 32<<20; off += 1 << 20 {
-				if err := f.ReadAt(p, off, 1<<20); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Now()
-	}
-	contiguous, fragmented := read(0), read(256<<10)
-	if fragmented < contiguous*3/2 {
-		t.Fatalf("fragmented read (%v) not meaningfully slower than contiguous (%v)",
-			fragmented, contiguous)
-	}
-}
-
-func TestWriteBackBuffersWrites(t *testing.T) {
-	e := sim.NewEngine(1)
-	// A very slow device makes buffering unmistakable.
-	dev := device.NewRAMDisk(e, "slow", 1<<30, sim.Millisecond, 10e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, WriteBack: true, FlushDelay: 50 * sim.Millisecond})
-	var writeTook sim.Time
-	e.Spawn("p", func(p *sim.Proc) {
-		f, err := fs.Create("f", 8<<20)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		t0 := p.Now()
-		if err := f.WriteAt(p, 0, 8<<20); err != nil {
-			t.Error(err)
-		}
-		writeTook = p.Now() - t0
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	// 8 MiB at memory speed is ~1.7 ms; at device speed it would be ~840 ms.
-	if writeTook > 10*sim.Millisecond {
-		t.Fatalf("buffered write took %v, not memory speed", writeTook)
-	}
-	// The flusher still pushed everything to the device afterwards.
-	if fs.Moved() != 8<<20 {
-		t.Fatalf("moved = %d, want full flush", fs.Moved())
-	}
-	if dev.Stats().BytesWritten != 8<<20 {
-		t.Fatalf("device wrote %d", dev.Stats().BytesWritten)
-	}
-	if fs.Dirty() != 0 {
-		t.Fatalf("dirty pages remain: %d", fs.Dirty())
-	}
-}
-
-func TestWriteBackSyncBlocksUntilClean(t *testing.T) {
-	e := sim.NewEngine(1)
-	dev := device.NewRAMDisk(e, "slow", 1<<30, 0, 50e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, WriteBack: true, FlushDelay: 10 * sim.Second})
-	var syncDone sim.Time
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := fs.Create("f", 4<<20)
-		if err := f.WriteAt(p, 0, 4<<20); err != nil {
-			t.Error(err)
-		}
-		fs.Sync(p) // must not wait the 10 s lazy delay
-		syncDone = p.Now()
-		if fs.Dirty() != 0 {
-			t.Error("Sync returned with dirty pages")
-		}
-		fs.Sync(p) // idempotent no-op when clean
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	// 4 MiB at 50 MB/s ≈ 84 ms ≪ the 10 s lazy delay.
-	if syncDone > sim.Second {
-		t.Fatalf("Sync waited the lazy delay: done at %v", syncDone)
-	}
-	if fs.Moved() != 4<<20 {
-		t.Fatalf("moved = %d", fs.Moved())
-	}
-}
-
-func TestWriteBackReadHitsDirtyPages(t *testing.T) {
-	e := sim.NewEngine(1)
-	dev := device.NewRAMDisk(e, "dev", 1<<30, sim.Millisecond, 100e6)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, WriteBack: true, FlushDelay: 10 * sim.Second})
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := fs.Create("f", 1<<20)
-		if err := f.WriteAt(p, 0, 1<<20); err != nil {
-			t.Error(err)
-		}
-		// Read-after-write must be served from the dirty buffer.
-		before := dev.Stats().Reads
-		if err := f.ReadAt(p, 0, 1<<20); err != nil {
-			t.Error(err)
-		}
-		if dev.Stats().Reads != before {
-			t.Error("read-after-buffered-write went to the device")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-}
-
-func TestWriteBackEvictionCannotLoseDirtyData(t *testing.T) {
-	e := sim.NewEngine(1)
-	dev := device.NewRAMDisk(e, "dev", 1<<30, 0, 1e9)
-	// Cache of 1 MiB, write 8 MiB buffered: dirty pages exceed the LRU
-	// capacity but must all reach the device.
-	fs := New(e, dev, Config{CacheBytes: 1 << 20, WriteBack: true, FlushDelay: sim.Millisecond})
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := fs.Create("f", 8<<20)
-		if err := f.WriteAt(p, 0, 8<<20); err != nil {
-			t.Error(err)
-		}
-		fs.Sync(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	if dev.Stats().BytesWritten != 8<<20 {
-		t.Fatalf("device wrote %d, dirty data lost to eviction", dev.Stats().BytesWritten)
-	}
-}
-
-func TestWriteBackFlusherCoalesces(t *testing.T) {
-	e := sim.NewEngine(1)
-	dev := device.NewRAMDisk(e, "dev", 1<<30, 0, 1e9)
-	fs := New(e, dev, Config{CacheBytes: 64 << 20, WriteBack: true, FlushDelay: sim.Millisecond})
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := fs.Create("f", 4<<20)
-		// 64 separate 64 KiB writes, contiguous: one coalesced flush.
-		for off := int64(0); off < 4<<20; off += 64 << 10 {
-			if err := f.WriteAt(p, off, 64<<10); err != nil {
-				t.Error(err)
-			}
-		}
-		fs.Sync(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	if ops := dev.Stats().Writes; ops > 2 {
-		t.Fatalf("flusher issued %d device writes, want coalesced run(s)", ops)
-	}
-}
-
-// TestWriteBackDistortsRecordedTimes demonstrates why the paper flushes
-// caches: with write-back on, the application-recorded access times no
-// longer reflect device work, so BPS computed from them is inflated.
-func TestWriteBackDistortsRecordedTimes(t *testing.T) {
-	run := func(writeBack bool) (recorded sim.Time, deviceBusy sim.Time) {
-		e := sim.NewEngine(1)
-		dev := device.NewRAMDisk(e, "dev", 1<<30, 10*sim.Microsecond, 100e6)
-		cfg := Config{}
-		if writeBack {
-			cfg = Config{CacheBytes: 64 << 20, WriteBack: true, FlushDelay: sim.Millisecond}
-		}
-		fs := New(e, dev, cfg)
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := fs.Create("f", 16<<20)
-			t0 := p.Now()
-			for off := int64(0); off < 16<<20; off += 1 << 20 {
-				if err := f.WriteAt(p, off, 1<<20); err != nil {
-					t.Error(err)
-				}
-			}
-			recorded = p.Now() - t0
-			if writeBack {
-				fs.Sync(p)
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		e.Shutdown()
-		return recorded, dev.BusyTime()
-	}
-	throughRec, throughBusy := run(false)
-	backRec, backBusy := run(true)
-	// Device does the same work either way...
-	if backBusy < throughBusy/2 {
-		t.Fatalf("device busy: wb=%v wt=%v", backBusy, throughBusy)
-	}
-	// ...but the application-visible (recordable) time collapses.
-	if backRec*10 > throughRec {
-		t.Fatalf("buffered recorded time %v not ≪ write-through %v", backRec, throughRec)
 	}
 }

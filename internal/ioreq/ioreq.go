@@ -82,9 +82,6 @@ type Request struct {
 	// the top of the pipeline; Child keeps it, so every sub-request and
 	// span of a tenant's access carries the tenant identity end to end.
 	Tenant string
-
-	// Tags carries optional cross-layer annotations; nil until first use.
-	Tags map[string]string
 }
 
 // IDSource allocates unique request identifiers. Both *sim.Engine and
@@ -109,7 +106,7 @@ func New(ids IDSource, op Op, off, size int64, file string) *Request {
 }
 
 // Child returns a copy of r covering [off, off+size) that keeps the
-// parent's identity (ID, PID, file, attempt, deadline, tags). Layers
+// parent's identity (ID, PID, file, attempt, deadline, tenant). Layers
 // that decompose a request pass children downstream.
 func (r *Request) Child(off, size int64) *Request {
 	c := *r
@@ -119,29 +116,6 @@ func (r *Request) Child(off, size int64) *Request {
 
 // End returns the exclusive end offset of the request.
 func (r *Request) End() int64 { return r.Off + r.Size }
-
-// Validate checks the request range against a file of fileSize bytes.
-func (r *Request) Validate(fileSize int64) error {
-	if r.Size <= 0 {
-		return fmt.Errorf("ioreq: %s size %d must be positive", r.Op, r.Size)
-	}
-	if r.Off < 0 || r.End() > fileSize {
-		return fmt.Errorf("ioreq: %s [%d, %d) out of bounds (file size %d)",
-			r.Op, r.Off, r.End(), fileSize)
-	}
-	return nil
-}
-
-// SetTag annotates the request, allocating the tag map on first use.
-func (r *Request) SetTag(k, v string) {
-	if r.Tags == nil {
-		r.Tags = make(map[string]string, 1)
-	}
-	r.Tags[k] = v
-}
-
-// Tag returns the annotation for k ("" when absent).
-func (r *Request) Tag(k string) string { return r.Tags[k] }
 
 // TraceID is the observability hook: obs.Begin checks the calling
 // proc's context (sim.Proc.Ctx) for this method and, when present, adds

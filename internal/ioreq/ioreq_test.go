@@ -3,6 +3,7 @@ package ioreq
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"bps/internal/obs"
 	"bps/internal/sim"
@@ -57,9 +58,9 @@ func TestRequestIdentity(t *testing.T) {
 		t.Fatalf("defaults PID=%d Stripe=%d, want -1/-1", r1.PID, r1.Stripe)
 	}
 	r1.PID = 7
-	r1.SetTag("k", "v")
+	r1.Tenant = "t"
 	c := r1.Child(64, 32)
-	if c.ID != r1.ID || c.PID != 7 || c.File != "f" || c.Tag("k") != "v" {
+	if c.ID != r1.ID || c.PID != 7 || c.File != "f" || c.Tenant != "t" {
 		t.Fatalf("child lost identity: %+v", c)
 	}
 	if c.Off != 64 || c.Size != 32 || c.End() != 96 {
@@ -70,19 +71,11 @@ func TestRequestIdentity(t *testing.T) {
 	}
 }
 
-func TestRequestValidate(t *testing.T) {
-	r := &Request{Op: OpRead, Off: 0, Size: 100}
-	if err := r.Validate(100); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []*Request{
-		{Op: OpRead, Off: 0, Size: 0},
-		{Op: OpRead, Off: -1, Size: 10},
-		{Op: OpWrite, Off: 96, Size: 10},
-	} {
-		if err := bad.Validate(100); err == nil {
-			t.Fatalf("Validate accepted %+v", bad)
-		}
+// TestRequestSize pins Request to Go's 96-byte size class: New and
+// Child allocate one per request, and the next class up is 112 bytes.
+func TestRequestSize(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 96 {
+		t.Fatalf("Request is %d bytes, want at most 96", size)
 	}
 }
 

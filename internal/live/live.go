@@ -17,7 +17,7 @@
 // which is what lets the pinned livemem figure be byte-identical on
 // every run.
 //
-// Fault injection is deliberately not wired in: faults.Wrap models
+// Fault injection is deliberately not wired in: faults.WrapDevice models
 // simulated hardware, and injecting artificial errors into a real
 // filesystem measurement would corrupt exactly the numbers the run
 // exists to collect. Retry and the shared page cache (wall mode) remain

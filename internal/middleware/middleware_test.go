@@ -15,7 +15,7 @@ import (
 // localSetup builds a RAM-backed local file target of the given size.
 func localSetup(e *sim.Engine, size int64) (Target, *fsim.FileSystem) {
 	dev := device.NewRAMDisk(e, "ram", 4<<30, 10*sim.Microsecond, 200e6)
-	fs := fsim.New(e, dev, fsim.Config{})
+	fs := fsim.New(dev, fsim.Config{})
 	f, err := fs.Create("f", size)
 	if err != nil {
 		panic(err)

@@ -28,6 +28,7 @@ import (
 	"bps/internal/core"
 	"bps/internal/obs/attrib"
 	"bps/internal/sim"
+	"bps/internal/trace"
 )
 
 // Options configures an observer.
@@ -352,6 +353,21 @@ func (o *Observer) FinishSampling() {
 		return
 	}
 	o.sampler.Finish(o.now())
+}
+
+// FinishRun completes an observed run at teardown: it takes the
+// sampler's final sample (FinishSampling) and adds the run's gathered
+// application records (AddAppRecord), aligning the application timeline
+// with the per-layer spans recorded live. A nil observer absorbs the
+// call.
+func (o *Observer) FinishRun(records []trace.Record) {
+	if o == nil {
+		return
+	}
+	o.FinishSampling()
+	for _, r := range records {
+		o.AddAppRecord(r.PID, r.Blocks, r.Start, r.End)
+	}
 }
 
 // WriteChromeTrace writes the collected Chrome trace-event JSON.

@@ -212,12 +212,10 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 		reg.Probe("pfs/mds/utilization", func() float64 { return svc.Utilization(e.Now()) })
 	}
 	for i, dev := range devices {
-		fscfg := cfg.ServerFS
-		fscfg.Name = fmt.Sprintf("ios%d.fs", i)
 		srv := &Server{
 			id:        i,
 			nic:       fabric.NewNIC(fmt.Sprintf("ios%d", i)),
-			fs:        fsim.New(e, dev, fscfg),
+			fs:        fsim.New(dev, cfg.ServerFS),
 			queue:     e.NewQueue(),
 			o:         c.o,
 			requests:  reg.Counter(fmt.Sprintf("pfs/ios%d/requests", i)),
@@ -243,9 +241,6 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 
 // Servers returns the cluster's servers.
 func (c *Cluster) Servers() []*Server { return c.servers }
-
-// NumServers returns the number of I/O servers.
-func (c *Cluster) NumServers() int { return len(c.servers) }
 
 // Moved returns total bytes moved through all server devices — the
 // file-system-level data volume that the bandwidth metric sees.

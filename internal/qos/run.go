@@ -112,7 +112,7 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 		})
 	} else {
 		dev := faults.WrapDevice(e, testbed.NewDevice(e, spec.Media), spec.Faults, "local."+spec.Media.String())
-		localFS = fsim.New(e, dev, fsim.Config{Name: "local"})
+		localFS = fsim.New(dev, fsim.Config{})
 	}
 	moved := func() int64 {
 		if cluster != nil {

@@ -132,15 +132,13 @@ func NewEngine(seed int64) *Engine {
 	}
 }
 
-func (e *Engine) schedule(t Time, fn func(), bg bool) {
+func (e *Engine) schedule(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	if !bg {
-		e.fg++
-	}
-	e.events.push(event{at: t, seq: e.seq, fn: fn, bg: bg})
+	e.fg++
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // scheduleWake schedules parked process p to be resumed at absolute time
@@ -204,10 +202,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is an error in the simulation program and panics.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, false) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn, false) }
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
 // DeadlockError reports that processes remained blocked with no scheduled
 // events to wake them.

@@ -201,7 +201,7 @@ func (p *Proc) At(t Time, fn func()) {
 	if p.live != nil {
 		panic("sim: At is not available on a detached live proc")
 	}
-	p.eng.schedule(t, fn, false)
+	p.eng.schedule(t, fn)
 }
 
 // After schedules fn d nanoseconds from now (see At).
@@ -209,7 +209,7 @@ func (p *Proc) After(d Time, fn func()) {
 	if p.live != nil {
 		panic("sim: After is not available on a detached live proc")
 	}
-	p.eng.schedule(p.eng.now+d, fn, false)
+	p.eng.schedule(p.eng.now+d, fn)
 }
 
 // Sleep suspends the process for d simulated nanoseconds. Zero d yields to
@@ -313,7 +313,7 @@ func (f *Future) WaitTimeout(p *Proc, d Time) bool {
 		e.wake(p)
 	}
 	f.onComplete = append(f.onComplete, func() { fire(true) })
-	e.schedule(e.now+d, func() { fire(false) }, false)
+	e.schedule(e.now+d, func() { fire(false) })
 	p.park()
 	return completed
 }

@@ -48,20 +48,6 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 // GetTracer returns the attached tracer, or nil.
 func (e *Engine) GetTracer() Tracer { return e.tracer }
 
-// AtBackground schedules fn at absolute time t as a background event.
-// Background events share the calendar
-// and its deterministic (time, seq) order with ordinary events, but they
-// do not keep the simulation alive: Run and RunUntil return once no
-// foreground events remain, leaving pending background events unfired.
-// Periodic infrastructure — metric samplers, watchdogs — uses this so
-// that instrumentation never extends a run beyond the workload's last
-// event.
-func (e *Engine) AtBackground(t Time, fn func()) { e.schedule(t, fn, true) }
-
-// AfterBackground schedules fn d nanoseconds from now as a background
-// event (see AtBackground).
-func (e *Engine) AfterBackground(d Time, fn func()) { e.schedule(e.now+d, fn, true) }
-
 // SleepBackground suspends the process for d simulated nanoseconds using
 // a background wake-up: the sleep fires only while foreground events
 // keep the simulation alive. A sampler daemon loops on this so its

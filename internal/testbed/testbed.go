@@ -72,7 +72,7 @@ func NewFTLSSD(e *sim.Engine) device.Device {
 
 // NewLocalEnvOn builds a local file system on an explicit device.
 func NewLocalEnvOn(e *sim.Engine, dev device.Device, nfiles int, fileSize int64) (*workload.LocalEnv, error) {
-	fs := fsim.New(e, dev, fsim.Config{Name: "local." + dev.Name()})
+	fs := fsim.New(dev, fsim.Config{})
 	env := &workload.LocalEnv{FS: fs}
 	for i := 0; i < nfiles; i++ {
 		f, err := fs.Create(fmt.Sprintf("file%d", i), fileSize)
@@ -88,16 +88,7 @@ func NewLocalEnvOn(e *sim.Engine, dev device.Device, nfiles int, fileSize int64)
 // with nfiles preallocated files. No page cache: the paper flushes caches
 // before each local run.
 func NewLocalEnv(e *sim.Engine, m Media, nfiles int, fileSize int64) (*workload.LocalEnv, error) {
-	fs := fsim.New(e, NewDevice(e, m), fsim.Config{Name: "local." + m.String()})
-	env := &workload.LocalEnv{FS: fs}
-	for i := 0; i < nfiles; i++ {
-		f, err := fs.Create(fmt.Sprintf("file%d", i), fileSize)
-		if err != nil {
-			return nil, err
-		}
-		env.Files = append(env.Files, f)
-	}
-	return env, nil
+	return NewLocalEnvOn(e, NewDevice(e, m), nfiles, fileSize)
 }
 
 // ClusterSpec describes a PVFS-like deployment for one run.
@@ -226,7 +217,7 @@ func NewFilesEnv(e *sim.Engine, spec ClusterSpec, dev device.Device, prefix stri
 		}
 		return env, nil
 	}
-	fs := fsim.New(e, dev, fsim.Config{Name: prefix})
+	fs := fsim.New(dev, fsim.Config{})
 	env := &workload.LocalEnv{FS: fs}
 	for i, size := range sizes {
 		f, err := fs.Create(fmt.Sprintf("%s%d", prefix, i), size)

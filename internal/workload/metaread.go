@@ -36,11 +36,6 @@ func MetaFileName(pid, i int) string {
 	return fmt.Sprintf("meta.p%d.%d", pid, i)
 }
 
-// RequiredFiles returns the total file population the env must hold.
-func (w MetaRead) RequiredFiles() int {
-	return w.Processes * w.FilesPerProcess
-}
-
 // Start implements Starter.
 func (w MetaRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 	if err := w.validate(); err != nil {

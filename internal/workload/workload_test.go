@@ -17,7 +17,7 @@ import (
 // newLocalEnv builds a RAM-backed local env with one file per process.
 func newLocalEnv(e *sim.Engine, nfiles int, fileSize int64) *LocalEnv {
 	dev := device.NewRAMDisk(e, "ram", 16<<30, 10*sim.Microsecond, 500e6)
-	fs := fsim.New(e, dev, fsim.Config{})
+	fs := fsim.New(dev, fsim.Config{})
 	env := &LocalEnv{FS: fs}
 	for i := 0; i < nfiles; i++ {
 		f, err := fs.Create(fileName(i), fileSize)

@@ -36,23 +36,6 @@ func attachObserver(e *sim.Engine, cfg RunConfig) *Observer {
 	return obs.Attach(e, *cfg.Observe)
 }
 
-// finishObservation completes an observed run at teardown: it takes the
-// sampler's final sample (the tail the daemon's pending tick never
-// reaches) and adds the gathered application records to the trace and
-// the attribution profiler (one "app" span per access, one Chrome
-// thread per PID), aligning the application timeline with the per-layer
-// spans recorded live.
-func finishObservation(ob *Observer, records []Record) *Observer {
-	if ob == nil {
-		return nil
-	}
-	ob.FinishSampling()
-	for _, r := range records {
-		ob.AddAppRecord(r.PID, r.Blocks, r.Start, r.End)
-	}
-	return ob
-}
-
 // WriteChromeTrace writes records as Chrome trace-event JSON (loadable
 // in Perfetto or chrome://tracing): one thread per process ID, one
 // complete event per access. It works on any record source — a prior

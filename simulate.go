@@ -233,7 +233,7 @@ func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport,
 			Faults:  faultPlan(cfg),
 		})
 	} else {
-		localFS = fsim.New(e, localDevice(e, cfg), fsim.Config{Name: "local"})
+		localFS = fsim.New(localDevice(e, cfg), fsim.Config{})
 	}
 	moved := func() int64 {
 		if cluster != nil {
@@ -284,7 +284,7 @@ func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport,
 		allRecords = append(allRecords, res.Trace.Records()...)
 		errs += res.Errors
 	}
-	ob = finishObservation(ob, allRecords)
+	ob.FinishRun(allRecords)
 	combined = RunReport{
 		Metrics:     ComputeMetrics(allRecords, moved(), e.Now()),
 		Records:     allRecords,
@@ -331,7 +331,8 @@ func faultPlan(cfg RunConfig) faults.Config {
 
 // localDevice builds a local-stack device with the configured fault
 // wrappers: the deterministic every-Nth injector (FaultEvery) and/or
-// the seeded plan's device faults (FaultRate).
+// the seeded plan's device faults (FaultRate). With both knobs zero it
+// returns the bare device and draws nothing.
 func localDevice(e *sim.Engine, cfg RunConfig) device.Device {
 	dev := testbed.NewDevice(e, cfg.Storage.Media)
 	if cfg.Storage.FaultEvery > 0 {
@@ -351,11 +352,7 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 	var err error
 	switch {
 	case cfg.Storage.Servers == 0:
-		if cfg.Storage.FaultEvery > 0 || cfg.Storage.FaultRate > 0 {
-			env, err = testbed.NewLocalEnvOn(e, localDevice(e, cfg), procs, perProcBytes)
-		} else {
-			env, err = testbed.NewLocalEnv(e, cfg.Storage.Media, procs, perProcBytes)
-		}
+		env, err = testbed.NewLocalEnvOn(e, localDevice(e, cfg), procs, perProcBytes)
 	case cfg.Storage.SharedFile:
 		env, err = testbed.NewSharedFileEnv(e, testbed.ClusterSpec{
 			Servers:     cfg.Storage.Servers,
@@ -381,7 +378,7 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 		return RunReport{}, fmt.Errorf("bps: running workload: %w", err)
 	}
 	e.Shutdown()
-	ob = finishObservation(ob, res.Trace.Records())
+	ob.FinishRun(res.Trace.Records())
 	return RunReport{
 		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
 		Records:     res.Trace.Records(),
@@ -453,7 +450,7 @@ func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, e
 		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
 	}
 	e.Shutdown()
-	ob = finishObservation(ob, res.Trace.Records())
+	ob.FinishRun(res.Trace.Records())
 	return RunReport{
 		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
 		Records:     res.Trace.Records(),

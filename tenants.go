@@ -71,7 +71,7 @@ func SimulateTenants(cfg RunConfig, q QoSConfig, tenants ...TenantSpec) (combine
 			Errors:  t.Errors,
 		})
 	}
-	ob = finishObservation(ob, res.Records)
+	ob.FinishRun(res.Records)
 	combined = RunReport{
 		Metrics:     res.Combined,
 		Records:     res.Records,
