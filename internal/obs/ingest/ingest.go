@@ -19,7 +19,10 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"bps/internal/ioreq"
 	"bps/internal/sim"
@@ -92,11 +95,17 @@ func (l *Log) sortSegments() {
 	})
 }
 
-// Validate checks segment sanity (positive lengths, end ≥ start,
-// non-negative offsets) and, when the recognized per-rank counters are
-// present, cross-checks them against the segment list: operation counts
-// and byte totals must match exactly, so a log whose trace was truncated
-// relative to its counters is rejected.
+// maxSeconds bounds segment times so that they convert to simulated
+// time (int64 nanoseconds, about 292 years) without overflow.
+const maxSeconds = 9e9
+
+// Validate checks segment sanity (positive lengths, end ≥ start within
+// [0, maxSeconds], extents that fit in int64, file names that are one
+// line of UTF-8, so both encodings carry them unchanged) and, when the
+// recognized per-rank counters are present, cross-checks them against
+// the segment list: operation counts and byte totals must match
+// exactly, so a log whose trace was truncated relative to its counters
+// is rejected.
 func (l *Log) Validate() error {
 	if len(l.Segments) == 0 {
 		return fmt.Errorf("ingest: log has no segments")
@@ -105,10 +114,12 @@ func (l *Log) Validate() error {
 		switch {
 		case s.Length <= 0:
 			return fmt.Errorf("ingest: segment %d: length %d must be positive", i, s.Length)
-		case s.Offset < 0:
-			return fmt.Errorf("ingest: segment %d: negative offset %d", i, s.Offset)
-		case s.Start < 0 || s.End < s.Start:
+		case s.Offset < 0 || s.Offset > math.MaxInt64-s.Length:
+			return fmt.Errorf("ingest: segment %d: offset %d out of range", i, s.Offset)
+		case !(s.Start >= 0 && s.End >= s.Start && s.End <= maxSeconds):
 			return fmt.Errorf("ingest: segment %d: bad interval [%g, %g]", i, s.Start, s.End)
+		case !utf8.ValidString(s.File) || strings.ContainsAny(s.File, "\r\n"):
+			return fmt.Errorf("ingest: segment %d: file name %q is not one line of UTF-8", i, s.File)
 		}
 	}
 	type key struct {

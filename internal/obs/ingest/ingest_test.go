@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,6 +48,13 @@ func TestValidateRejectsBadSegments(t *testing.T) {
 		{Rank: 0, File: "f", Offset: -1, Length: 1, End: 1}, // negative offset
 		{Rank: 0, File: "f", Length: 1, Start: 2, End: 1},   // end before start
 		{Rank: 0, File: "f", Length: 1, Start: -1, End: 1},  // negative start
+		{Rank: 0, File: "f", Length: 1, Start: math.NaN(), End: 1},
+		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.NaN()},
+		{Rank: 0, File: "f", Length: 1, Start: 0, End: math.Inf(1)},
+		{Rank: 0, File: "f", Length: 1, Start: 0, End: 1e300},                    // past simulated time
+		{Rank: 0, File: "f", Offset: math.MaxInt64, Length: 1, Start: 0, End: 1}, // extent overflows
+		{Rank: 0, File: "a\nb", Length: 1, Start: 0, End: 1},                     // line break in the name
+		{Rank: 0, File: "\x82", Length: 1, Start: 0, End: 1},                     // not UTF-8
 	}
 	for i, s := range cases {
 		l := &Log{Segments: []Segment{s}}

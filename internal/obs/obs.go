@@ -1,6 +1,6 @@
 // Package obs is the cross-layer observability subsystem of the
 // simulated I/O stack: a lightweight metrics registry (counters, gauges,
-// fixed-bucket log-scale histograms, and a periodic time-series sampler
+// fixed-bucket log-scale histograms, and a periodic streaming sampler
 // driven by a simulation daemon), structured event hooks on the sim
 // engine (event dispatch, process lifecycle, resource admission), and a
 // Chrome trace-event exporter whose output loads in Perfetto or
@@ -170,14 +170,6 @@ func (o *Observer) Registry() *Registry {
 		return nil
 	}
 	return o.reg
-}
-
-// Sampler returns the time-series sampler, or nil.
-func (o *Observer) Sampler() *Sampler {
-	if o == nil {
-		return nil
-	}
-	return o.sampler
 }
 
 // TraceBuffer returns the Chrome trace buffer, or nil.

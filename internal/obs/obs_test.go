@@ -12,12 +12,13 @@ import (
 
 // TestSamplerSyntheticWorkload drives a known workload — a process that
 // increments a counter once per 10 ms for 100 ms — under a 10 ms sampler
-// and checks every tick's timestamp and value.
+// and checks every emitted sample's timestamp and value.
 func TestSamplerSyntheticWorkload(t *testing.T) {
 	const tick = 10 * sim.Millisecond
 	e := sim.NewEngine(1)
 	o := Attach(e, Options{SampleEvery: tick})
 	c := o.Registry().Counter("test/proc/steps")
+	got := captureSamples(o.sampler)
 	e.Spawn("worker", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			p.Sleep(tick)
@@ -32,23 +33,20 @@ func TestSamplerSyntheticWorkload(t *testing.T) {
 	if c.Value() != 10 {
 		t.Fatalf("counter = %d, want 10", c.Value())
 	}
-	sr := o.Sampler().SeriesByName("test/proc/steps")
-	if sr == nil {
-		t.Fatal("no series for the counter")
+	steps := got["test/proc/steps"]
+	if len(steps) != 10 {
+		t.Fatalf("samples = %d, want 10 (%v)", len(steps), steps)
 	}
-	if len(sr.Times) != 10 {
-		t.Fatalf("samples = %d, want 10 (times %v)", len(sr.Times), sr.Times)
-	}
-	for i := range sr.Times {
+	for i, sm := range steps {
 		wantT := sim.Time(i+1) * tick
-		if sr.Times[i] != wantT {
-			t.Fatalf("sample %d at %v, want %v", i, sr.Times[i], wantT)
+		if sm.at != wantT {
+			t.Fatalf("sample %d at %v, want %v", i, sm.at, wantT)
 		}
 		// The sampler daemon was spawned before the worker, so at each
 		// shared timestamp it samples before the worker's increment runs:
 		// tick i+1 sees i completed increments.
-		if sr.Values[i] != float64(i) {
-			t.Fatalf("sample %d = %v, want %v", i, sr.Values[i], float64(i))
+		if sm.v != float64(i) {
+			t.Fatalf("sample %d = %v, want %v", i, sm.v, float64(i))
 		}
 	}
 }
@@ -149,7 +147,7 @@ func TestTraceBufferWrite(t *testing.T) {
 // TestNilObserver checks the whole nil no-op surface.
 func TestNilObserver(t *testing.T) {
 	var o *Observer
-	if o.Tracing() || o.Registry() != nil || o.Sampler() != nil || o.TraceBuffer() != nil {
+	if o.Tracing() || o.Registry() != nil || o.TraceBuffer() != nil {
 		t.Fatal("nil observer reported attached state")
 	}
 	sp := o.Begin(nil, "device", "x", nil)

@@ -1,38 +1,30 @@
 package obs
 
-import (
-	"sort"
+import "bps/internal/sim"
 
-	"bps/internal/sim"
-)
-
-// Series is one sampled time series: aligned timestamp/value slices.
-type Series struct {
-	Name   string
-	Times  []sim.Time
-	Values []float64
-}
-
-// Sampler is a periodic time-series collector: a simulation daemon that
+// Sampler is a periodic streaming collector: a simulation daemon that
 // wakes every interval (on background events, so it never extends the
-// run), evaluates every counter, gauge, and probe in the registry, and
-// appends the values to per-metric series. Sources registered after the
-// sampler starts are picked up at their first tick.
+// run), reads every counter, gauge, and probe in the registry, and hands
+// each value to its consumers. It stores no series: per source it keeps
+// only the last sample, which the gap fill carries forward. Sources
+// registered after the sampler starts are picked up at their first tick.
 type Sampler struct {
 	reg    *Registry
 	every  sim.Time
-	series map[string]*Series
-	order  []string
 	lastAt sim.Time // time of the most recent sample
 
+	// last holds each source's most recent sample by name; it outlives
+	// the rebuilds of sources, which point into it.
+	last map[string]*lastSample
+
 	// sources is the registry's sources in sampling order, each bound
-	// to its series, as of registry generation gen; a tick rebuilds it
-	// only when a registration moved the generation.
+	// to its last sample, as of registry generation gen; a tick rebuilds
+	// it only when a registration moved the generation.
 	sources []source
 	gen     uint64
 
-	// onSample, when set, additionally receives every sampled value —
-	// the observer uses it to emit Chrome counter tracks.
+	// onSample, when set, receives every sampled value, gap fillers
+	// included — the observer uses it to emit Chrome counter tracks.
 	onSample func(name string, at sim.Time, v float64)
 
 	// onTick, when set, runs once at the end of every sample pass (the
@@ -53,7 +45,7 @@ func (r *Registry) StartSampler(e *sim.Engine, every sim.Time) *Sampler {
 	if every <= 0 {
 		every = 10 * sim.Millisecond
 	}
-	s := &Sampler{reg: r, every: every, series: make(map[string]*Series)}
+	s := &Sampler{reg: r, every: every, last: make(map[string]*lastSample)}
 	e.SpawnDaemon("obs.sampler", func(p *sim.Proc) {
 		for {
 			p.SleepBackground(every)
@@ -63,18 +55,10 @@ func (r *Registry) StartSampler(e *sim.Engine, every sim.Time) *Sampler {
 	return s
 }
 
-// Interval returns the sampling interval.
-func (s *Sampler) Interval() sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.every
-}
-
 // Finish takes one final sample at now, unless a sample at or after now
 // was already taken. The daemon's pending tick after the last foreground
 // event never fires (background events alone don't advance the run), so
-// without this the series silently stop at the penultimate interval;
+// without this the samples silently stop at the penultimate interval;
 // run teardown calls it via Observer.FinishSampling.
 func (s *Sampler) Finish(now sim.Time) {
 	if s == nil || now <= s.lastAt {
@@ -83,21 +67,29 @@ func (s *Sampler) Finish(now sim.Time) {
 	s.sample(now)
 }
 
-// source is one registered counter, gauge or probe bound to the series
-// it feeds.
-type source struct {
-	series *Series
-	read   func() float64
+// lastSample is one source's most recent sample. Sample times are always
+// positive, so at == 0 means the source has not been sampled yet.
+type lastSample struct {
+	name string
+	at   sim.Time
+	v    float64
 }
 
-// sample appends one data point per registered source at time now.
+// source is one registered counter, gauge or probe bound to its last
+// sample.
+type source struct {
+	last *lastSample
+	read func() float64
+}
+
+// sample reads every registered source at time now.
 func (s *Sampler) sample(now sim.Time) {
 	s.lastAt = now
 	if s.gen != s.reg.Gen() {
 		s.bindSources()
 	}
 	for _, src := range s.sources {
-		s.record(src.series, now, src.read())
+		s.emit(src.last, now, src.read())
 	}
 	if s.onTick != nil {
 		s.onTick(now)
@@ -111,13 +103,12 @@ func (s *Sampler) bindSources() {
 	s.gen = s.reg.Gen()
 	s.sources = s.sources[:0]
 	add := func(name string, read func() float64) {
-		sr, ok := s.series[name]
+		ls, ok := s.last[name]
 		if !ok {
-			sr = &Series{Name: name}
-			s.series[name] = sr
-			s.order = append(s.order, name)
+			ls = &lastSample{name: name}
+			s.last[name] = ls
 		}
-		s.sources = append(s.sources, source{series: sr, read: read})
+		s.sources = append(s.sources, source{last: ls, read: read})
 	}
 	for _, c := range s.reg.Counters() {
 		add(c.Name(), func() float64 { return float64(c.Value()) })
@@ -130,46 +121,19 @@ func (s *Sampler) bindSources() {
 	}
 }
 
-func (s *Sampler) record(sr *Series, now sim.Time, v float64) {
+// emit hands one sample to onSample and remembers it as ls's last.
+func (s *Sampler) emit(ls *lastSample, now sim.Time, v float64) {
 	// Gap fill: a quiet stretch longer than the interval (a skipped
 	// stretch of ticks, or a Finish long after the last tick) would
-	// leave a hole in the series. Carry the previous value forward at
-	// the sampling interval so every series stays continuous.
-	if n := len(sr.Times); n > 0 {
-		prev := sr.Values[n-1]
-		for t := sr.Times[n-1] + s.every; t < now; t += s.every {
-			sr.Times = append(sr.Times, t)
-			sr.Values = append(sr.Values, prev)
-			if s.onSample != nil {
-				s.onSample(sr.Name, t, prev)
+	// leave a hole in the stream. Carry the previous value forward at
+	// the sampling interval so every counter track stays continuous.
+	if s.onSample != nil {
+		if ls.at > 0 {
+			for t := ls.at + s.every; t < now; t += s.every {
+				s.onSample(ls.name, t, ls.v)
 			}
 		}
+		s.onSample(ls.name, now, v)
 	}
-	sr.Times = append(sr.Times, now)
-	sr.Values = append(sr.Values, v)
-	if s.onSample != nil {
-		s.onSample(sr.Name, now, v)
-	}
-}
-
-// Series returns the collected series sorted by name.
-func (s *Sampler) Series() []*Series {
-	if s == nil {
-		return nil
-	}
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	out := make([]*Series, 0, len(names))
-	for _, name := range names {
-		out = append(out, s.series[name])
-	}
-	return out
-}
-
-// SeriesByName returns one series (nil when absent).
-func (s *Sampler) SeriesByName(name string) *Series {
-	if s == nil {
-		return nil
-	}
-	return s.series[name]
+	ls.at, ls.v = now, v
 }

@@ -1,19 +1,38 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 
 	"bps/internal/sim"
 )
 
+// sample is one value the sampler emitted for a source.
+type sample struct {
+	at sim.Time
+	v  float64
+}
+
+// captureSamples installs an onSample consumer on s that records the
+// stream emitted for every source, by name.
+func captureSamples(s *Sampler) map[string][]sample {
+	got := make(map[string][]sample)
+	s.onSample = func(name string, at sim.Time, v float64) {
+		got[name] = append(got[name], sample{at, v})
+	}
+	return got
+}
+
 // TestSamplerFinishCoversTail: the daemon's pending tick after the last
-// foreground event never fires, so without Finish the series stop one
+// foreground event never fires, so without Finish the stream stops one
 // interval early. Finish takes the final sample at run end.
 func TestSamplerFinishCoversTail(t *testing.T) {
 	const tick = 2 * sim.Millisecond
 	e := sim.NewEngine(1)
 	o := Attach(e, Options{SampleEvery: tick})
 	c := o.Registry().Counter("test/tail/steps")
+	got := captureSamples(o.sampler)
+	const name = "test/tail/steps"
 	e.Spawn("worker", func(p *sim.Proc) {
 		p.Sleep(7 * sim.Millisecond)
 		c.Add(1)
@@ -23,62 +42,112 @@ func TestSamplerFinishCoversTail(t *testing.T) {
 	}
 	e.Shutdown()
 
-	sr := o.Sampler().SeriesByName("test/tail/steps")
-	if sr == nil {
-		t.Fatal("no series")
-	}
 	// Ticks at 2, 4, 6 ms; the 8 ms tick is past run end and never fires.
-	if got := len(sr.Times); got != 3 {
-		t.Fatalf("pre-finish samples = %d (times %v), want 3", got, sr.Times)
+	if len(got[name]) != 3 {
+		t.Fatalf("pre-finish samples = %v, want 3", got[name])
 	}
-	if sr.Values[2] != 0 {
-		t.Fatalf("tick at 6ms saw %v increments, want 0", sr.Values[2])
+	if got[name][2] != (sample{6 * sim.Millisecond, 0}) {
+		t.Fatalf("tick at 6ms = %v, want (6ms, 0)", got[name][2])
 	}
 
 	o.FinishSampling()
-	if got := len(sr.Times); got != 4 {
-		t.Fatalf("post-finish samples = %d (times %v), want 4", got, sr.Times)
+	if len(got[name]) != 4 {
+		t.Fatalf("post-finish samples = %v, want 4", got[name])
 	}
-	if sr.Times[3] != 7*sim.Millisecond || sr.Values[3] != 1 {
-		t.Fatalf("final sample = (%v, %v), want (7ms, 1)", sr.Times[3], sr.Values[3])
+	if got[name][3] != (sample{7 * sim.Millisecond, 1}) {
+		t.Fatalf("final sample = %v, want (7ms, 1)", got[name][3])
 	}
 
 	// Finish is idempotent: a second call at the same time adds nothing.
 	o.FinishSampling()
-	if got := len(sr.Times); got != 4 {
-		t.Fatalf("repeated finish grew the series to %d points", got)
+	if len(got[name]) != 4 {
+		t.Fatalf("repeated finish emitted %v", got[name])
 	}
 }
 
 // TestSamplerGapFill: a sample arriving more than one interval after
-// the previous one gets carry-forward filler points at the sampling
-// interval, so every series stays continuous through quiet stretches.
+// the previous one is preceded by carry-forward fillers at the sampling
+// interval, so every stream stays continuous through quiet stretches.
 func TestSamplerGapFill(t *testing.T) {
 	const tick = 2 * sim.Millisecond
 	e := sim.NewEngine(1)
 	r := NewRegistry()
 	s := r.StartSampler(e, tick)
 	g := r.Gauge("test/gap/value")
+	got := captureSamples(s)
 
 	g.Set(5)
 	s.sample(2 * sim.Millisecond)
 	g.Set(9)
 	s.sample(11 * sim.Millisecond) // 9 ms of silence: fillers at 4, 6, 8, 10
 
-	sr := s.SeriesByName("test/gap/value")
-	if sr == nil {
-		t.Fatal("no series")
-	}
 	wantTimes := []sim.Time{2, 4, 6, 8, 10, 11}
 	wantVals := []float64{5, 5, 5, 5, 5, 9}
-	if len(sr.Times) != len(wantTimes) {
-		t.Fatalf("samples = %d (times %v), want %d", len(sr.Times), sr.Times, len(wantTimes))
+	gap := got["test/gap/value"]
+	if len(gap) != len(wantTimes) {
+		t.Fatalf("samples = %v, want %d", gap, len(wantTimes))
 	}
-	for i := range wantTimes {
-		if sr.Times[i] != wantTimes[i]*sim.Millisecond || sr.Values[i] != wantVals[i] {
-			t.Fatalf("sample %d = (%v, %v), want (%v, %v)",
-				i, sr.Times[i], sr.Values[i], wantTimes[i]*sim.Millisecond, wantVals[i])
+	for i, sm := range gap {
+		if want := (sample{wantTimes[i] * sim.Millisecond, wantVals[i]}); sm != want {
+			t.Fatalf("sample %d = %v, want %v", i, sm, want)
 		}
+	}
+}
+
+// TestSamplerLateSourceStartsAtFirstTick: a source registered after the
+// sampler has run gets no fillers before its first tick, and a
+// registration (which rebuilds the bound sources) keeps the earlier
+// sources' last samples, so their gap fill still continues from them.
+func TestSamplerLateSourceStartsAtFirstTick(t *testing.T) {
+	const ms = sim.Millisecond
+	r := NewRegistry()
+	s := r.StartSampler(sim.NewEngine(1), ms)
+	got := captureSamples(s)
+	r.Gauge("test/late/early").Set(3)
+	s.sample(1 * ms)
+	r.Gauge("test/late/late").Set(7)
+	s.sample(4 * ms)
+
+	if want := []sample{{1 * ms, 3}, {2 * ms, 3}, {3 * ms, 3}, {4 * ms, 3}}; !reflect.DeepEqual(got["test/late/early"], want) {
+		t.Fatalf("early source emitted %v, want %v", got["test/late/early"], want)
+	}
+	if want := []sample{{4 * ms, 7}}; !reflect.DeepEqual(got["test/late/late"], want) {
+		t.Fatalf("late source emitted %v, want %v", got["test/late/late"], want)
+	}
+}
+
+// TestSamplerRetainsNoSeries: the sampler streams its samples instead
+// of storing them, so ticking it allocates nothing once its sources are
+// bound — 10k ticks with gaps and an onSample consumer included.
+func TestSamplerRetainsNoSeries(t *testing.T) {
+	const tick = sim.Millisecond
+	r := NewRegistry()
+	for _, name := range []string{"test/mem/a", "test/mem/b", "test/mem/c"} {
+		r.Counter(name).Add(1)
+	}
+	r.Gauge("test/mem/g").Set(2)
+	r.Probe("test/mem/p", func() float64 { return 3 })
+	s := r.StartSampler(sim.NewEngine(1), tick)
+	emitted := 0
+	s.onSample = func(string, sim.Time, float64) { emitted++ }
+	now := tick
+	s.sample(now) // binds the sources
+
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10000; i++ {
+			now += tick
+			if i%100 == 0 {
+				now += 5 * tick // a quiet stretch: five fillers per source
+			}
+			s.sample(now)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("10k sampler ticks allocated %v times, want 0", allocs)
+	}
+	// Every source's stream is continuous at the interval from 1 ms on.
+	if want := 5 * int(now/tick); emitted != want {
+		t.Fatalf("emitted %d samples, want %d (5 sources × every ms to %v)", emitted, want, now)
 	}
 }
 

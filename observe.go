@@ -16,8 +16,8 @@ import (
 type ObserveOptions = obs.Options
 
 // Observer is a run's attached observability handle: the metrics
-// registry, sampler series, and Chrome trace buffer collected while the
-// simulation ran. RunReport.Obs exposes it after an observed run.
+// registry and the Chrome trace buffer (with the sampler's counter
+// tracks) collected while the simulation ran. RunReport.Obs exposes it after an observed run.
 type Observer = obs.Observer
 
 // Attribution is the critical-path profiler's report for one run: the
