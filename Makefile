@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI pipeline.
 
-.PHONY: all vet staticcheck build test race cover fuzz bench bench-all bench-smoke bench-check faults clientcache attrib live qos livefs suite ci
+.PHONY: all vet staticcheck build test race cover fuzz bench bench-all bench-smoke bench-check perf-pairs faults clientcache attrib live qos livefs suite ci
 
 all: ci
 
@@ -70,6 +70,19 @@ bench-smoke:
 # bench` after an intended change).
 bench-check:
 	go run ./cmd/benchguard
+
+# perf-pairs compares the working tree with revision BASE on one
+# perfbench workload: PAIRS (even) paired runs in ABBA order with fresh
+# seeds (pair i uses SEED+i), printing each pair's end-to-end metrics,
+# the medians and the win count. Both sides are built outside the
+# checkout.
+#   make perf-pairs BASE=HEAD WORKLOAD=paper PAIRS=6 SEED=1000
+BASE ?= HEAD
+WORKLOAD ?= paper
+PAIRS ?= 6
+SEED ?= 1000
+perf-pairs:
+	python3 scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # live is the observability smoke: start bpsd replaying the sample
 # Darshan log with the streaming endpoints on, then assert /metrics and

@@ -16,7 +16,8 @@
 // baseline with the same -count, and both sides of every comparison
 // are per-benchmark medians over all recorded samples, so one noisy
 // sample cannot fail or pass the gate. -bench may be repeated; the
-// default guards the event-dispatch and proc park/unpark hot paths, the
+// default guards the event-dispatch hot path, both Sleep paths (the
+// in-place wake and the parked park/unpark round trip), the
 // QoS admission middleware, the bpsd job-submit handler, and the
 // statistics and roofline hot paths (bootstrap resampling, ceiling
 // evaluation), since macro benchmarks are too noisy for a shared
@@ -311,7 +312,7 @@ func main() {
 	if len(guarded) == 0 {
 		guarded = benchList{
 			"BenchmarkEngineEventDispatch", "BenchmarkEngineCalendarDepth100k",
-			"BenchmarkProcSleep", "BenchmarkResourceContention",
+			"BenchmarkProcSleep", "BenchmarkProcSleepContended", "BenchmarkResourceContention",
 			"BenchmarkQoSServeDisabled", "BenchmarkQoSServeEnabled", "BenchmarkQoSAdmitThrottled",
 			"BenchmarkJobsSubmit",
 			"BenchmarkBootstrapDist", "BenchmarkRooflineCeiling",

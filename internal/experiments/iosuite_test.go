@@ -48,12 +48,15 @@ func TestRunSuiteShape(t *testing.T) {
 			if ph.CeilingBPS[i] <= 0 || math.IsNaN(ph.CeilingBPS[i]) {
 				t.Errorf("phase %s point %s: degenerate ceiling %v", ph.Name, pt.Label, ph.CeilingBPS[i])
 			}
-			if pt.Headroom <= 0 || pt.Headroom > 1.25 {
-				t.Errorf("phase %s point %s: headroom %v outside (0, 1.25]", ph.Name, pt.Label, pt.Headroom)
+			if pt.Headroom <= 0 || pt.Headroom > 1+1e-9 {
+				t.Errorf("phase %s point %s: headroom %v outside (0, 1]: the ceiling does not bound", ph.Name, pt.Label, pt.Headroom)
 			}
 		}
 		if ph.Headroom.N != rep.Seeds*len(suiteProcs) {
 			t.Errorf("phase %s headroom N = %d, want %d", ph.Name, ph.Headroom.N, rep.Seeds*len(suiteProcs))
+		}
+		if ph.Headroom.Max > 1+1e-9 {
+			t.Errorf("phase %s: headroom reaches %v over all seeds: the ceiling does not bound", ph.Name, ph.Headroom.Max)
 		}
 	}
 	if rep.Composite.N != rep.Seeds || rep.Composite.Mean <= 0 {

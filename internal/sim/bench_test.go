@@ -85,9 +85,9 @@ func BenchmarkEngineCalendarDepth100k(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSleep measures a full park/unpark round trip: the
-// coroutine switch plus the wake event, which dominates every
-// device-service and think-time wait in a workload run.
+// BenchmarkProcSleep measures a lone sleeper, whose wake is always the
+// next event: Sleep dispatches it in place, with no calendar entry and
+// no coroutine switch.
 func BenchmarkProcSleep(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {
@@ -99,6 +99,30 @@ func BenchmarkProcSleep(b *testing.B) {
 	})
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSleepContended measures a full park/unpark round trip:
+// two sleepers spawned 1 ns apart, each sleeping 2 ns, so the other's
+// wake is always due first and every Sleep pays the calendar push and
+// pop plus two coroutine switches.
+func BenchmarkProcSleepContended(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 2; i++ {
+		n := (b.N + i) / 2
+		e.SpawnAt(Time(i), "sleeper", func(p *Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(2 * Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if got, want := e.Events(), uint64(b.N+2); got != want {
+		b.Fatalf("dispatched %d events, want %d", got, want)
 	}
 }
 

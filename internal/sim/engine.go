@@ -101,7 +101,8 @@ type Engine struct {
 	events  eventQueue
 	seq     uint64
 	nevents uint64
-	fg      int // scheduled foreground events still in the calendar
+	fg      int  // scheduled foreground events still in the calendar
+	until   Time // deadline of the running RunUntil; -1 outside it
 
 	// live tracks spawned processes that have not yet terminated, so that
 	// Run can detect deadlock (live procs but an empty calendar).
@@ -126,6 +127,7 @@ type Engine struct {
 // identical schedules.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
+		until: -1,
 		live:  make(map[*Proc]struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
@@ -207,6 +209,18 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
 // After schedules fn to run d nanoseconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
+// dispatch does what every event dispatch does before the event runs:
+// it moves the clock to t, counts the event and notifies tracer, if any.
+// RunUntil passes the tracer it latched at entry; Proc.Sleep, dispatching
+// its own wake in place, passes e.tracer.
+func (e *Engine) dispatch(t Time, tracer Tracer) {
+	e.now = t
+	e.nevents++
+	if tracer != nil {
+		tracer.EventDispatched(t, e.nevents)
+	}
+}
+
 // DeadlockError reports that processes remained blocked with no scheduled
 // events to wake them.
 type DeadlockError struct {
@@ -230,9 +244,12 @@ func (e *Engine) Run() error { return e.RunUntil(MaxTime) }
 //
 // The tracer is latched once at entry (SetTracer documents it must be
 // called outside a running simulation), keeping the dispatch loop free
-// of per-event field loads.
+// of per-event field loads. The deadline is kept in e.until while the
+// loop runs, so Proc.Sleep can tell when its wake is the next event.
 func (e *Engine) RunUntil(deadline Time) error {
 	tracer := e.tracer
+	e.until = deadline
+	defer func() { e.until = -1 }()
 	for e.fg > 0 {
 		if e.events[0].at > deadline {
 			return nil
@@ -241,11 +258,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if !ev.bg {
 			e.fg--
 		}
-		e.now = ev.at
-		e.nevents++
-		if tracer != nil {
-			tracer.EventDispatched(e.now, e.nevents)
-		}
+		e.dispatch(ev.at, tracer)
 		if ev.p != nil {
 			e.unpark(ev.p)
 		} else {

@@ -216,6 +216,13 @@ func (p *Proc) After(d Time, fn func()) {
 // other events scheduled at the current time. On a detached live proc the
 // call maps onto the live clock's Sleep: real elapsed time under a wall
 // clock, a cursor advance under a virtual one.
+//
+// When the wake would be the very next event dispatched (inside RunUntil,
+// within its deadline, and strictly before the calendar's head, which
+// wins ties by FIFO order), Sleep dispatches it in place instead of
+// parking: it advances the clock, sequence and event count and notifies
+// the tracer exactly as the dispatch loop would on popping the wake, and
+// the proc never leaves its coroutine.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -225,7 +232,16 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	e := p.eng
-	e.scheduleWake(e.now+d, p, false)
+	t := e.now + d
+	// until is -1 outside RunUntil, so the test fails before Run and
+	// during Shutdown. Comparing d with until-now, not t with until,
+	// cannot overflow.
+	if d <= e.until-e.now && (len(e.events) == 0 || t < e.events[0].at) {
+		e.seq++
+		e.dispatch(t, e.tracer)
+		return
+	}
+	e.scheduleWake(t, p, false)
 	p.park()
 }
 

@@ -16,8 +16,10 @@ package sim
 // simulation, they never consume simulated time.
 type Tracer interface {
 	// EventDispatched fires after each event callback is popped from the
-	// calendar, immediately before it runs. nevents counts dispatched
-	// events including this one.
+	// calendar, immediately before it runs, and for each wake Proc.Sleep
+	// dispatches in place (it was the next event, so it never entered the
+	// calendar), immediately before the sleeper resumes. nevents counts
+	// dispatched events including this one.
 	EventDispatched(now Time, nevents uint64)
 
 	// ProcStarted fires when a spawned process begins executing its body.
