@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI pipeline.
 
-.PHONY: all vet staticcheck build test race cover fuzz bench bench-all bench-smoke bench-check perf-pairs faults clientcache attrib live qos livefs suite ci
+.PHONY: all vet staticcheck build test race cover fuzz bench bench-all bench-smoke bench-check perf-pairs faults clientcache attrib live qos livefs suite reach ci
 
 all: ci
 
@@ -199,4 +199,12 @@ suite:
 	@rm -f suite_smoke.out suite_smoke.json
 	@echo "suite smoke OK"
 
-ci: vet staticcheck build race bench-smoke faults clientcache live qos livefs suite attrib
+# reach is the reach gate: build every command and example with
+# coverage, run them at smoke scale (figures, sweeps, live backends,
+# bpstrace, bpsd over HTTP), and fail when a function no run reaches is
+# missing from scripts/reach_allow.txt, or a listed one is reached, so
+# the list only shrinks. Everything is built and run under $TMPDIR.
+reach:
+	python3 scripts/reach.py
+
+ci: vet staticcheck build race bench-smoke faults clientcache live qos livefs suite attrib reach

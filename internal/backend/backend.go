@@ -1,9 +1,12 @@
 // Package backend serves ioreq.Requests from real storage: a directory
-// tree on the host filesystem (osfs) or an inode-table in-memory
-// filesystem (memfs). Both implement the same FS interface and return
-// os-identical *fs.PathError values, so the property-based cross-check
-// suite can drive random operation sequences through both and assert
-// byte-for-byte agreement on contents, sizes, offsets, and error kinds.
+// on the host filesystem (osfs) or a flat in-memory filesystem (memfs).
+// Both implement the same FS interface — open a file by name, count the
+// bytes moved — and return os-identical *fs.PathError values. The
+// cross-check suite holds memfs to os parity on exactly the surface
+// live runs use: OpenFile with every flag mix, then ReadAt, WriteAt,
+// Truncate, Stat and Close on the handle, asserting agreement on
+// contents, sizes, byte counts and error strings over a small closed
+// set of names (including nested names, dot segments and the root).
 // A backend plugs into the measurement stack through FileLayer, which
 // adapts an open File to an ioreq.Layer — the live driver then wraps it
 // with the exact middleware chain (trace, stats, retry, cache) a
@@ -32,32 +35,20 @@ type File interface {
 	Sync() error
 }
 
-// FS is a mutable filesystem a live run measures against. Paths are
-// slash-separated and interpreted relative to the filesystem root;
-// leading slashes and dot segments are cleaned lexically, and a path
-// can never escape the root ("../x" resolves to "/x"). Errors are
-// *fs.PathError values with the same Op, caller-given Path, and Err
-// kind the os package would return.
+// FS is the filesystem a live run measures against: it opens files by
+// name and counts the bytes moved. Paths are slash-separated and
+// interpreted relative to the filesystem root; leading slashes and dot
+// segments are cleaned lexically, and a path can never escape the root
+// ("../x" resolves to "/x"). Errors are *fs.PathError values with the
+// same Op, caller-given Path, and Err kind the os package would return.
 //
-// Implementations are safe for concurrent use: namespace operations are
-// serialized per FS, data operations per file.
+// Implementations are safe for concurrent use: opens are serialized per
+// FS, data operations per file.
 type FS interface {
 	// Name identifies the backend ("mem", "os") for reports.
 	Name() string
 	// OpenFile opens name with os.O_* flags, creating with perm.
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
-	// Mkdir creates a single directory.
-	Mkdir(name string, perm fs.FileMode) error
-	// MkdirAll creates a directory and any missing parents.
-	MkdirAll(name string, perm fs.FileMode) error
-	// Remove deletes a file or empty directory.
-	Remove(name string) error
-	// Stat reports metadata for the named file.
-	Stat(name string) (fs.FileInfo, error)
-	// ReadDir lists a directory in name order.
-	ReadDir(name string) ([]fs.DirEntry, error)
-	// Truncate resizes the named file.
-	Truncate(name string, size int64) error
 	// Moved returns the cumulative bytes actually transferred through
 	// the backend (reads + writes), the movedBytes input to BW.
 	Moved() int64

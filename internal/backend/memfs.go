@@ -5,7 +5,6 @@ import (
 	"io/fs"
 	"os"
 	"path"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,38 +12,37 @@ import (
 	"time"
 )
 
-// MemFS is an inode-table in-memory filesystem. The namespace (the
-// directory tree) is guarded by one RWMutex; each file inode carries
-// its own lock for data access, so concurrent workers reading and
-// writing disjoint open files never contend on the tree lock.
+// MemFS is a flat in-memory filesystem: one root directory holding
+// regular files, keyed by cleaned path. Live runs open only flat slot
+// names (live.SlotName) and nothing can create a directory, so no tree
+// is needed. The name table is guarded by one mutex; each file inode
+// carries its own lock for data access, so concurrent workers reading
+// and writing disjoint open files never contend on the table lock.
 //
 // Error values are constructed to be indistinguishable from the os
-// package's on Linux: *fs.PathError with the same Op string, the
-// caller-given path verbatim, and a syscall.Errno kind (ENOENT, EEXIST,
-// EISDIR, ENOTDIR, ENOTEMPTY, EBADF). The cross-check suite in
-// crosscheck_test.go holds MemFS to that contract against a real
-// directory tree.
+// package's on Linux over an empty root: *fs.PathError with the same Op
+// string, the caller-given path verbatim, and a syscall.Errno kind
+// (ENOENT, EEXIST, EISDIR, ENOTDIR, EBADF, EINVAL). The cross-check
+// suite in crosscheck_test.go holds MemFS to that contract against a
+// real directory.
 type MemFS struct {
-	mu    sync.RWMutex
-	root  *inode
+	mu    sync.Mutex
+	files map[string]*inode // cleaned path → inode; "" is the root
 	moved atomic.Int64
 }
 
-// inode is one filesystem object: a directory with children or a
-// regular file with data. Data access takes the inode's own lock; all
-// namespace fields (children, names) are guarded by the owning MemFS
-// tree lock.
+// inode is one filesystem object: the root directory or a regular file.
+// Data access takes the inode's own lock.
 type inode struct {
-	dir      bool
-	children map[string]*inode // dir only
+	dir bool // the root only
 
-	mu   sync.RWMutex // file only: guards data
+	mu   sync.RWMutex // guards data
 	data []byte
 }
 
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS {
-	return &MemFS{root: &inode{dir: true, children: map[string]*inode{}}}
+	return &MemFS{files: map[string]*inode{"": {dir: true}}}
 }
 
 // Name identifies the backend.
@@ -53,81 +51,41 @@ func (m *MemFS) Name() string { return "mem" }
 // Moved returns cumulative bytes transferred through read/write calls.
 func (m *MemFS) Moved() int64 { return m.moved.Load() }
 
-// splitPath cleans name into its path elements relative to the root.
-// Cleaning happens against a leading slash, so relative names, ".." and
-// "." resolve exactly as the os backend resolves them under its root —
-// and no name can escape it.
-func splitPath(name string) []string {
-	clean := path.Clean("/" + name)
-	if clean == "/" {
-		return nil
-	}
-	return strings.Split(clean[1:], "/")
-}
-
-// walk resolves the directory holding the last element of elems,
-// returning (parent, leaf). Callers hold m.mu.
-func (m *MemFS) walk(op, name string, elems []string) (*inode, string, error) {
-	dir := m.root
-	for _, el := range elems[:len(elems)-1] {
-		child, ok := dir.children[el]
-		if !ok {
-			return nil, "", &fs.PathError{Op: op, Path: name, Err: syscall.ENOENT}
-		}
-		if !child.dir {
-			return nil, "", &fs.PathError{Op: op, Path: name, Err: syscall.ENOTDIR}
-		}
-		dir = child
-	}
-	return dir, elems[len(elems)-1], nil
-}
-
-// lookup resolves a whole path to its inode. Callers hold m.mu.
-func (m *MemFS) lookup(op, name string, elems []string) (*inode, error) {
-	if len(elems) == 0 {
-		return m.root, nil
-	}
-	dir, leaf, err := m.walk(op, name, elems)
-	if err != nil {
-		return nil, err
-	}
-	node, ok := dir.children[leaf]
-	if !ok {
-		return nil, &fs.PathError{Op: op, Path: name, Err: syscall.ENOENT}
-	}
-	return node, nil
-}
+// cleanKey cleans name into its table key relative to the root ("" for
+// the root itself). Cleaning happens against a leading slash, so
+// relative names, ".." and "." resolve exactly as the os backend
+// resolves them under its root — and no name can escape it.
+func cleanKey(name string) string { return path.Clean("/" + name)[1:] }
 
 // OpenFile opens name with os.O_* flag semantics. Supported flags are
 // the ones the measurement path uses: O_RDONLY/O_WRONLY/O_RDWR plus
 // O_CREATE, O_EXCL and O_TRUNC.
 func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	elems := splitPath(name)
+	key := cleanKey(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	var node *inode
-	if len(elems) == 0 {
-		node = m.root
-	} else {
-		dir, leaf, err := m.walk("open", name, elems)
-		if err != nil {
-			return nil, err
+	node, ok := m.files[key]
+	if first, _, nested := strings.Cut(key, "/"); !ok && nested {
+		// Only the root is a directory: the first element of a nested
+		// name is a regular file or missing.
+		errno := syscall.ENOENT
+		if _, isFile := m.files[first]; isFile {
+			errno = syscall.ENOTDIR
 		}
-		existing, ok := dir.children[leaf]
-		switch {
-		case ok && flag&os.O_CREATE != 0 && flag&os.O_EXCL != 0:
-			return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EEXIST}
-		case !ok && flag&os.O_CREATE == 0:
-			return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.ENOENT}
-		case !ok:
-			existing = &inode{}
-			dir.children[leaf] = existing
-		}
-		node = existing
+		return nil, &fs.PathError{Op: "open", Path: name, Err: errno}
+	}
+	switch {
+	case ok && flag&os.O_CREATE != 0 && flag&os.O_EXCL != 0:
+		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EEXIST}
+	case !ok && flag&os.O_CREATE == 0:
+		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.ENOENT}
+	case !ok:
+		node = &inode{}
+		m.files[key] = node
 	}
 
-	if node.dir && flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+	if node.dir && flag&(os.O_WRONLY|os.O_RDWR|os.O_CREATE) != 0 {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.EISDIR}
 	}
 	if !node.dir && flag&os.O_TRUNC != 0 {
@@ -136,127 +94,6 @@ func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 		node.mu.Unlock()
 	}
 	return &memFile{fs: m, node: node, name: name, flag: flag}, nil
-}
-
-// Mkdir creates a single directory.
-func (m *MemFS) Mkdir(name string, perm fs.FileMode) error {
-	elems := splitPath(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(elems) == 0 {
-		return &fs.PathError{Op: "mkdir", Path: name, Err: syscall.EEXIST}
-	}
-	dir, leaf, err := m.walk("mkdir", name, elems)
-	if err != nil {
-		return err
-	}
-	if _, ok := dir.children[leaf]; ok {
-		return &fs.PathError{Op: "mkdir", Path: name, Err: syscall.EEXIST}
-	}
-	dir.children[leaf] = &inode{dir: true, children: map[string]*inode{}}
-	return nil
-}
-
-// MkdirAll creates a directory and all missing parents; existing
-// directories along the way are fine, matching os.MkdirAll.
-func (m *MemFS) MkdirAll(name string, perm fs.FileMode) error {
-	elems := splitPath(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dir := m.root
-	for _, el := range elems {
-		child, ok := dir.children[el]
-		if !ok {
-			child = &inode{dir: true, children: map[string]*inode{}}
-			dir.children[el] = child
-		} else if !child.dir {
-			return &fs.PathError{Op: "mkdir", Path: name, Err: syscall.ENOTDIR}
-		}
-		dir = child
-	}
-	return nil
-}
-
-// Remove deletes a file or empty directory.
-func (m *MemFS) Remove(name string) error {
-	elems := splitPath(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(elems) == 0 {
-		return &fs.PathError{Op: "remove", Path: name, Err: syscall.EBUSY}
-	}
-	dir, leaf, err := m.walk("remove", name, elems)
-	if err != nil {
-		return err
-	}
-	node, ok := dir.children[leaf]
-	if !ok {
-		return &fs.PathError{Op: "remove", Path: name, Err: syscall.ENOENT}
-	}
-	if node.dir && len(node.children) > 0 {
-		return &fs.PathError{Op: "remove", Path: name, Err: syscall.ENOTEMPTY}
-	}
-	delete(dir.children, leaf)
-	return nil
-}
-
-// Stat reports metadata for the named file.
-func (m *MemFS) Stat(name string) (fs.FileInfo, error) {
-	elems := splitPath(name)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	node, err := m.lookup("stat", name, elems)
-	if err != nil {
-		return nil, err
-	}
-	return node.info(path.Base(path.Clean("/" + name))), nil
-}
-
-// ReadDir lists the named directory in name order.
-func (m *MemFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	elems := splitPath(name)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	node, err := m.lookup("open", name, elems)
-	if err != nil {
-		return nil, err
-	}
-	if !node.dir {
-		// os.ReadDir opens with O_DIRECTORY, so a non-directory fails at
-		// open time; mirror that op.
-		return nil, &fs.PathError{Op: "open", Path: name, Err: syscall.ENOTDIR}
-	}
-	names := make([]string, 0, len(node.children))
-	for n := range node.children {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ents := make([]fs.DirEntry, len(names))
-	for i, n := range names {
-		ents[i] = dirEntry{info: node.children[n].info(n)}
-	}
-	return ents, nil
-}
-
-// Truncate resizes the named file; extension zero-fills.
-func (m *MemFS) Truncate(name string, size int64) error {
-	elems := splitPath(name)
-	m.mu.RLock()
-	node, err := m.lookup("truncate", name, elems)
-	m.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if node.dir {
-		return &fs.PathError{Op: "truncate", Path: name, Err: syscall.EISDIR}
-	}
-	if size < 0 {
-		return &fs.PathError{Op: "truncate", Path: name, Err: syscall.EINVAL}
-	}
-	node.mu.Lock()
-	node.resize(size)
-	node.mu.Unlock()
-	return nil
 }
 
 // resize grows or shrinks data to size. Callers hold node.mu.
@@ -421,11 +258,3 @@ func (fi fileInfo) Mode() fs.FileMode  { return fi.mode }
 func (fi fileInfo) ModTime() time.Time { return time.Time{} }
 func (fi fileInfo) IsDir() bool        { return fi.mode.IsDir() }
 func (fi fileInfo) Sys() any           { return nil }
-
-// dirEntry adapts a fileInfo to fs.DirEntry for ReadDir.
-type dirEntry struct{ info fs.FileInfo }
-
-func (d dirEntry) Name() string               { return d.info.Name() }
-func (d dirEntry) IsDir() bool                { return d.info.IsDir() }
-func (d dirEntry) Type() fs.FileMode          { return d.info.Mode().Type() }
-func (d dirEntry) Info() (fs.FileInfo, error) { return d.info, nil }

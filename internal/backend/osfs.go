@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// OSFS serves requests from a real directory tree rooted at a host
+// OSFS serves requests from a real directory rooted at a host
 // path, using pread/pwrite (os.File.ReadAt/WriteAt). Paths are cleaned
 // exactly like memfs paths — lexically, against a leading slash — so a
 // caller-given name resolves to the same object on both backends and
@@ -56,38 +56,6 @@ func (o *OSFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 		return nil, rewrite(err, name)
 	}
 	return &osFile{f: f, fs: o, name: name}, nil
-}
-
-// Mkdir creates a single directory under the root.
-func (o *OSFS) Mkdir(name string, perm fs.FileMode) error {
-	return rewrite(os.Mkdir(o.hostPath(name), perm), name)
-}
-
-// MkdirAll creates a directory and any missing parents under the root.
-func (o *OSFS) MkdirAll(name string, perm fs.FileMode) error {
-	return rewrite(os.MkdirAll(o.hostPath(name), perm), name)
-}
-
-// Remove deletes a file or empty directory under the root.
-func (o *OSFS) Remove(name string) error {
-	return rewrite(os.Remove(o.hostPath(name)), name)
-}
-
-// Stat reports metadata for the named file.
-func (o *OSFS) Stat(name string) (fs.FileInfo, error) {
-	fi, err := os.Stat(o.hostPath(name))
-	return fi, rewrite(err, name)
-}
-
-// ReadDir lists the named directory in name order.
-func (o *OSFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	ents, err := os.ReadDir(o.hostPath(name))
-	return ents, rewrite(err, name)
-}
-
-// Truncate resizes the named file.
-func (o *OSFS) Truncate(name string, size int64) error {
-	return rewrite(os.Truncate(o.hostPath(name), size), name)
 }
 
 // osFile wraps *os.File to count moved bytes and keep caller-relative

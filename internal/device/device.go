@@ -45,34 +45,17 @@ func (r Request) Validate(capacity int64) error {
 	return nil
 }
 
-// Stats aggregates device activity counters.
-type Stats struct {
-	Reads        uint64
-	Writes       uint64
-	BytesRead    int64
-	BytesWritten int64
-	Errors       uint64
-}
-
-// Ops returns the total number of operations.
-func (s Stats) Ops() uint64 { return s.Reads + s.Writes }
-
-// Bytes returns the total bytes moved.
-func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
-
 // Device is a simulated block device. Access blocks the calling simulation
 // process for the duration of the request's service and returns an error
 // for malformed or injected-fault requests. Failed requests still consume
 // service time — exactly the situation in which the BPS paper counts
 // unsuccessful accesses in B (§III.A).
+//
+// Per-device activity (bytes moved, errors, service time) is counted in
+// the engine's obs registry under device/<name>/, not by the device.
 type Device interface {
-	Name() string
 	Capacity() int64
 	Access(p *sim.Proc, req Request) error
-	Stats() Stats
-	// BusyTime is the simulated time during which the device was serving
-	// at least one request.
-	BusyTime() sim.Time
 }
 
 // ErrInjectedFault is returned by the fault-injecting wrappers of the

@@ -4,12 +4,26 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bps/internal/obs"
 	"bps/internal/sim"
 )
 
 func runOne(t *testing.T, body func(e *sim.Engine, p *sim.Proc)) sim.Time {
 	t.Helper()
+	return runOn(t, sim.NewEngine(1), body)
+}
+
+// runObserved is runOne on an engine with an observer attached, so the
+// devices body builds count into the returned registry.
+func runObserved(t *testing.T, body func(e *sim.Engine, p *sim.Proc)) (sim.Time, *obs.Registry) {
+	t.Helper()
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
+	return runOn(t, e, body), reg
+}
+
+func runOn(t *testing.T, e *sim.Engine, body func(e *sim.Engine, p *sim.Proc)) sim.Time {
+	t.Helper()
 	e.Spawn("test", func(p *sim.Proc) { body(e, p) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -98,7 +112,7 @@ func TestHDDSeekMonotone(t *testing.T) {
 }
 
 func TestHDDStatsAndErrors(t *testing.T) {
-	runOne(t, func(e *sim.Engine, p *sim.Proc) {
+	_, reg := runObserved(t, func(e *sim.Engine, p *sim.Proc) {
 		d := NewHDD(e, DefaultHDD())
 		if err := d.Access(p, Request{Offset: 0, Size: 4096}); err != nil {
 			t.Error(err)
@@ -109,14 +123,15 @@ func TestHDDStatsAndErrors(t *testing.T) {
 		if err := d.Access(p, Request{Offset: -5, Size: 10}); err == nil {
 			t.Error("invalid request did not error")
 		}
-		s := d.Stats()
-		if s.Reads != 1 || s.Writes != 1 || s.BytesRead != 4096 || s.BytesWritten != 8192 || s.Errors != 1 {
-			t.Errorf("stats = %+v", s)
-		}
-		if s.Ops() != 2 || s.Bytes() != 12288 {
-			t.Errorf("Ops=%d Bytes=%d", s.Ops(), s.Bytes())
-		}
 	})
+	read := reg.Counter("device/hdd/bytes_read").Value()
+	written := reg.Counter("device/hdd/bytes_written").Value()
+	if read != 4096 || written != 8192 || reg.Counter("device/hdd/errors").Value() != 1 {
+		t.Errorf("bytes_read=%d bytes_written=%d errors=%d", read, written, reg.Counter("device/hdd/errors").Value())
+	}
+	if ops := reg.Histogram("device/hdd/service_ns").Count(); ops != 2 || read+written != 12288 {
+		t.Errorf("ops=%d bytes=%d", ops, read+written)
+	}
 }
 
 func TestHDDContentionSerializes(t *testing.T) {
@@ -234,18 +249,18 @@ func TestSSDConcurrencyScales(t *testing.T) {
 }
 
 func TestRAMDisk(t *testing.T) {
-	total := runOne(t, func(e *sim.Engine, p *sim.Proc) {
+	total, reg := runObserved(t, func(e *sim.Engine, p *sim.Proc) {
 		d := NewRAMDisk(e, "ram", 1<<30, sim.Microsecond, 10e9)
 		if err := d.Access(p, Request{Offset: 0, Size: 10 << 20}); err != nil {
 			t.Error(err)
-		}
-		if d.Stats().BytesRead != 10<<20 {
-			t.Errorf("BytesRead = %d", d.Stats().BytesRead)
 		}
 		if err := d.Access(p, Request{Offset: 1 << 30, Size: 1}); err == nil {
 			t.Error("out-of-capacity access did not error")
 		}
 	})
+	if got := reg.Counter("device/ram/bytes_read").Value(); got != 10<<20 {
+		t.Errorf("bytes_read = %d", got)
+	}
 	// 10 MiB at 10 GB/s ≈ 1.05 ms plus 1 µs latency.
 	if total < sim.Millisecond || total > 2*sim.Millisecond {
 		t.Fatalf("RAM disk 10MiB time = %v", total)
@@ -333,7 +348,7 @@ func TestSSDWriteAmplificationSlowsWrites(t *testing.T) {
 }
 
 func TestSSDNANDWrittenTracksAmplification(t *testing.T) {
-	runOne(t, func(e *sim.Engine, p *sim.Proc) {
+	runObserved(t, func(e *sim.Engine, p *sim.Proc) {
 		cfg := DefaultSSD()
 		cfg.WriteAmplification = 2.5
 		d := NewSSD(e, cfg)
@@ -344,9 +359,9 @@ func TestSSDNANDWrittenTracksAmplification(t *testing.T) {
 		if d.NANDWritten() != want {
 			t.Fatalf("NANDWritten = %d, want %d", d.NANDWritten(), want)
 		}
-		// Logical stats stay at the requested size.
-		if d.Stats().BytesWritten != 1<<20 {
-			t.Fatalf("BytesWritten = %d", d.Stats().BytesWritten)
+		// Logical bytes stay at the requested size.
+		if got := obs.Get(e).Registry().Counter("device/ssd/bytes_written").Value(); got != 1<<20 {
+			t.Fatalf("bytes_written = %d", got)
 		}
 		// Reads do not amplify.
 		if err := d.Access(p, Request{Offset: 0, Size: 1 << 20}); err != nil {

@@ -68,7 +68,6 @@ type HDD struct {
 	ins  instruments
 
 	headPos int64 // byte offset just past the last serviced request
-	stats   Stats
 }
 
 // randSource is the subset of math/rand used by devices, factored out so
@@ -99,17 +98,8 @@ func NewHDD(e *sim.Engine, cfg HDDConfig) *HDD {
 	return d
 }
 
-// Name implements Device.
-func (d *HDD) Name() string { return d.cfg.Name }
-
 // Capacity implements Device.
 func (d *HDD) Capacity() int64 { return d.cfg.Capacity }
-
-// Stats implements Device.
-func (d *HDD) Stats() Stats { return d.stats }
-
-// BusyTime implements Device.
-func (d *HDD) BusyTime() sim.Time { return d.head.BusyTime() }
 
 // rotPeriod returns one full revolution.
 func (d *HDD) rotPeriod() sim.Time {
@@ -167,7 +157,6 @@ func (d *HDD) serviceTime(req Request) sim.Time {
 // seek + rotation + transfer, and advances the head position.
 func (d *HDD) Access(p *sim.Proc, req Request) error {
 	if err := req.Validate(d.cfg.Capacity); err != nil {
-		d.stats.Errors++
 		d.ins.errors.Add(1)
 		return err
 	}
@@ -176,19 +165,8 @@ func (d *HDD) Access(p *sim.Proc, req Request) error {
 	svc := d.serviceTime(req)
 	p.Sleep(svc)
 	d.headPos = req.End()
-	d.account(req)
 	d.head.Release()
 	d.ins.done(req, svc)
 	sp.End()
 	return nil
-}
-
-func (d *HDD) account(req Request) {
-	if req.Write {
-		d.stats.Writes++
-		d.stats.BytesWritten += req.Size
-	} else {
-		d.stats.Reads++
-		d.stats.BytesRead += req.Size
-	}
 }

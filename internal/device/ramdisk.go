@@ -8,11 +8,9 @@ import (
 // baseline: fixed tiny latency plus a very high transfer rate, unbounded
 // concurrency.
 type RAMDisk struct {
-	name     string
 	capacity int64
 	latency  sim.Time
 	rate     float64
-	stats    Stats
 	busy     *sim.Resource
 	ins      instruments
 }
@@ -28,7 +26,6 @@ func NewRAMDisk(e *sim.Engine, name string, capacity int64, latency sim.Time, ra
 		panic("device: invalid RAMDisk config")
 	}
 	d := &RAMDisk{
-		name:     name,
 		capacity: capacity,
 		latency:  latency,
 		rate:     rate,
@@ -38,22 +35,12 @@ func NewRAMDisk(e *sim.Engine, name string, capacity int64, latency sim.Time, ra
 	return d
 }
 
-// Name implements Device.
-func (d *RAMDisk) Name() string { return d.name }
-
 // Capacity implements Device.
 func (d *RAMDisk) Capacity() int64 { return d.capacity }
-
-// Stats implements Device.
-func (d *RAMDisk) Stats() Stats { return d.stats }
-
-// BusyTime implements Device.
-func (d *RAMDisk) BusyTime() sim.Time { return d.busy.BusyTime() }
 
 // Access implements Device.
 func (d *RAMDisk) Access(p *sim.Proc, req Request) error {
 	if err := req.Validate(d.capacity); err != nil {
-		d.stats.Errors++
 		d.ins.errors.Add(1)
 		return err
 	}
@@ -61,13 +48,6 @@ func (d *RAMDisk) Access(p *sim.Proc, req Request) error {
 	d.busy.Acquire(p)
 	svc := d.latency + sim.TransferTime(req.Size, d.rate)
 	p.Sleep(svc)
-	if req.Write {
-		d.stats.Writes++
-		d.stats.BytesWritten += req.Size
-	} else {
-		d.stats.Reads++
-		d.stats.BytesRead += req.Size
-	}
 	d.busy.Release()
 	d.ins.done(req, svc)
 	sp.End()

@@ -60,7 +60,6 @@ type SSD struct {
 	cfg      SSDConfig
 	channels *sim.Resource
 	ins      instruments
-	stats    Stats
 
 	nandWritten int64 // physical bytes programmed (amplified)
 	gcCredit    int64 // NAND bytes written since the last GC pause
@@ -96,17 +95,8 @@ func (d *SSD) NANDWritten() int64 { return d.nandWritten }
 // occurred.
 func (d *SSD) GCPauses() uint64 { return d.gcPauses }
 
-// Name implements Device.
-func (d *SSD) Name() string { return d.cfg.Name }
-
 // Capacity implements Device.
 func (d *SSD) Capacity() int64 { return d.cfg.Capacity }
-
-// Stats implements Device.
-func (d *SSD) Stats() Stats { return d.stats }
-
-// BusyTime implements Device.
-func (d *SSD) BusyTime() sim.Time { return d.channels.BusyTime() }
 
 // fanout returns how many channels a request of the given size stripes
 // across.
@@ -143,7 +133,6 @@ func (d *SSD) amplified(size int64) int64 {
 // Access implements Device.
 func (d *SSD) Access(p *sim.Proc, req Request) error {
 	if err := req.Validate(d.cfg.Capacity); err != nil {
-		d.stats.Errors++
 		d.ins.errors.Add(1)
 		return err
 	}
@@ -157,7 +146,6 @@ func (d *SSD) Access(p *sim.Proc, req Request) error {
 		d.nandWritten += nand
 		d.gcCredit += nand
 	}
-	d.account(req)
 	d.channels.ReleaseN(k)
 	d.ins.done(req, svc)
 	sp.End()
@@ -179,15 +167,5 @@ func (d *SSD) maybeGC(p *sim.Proc) {
 		d.channels.AcquireN(p, d.cfg.Channels)
 		p.Sleep(d.cfg.GCPause)
 		d.channels.ReleaseN(d.cfg.Channels)
-	}
-}
-
-func (d *SSD) account(req Request) {
-	if req.Write {
-		d.stats.Writes++
-		d.stats.BytesWritten += req.Size
-	} else {
-		d.stats.Reads++
-		d.stats.BytesRead += req.Size
 	}
 }

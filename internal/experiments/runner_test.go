@@ -121,9 +121,6 @@ func obsSummary(o *Observation) string {
 	for _, c := range reg.Counters() {
 		fmt.Fprintf(&b, "counter %s=%d\n", c.Name(), c.Value())
 	}
-	for _, g := range reg.Gauges() {
-		fmt.Fprintf(&b, "gauge %s=%g\n", g.Name(), g.Value())
-	}
 	for _, h := range reg.Histograms() {
 		fmt.Fprintf(&b, "hist %s n=%d sum=%d max=%d\n", h.Name(), h.Count(), h.Sum(), h.Max())
 	}

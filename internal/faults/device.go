@@ -14,14 +14,13 @@ import (
 // latency stragglers, and throughput degradation.
 //
 // Each injector owns a private RNG stream seeded from
-// (Config.Seed, "device", inner name), so two devices in the same plan
+// (Config.Seed, "device", label), so two devices in the same plan
 // misbehave independently and reordering unrelated draws elsewhere in
 // the simulation cannot shift this device's fault pattern.
 type Injector struct {
 	inner device.Device
 	cfg   DeviceConfig
 	rng   *rand.Rand
-	stats device.Stats
 
 	// Observability handles; nil-safe on unobserved engines.
 	injected *obs.Counter
@@ -31,17 +30,13 @@ type Injector struct {
 
 // WrapDevice wraps inner with c's device-layer plan. label identifies
 // the device within the plan — it keys the RNG stream and the metric
-// names, so give each wrapped device a distinct label (device Name
-// fields often repeat, e.g. every testbed HDD is "hdd"); an empty label
-// falls back to inner.Name(). When the plan's device layer is disabled
-// the inner device is returned unchanged, so a zero-rate sweep point
-// runs the exact unwrapped code path.
+// names, so give each wrapped device a distinct label (device config
+// names often repeat, e.g. every testbed HDD is "hdd"). When the plan's
+// device layer is disabled the inner device is returned unchanged, so
+// a zero-rate sweep point runs the exact unwrapped code path.
 func WrapDevice(e *sim.Engine, inner device.Device, c Config, label string) device.Device {
 	if !c.Device.enabled() {
 		return inner
-	}
-	if label == "" {
-		label = inner.Name()
 	}
 	cfg := c.Device
 	cfg.ErrorRate = clamp01(cfg.ErrorRate)
@@ -59,22 +54,8 @@ func WrapDevice(e *sim.Engine, inner device.Device, c Config, label string) devi
 	}
 }
 
-// Name implements Device.
-func (f *Injector) Name() string { return f.inner.Name() + "+faults" }
-
 // Capacity implements Device.
 func (f *Injector) Capacity() int64 { return f.inner.Capacity() }
-
-// BusyTime implements Device.
-func (f *Injector) BusyTime() sim.Time { return f.inner.BusyTime() }
-
-// Stats implements Device: the inner device's counters plus the
-// injected errors.
-func (f *Injector) Stats() device.Stats {
-	s := f.inner.Stats()
-	s.Errors += f.stats.Errors
-	return s
-}
 
 // Access implements Device. The inner access always runs first, so
 // injected faults consume the full service time of the request they
@@ -92,7 +73,6 @@ func (f *Injector) Access(p *sim.Proc, req device.Request) error {
 		p.Sleep(sim.TransferTime(req.Size, f.cfg.DegradedRate))
 	}
 	if f.cfg.ErrorRate > 0 && f.rng.Float64() < f.cfg.ErrorRate {
-		f.stats.Errors++
 		f.injected.Add(1)
 		return device.ErrInjectedFault
 	}
@@ -108,7 +88,6 @@ type EveryNth struct {
 	inner device.Device
 	every uint64
 	n     uint64
-	stats device.Stats
 }
 
 // NewEveryNth wraps inner, failing request numbers k·every.
@@ -117,21 +96,8 @@ func NewEveryNth(inner device.Device, every uint64) *EveryNth {
 	return &EveryNth{inner: inner, every: every}
 }
 
-// Name implements Device.
-func (f *EveryNth) Name() string { return f.inner.Name() + "+faults" }
-
 // Capacity implements Device.
 func (f *EveryNth) Capacity() int64 { return f.inner.Capacity() }
-
-// BusyTime implements Device.
-func (f *EveryNth) BusyTime() sim.Time { return f.inner.BusyTime() }
-
-// Stats implements Device.
-func (f *EveryNth) Stats() device.Stats {
-	s := f.inner.Stats()
-	s.Errors += f.stats.Errors
-	return s
-}
 
 // Access implements Device.
 func (f *EveryNth) Access(p *sim.Proc, req device.Request) error {
@@ -140,7 +106,6 @@ func (f *EveryNth) Access(p *sim.Proc, req device.Request) error {
 	}
 	f.n++
 	if f.every > 0 && f.n%f.every == 0 {
-		f.stats.Errors++
 		return device.ErrInjectedFault
 	}
 	return nil

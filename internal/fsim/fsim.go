@@ -72,9 +72,6 @@ func New(dev device.Device, cfg Config) *FileSystem {
 	return fs
 }
 
-// Device returns the underlying device.
-func (fs *FileSystem) Device() device.Device { return fs.dev }
-
 // Moved returns the number of bytes actually moved to or from the device
 // (cache hits excluded). This is the "amount of data actually moved
 // through the I/O system" that the bandwidth metric measures.

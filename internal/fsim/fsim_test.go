@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"bps/internal/device"
+	"bps/internal/obs"
 	"bps/internal/sim"
 )
 
@@ -15,7 +16,19 @@ func newRAMFS(e *sim.Engine, cfg Config) *FileSystem {
 
 func run(t *testing.T, body func(e *sim.Engine, p *sim.Proc)) sim.Time {
 	t.Helper()
+	return runOn(t, sim.NewEngine(1), body)
+}
+
+// observedEngine returns an engine with an observer attached: devices
+// built on it count their accesses into reg under device/<name>/, one
+// service_ns sample per access.
+func observedEngine() (*sim.Engine, *obs.Registry) {
 	e := sim.NewEngine(1)
+	return e, obs.Attach(e, obs.Options{}).Registry()
+}
+
+func runOn(t *testing.T, e *sim.Engine, body func(e *sim.Engine, p *sim.Proc)) sim.Time {
+	t.Helper()
 	e.Spawn("test", func(p *sim.Proc) { body(e, p) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -67,7 +80,8 @@ func TestReadWriteBounds(t *testing.T) {
 }
 
 func TestMovedCountsDeviceBytes(t *testing.T) {
-	run(t, func(e *sim.Engine, p *sim.Proc) {
+	e, reg := observedEngine()
+	runOn(t, e, func(e *sim.Engine, p *sim.Proc) {
 		fs := newRAMFS(e, Config{})
 		f, _ := fs.Create("f", 1<<20)
 		if err := f.ReadAt(p, 0, 1<<20); err != nil {
@@ -76,8 +90,8 @@ func TestMovedCountsDeviceBytes(t *testing.T) {
 		if fs.Moved() != 1<<20 {
 			t.Fatalf("Moved = %d, want %d", fs.Moved(), 1<<20)
 		}
-		if fs.Device().Stats().BytesRead != 1<<20 {
-			t.Fatalf("device BytesRead = %d", fs.Device().Stats().BytesRead)
+		if got := reg.Counter("device/ram/bytes_read").Value(); got != 1<<20 {
+			t.Fatalf("device bytes_read = %d", got)
 		}
 	})
 }
@@ -169,20 +183,22 @@ func TestWriteThroughPopulatesCache(t *testing.T) {
 }
 
 func TestPartialCacheRunCoalescing(t *testing.T) {
-	run(t, func(e *sim.Engine, p *sim.Proc) {
+	e, reg := observedEngine()
+	devOps := reg.Histogram("device/ram/service_ns").Count
+	runOn(t, e, func(e *sim.Engine, p *sim.Proc) {
 		fs := newRAMFS(e, Config{CacheBytes: 64 << 20})
 		f, _ := fs.Create("f", 64<<10)
 		// Warm pages 4..7 (offsets 16K..32K).
 		if err := f.ReadAt(p, 16<<10, 16<<10); err != nil {
 			t.Fatal(err)
 		}
-		devOps := fs.Device().Stats().Ops()
+		before := devOps()
 		// Read the whole file: misses split into two coalesced runs around
 		// the warm middle.
 		if err := f.ReadAt(p, 0, 64<<10); err != nil {
 			t.Fatal(err)
 		}
-		newOps := fs.Device().Stats().Ops() - devOps
+		newOps := devOps() - before
 		if newOps != 2 {
 			t.Fatalf("full read issued %d device ops, want 2 coalesced runs", newOps)
 		}
@@ -225,7 +241,7 @@ func TestMovedEqualsRequestedWithoutCache(t *testing.T) {
 
 func TestReadAheadAmortizesDeviceOps(t *testing.T) {
 	run := func(ra int64) (devOps uint64, moved int64) {
-		e := sim.NewEngine(1)
+		e, reg := observedEngine()
 		dev := device.NewRAMDisk(e, "ram", 1<<30, 100*sim.Microsecond, 100e6)
 		fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: ra})
 		e.Spawn("p", func(p *sim.Proc) {
@@ -243,7 +259,7 @@ func TestReadAheadAmortizesDeviceOps(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return fs.Device().Stats().Ops(), fs.Moved()
+		return reg.Histogram("device/ram/service_ns").Count(), fs.Moved()
 	}
 	noRAOps, noRAMoved := run(0)
 	raOps, raMoved := run(1 << 20)
@@ -262,7 +278,7 @@ func TestReadAheadAmortizesDeviceOps(t *testing.T) {
 func TestReadAheadInterleavedStreams(t *testing.T) {
 	// Two interleaved sequential streams on one file must both be
 	// detected, so device ops stay ~one per readahead window per stream.
-	e := sim.NewEngine(1)
+	e, reg := observedEngine()
 	dev := device.NewRAMDisk(e, "ram", 1<<30, 100*sim.Microsecond, 100e6)
 	fs := New(dev, Config{CacheBytes: 64 << 20, ReadAhead: 1 << 20})
 	f, err := fs.Create("f", 16<<20)
@@ -282,7 +298,7 @@ func TestReadAheadInterleavedStreams(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ops := fs.Device().Stats().Ops(); ops > 20 {
+	if ops := reg.Histogram("device/ram/service_ns").Count(); ops > 20 {
 		t.Fatalf("interleaved streams issued %d device ops, want ~16", ops)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"bps/internal/backend"
 	"bps/internal/clock"
+	"bps/internal/core"
 	"bps/internal/ioreq"
 	"bps/internal/obs/forecast"
 	"bps/internal/obs/serve"
@@ -165,24 +166,54 @@ func TestLayout(t *testing.T) {
 		t.Fatalf("extents = %v, want [8192 10096]", extents)
 	}
 	for slot, want := range extents {
-		fi, err := m.Stat(SlotName(slot))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() != want {
-			t.Fatalf("slot %d size %d, want %d", slot, fi.Size(), want)
+		if got := slotSize(t, m, slot); got != want {
+			t.Fatalf("slot %d size %d, want %d", slot, got, want)
 		}
 	}
 	// Re-layout is idempotent and never shrinks.
-	if err := m.Truncate(SlotName(0), 1<<20); err != nil {
+	f, err := m.OpenFile(SlotName(0), os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Truncate(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	if _, err := Layout(m, accs); err != nil {
 		t.Fatal(err)
 	}
-	fi, _ := m.Stat(SlotName(0))
-	if fi.Size() != 1<<20 {
-		t.Fatalf("layout shrank an existing file to %d", fi.Size())
+	if got := slotSize(t, m, 0); got != 1<<20 {
+		t.Fatalf("layout shrank an existing file to %d", got)
+	}
+}
+
+// slotSize reports the size of a slot file through an opened handle.
+func slotSize(t *testing.T, fsys backend.FS, slot int) int64 {
+	t.Helper()
+	f, err := fsys.OpenFile(SlotName(slot), os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestMaxWindowEnd pins the "now" a virtual-mode periodic snapshot is
+// stamped with: the end of the latest window the estimator holds, or 0
+// before any access completes.
+func TestMaxWindowEnd(t *testing.T) {
+	d := &driver{est: core.NewWindowEstimator(10 * sim.Millisecond)}
+	if got := d.maxWindowEnd(); got != 0 {
+		t.Fatalf("no accesses: maxWindowEnd = %v, want 0", got)
+	}
+	d.add(8, 2*sim.Millisecond, 5*sim.Millisecond)
+	d.add(8, 12*sim.Millisecond, 23*sim.Millisecond)
+	if got, want := d.maxWindowEnd(), 30*sim.Millisecond; got != want {
+		t.Fatalf("maxWindowEnd = %v, want %v (the end of the window holding 23 ms)", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"bps/internal/device"
 	"bps/internal/fsim"
 	"bps/internal/netsim"
+	"bps/internal/obs"
 	"bps/internal/pfs"
 	"bps/internal/sim"
 	"bps/internal/trace"
@@ -155,11 +156,10 @@ func roundUpBlocks(b int64) int64 { return trace.BlocksOf(b) * trace.BlockSize }
 
 func TestMPIIOSieveBufferChunking(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	col := trace.NewCollector(1)
-	var fs *fsim.FileSystem
 	e.Spawn("app", func(p *sim.Proc) {
-		var target Target
-		target, fs = localSetup(e, 8<<20)
+		target, _ := localSetup(e, 8<<20)
 		m := NewMPIIO(target, col, MPIIOConfig{DataSieving: true, SieveBufSize: 64 << 10})
 		// Extent of 1 MiB → 16 sieve reads of 64 KiB.
 		regions := []Region{{0, 512}, {1<<20 - 512, 512}}
@@ -170,7 +170,7 @@ func TestMPIIOSieveBufferChunking(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ops := fs.Device().Stats().Ops(); ops != 16 {
+	if ops := reg.Histogram("device/ram/service_ns").Count(); ops != 16 {
 		t.Fatalf("device ops = %d, want 16 sieve-buffer reads", ops)
 	}
 }
@@ -346,11 +346,10 @@ func TestRecordedBlocksProperty(t *testing.T) {
 
 func TestMPIIOWrite(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	col := trace.NewCollector(1)
-	var fs *fsim.FileSystem
 	e.Spawn("app", func(p *sim.Proc) {
-		var target Target
-		target, fs = localSetup(e, 1<<20)
+		target, _ := localSetup(e, 1<<20)
 		m := NewMPIIO(target, col, MPIIOConfig{})
 		if err := m.Write(p, 0, 256<<10); err != nil {
 			t.Error(err)
@@ -368,7 +367,7 @@ func TestMPIIOWrite(t *testing.T) {
 	if col.Len() != 1 || col.Records()[0].Blocks != trace.BlocksOf(256<<10) {
 		t.Fatalf("records = %+v", col.Records())
 	}
-	if fs.Device().Stats().BytesWritten != 256<<10 {
-		t.Fatalf("wrote %d", fs.Device().Stats().BytesWritten)
+	if got := reg.Counter("device/ram/bytes_written").Value(); got != 256<<10 {
+		t.Fatalf("wrote %d", got)
 	}
 }

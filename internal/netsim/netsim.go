@@ -102,9 +102,6 @@ func NewFabric(e *sim.Engine, cfg Config) *Fabric {
 	return f
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // SetFaults installs (or, with nil, removes) the fabric's link-fault
 // model. Call before the simulation starts: changing it mid-run would
 // make results depend on installation order.
@@ -137,9 +134,6 @@ func (f *Fabric) NewNIC(name string) *NIC {
 	}
 	return n
 }
-
-// Name returns the NIC name.
-func (n *NIC) Name() string { return n.name }
 
 // Sent returns total bytes transmitted.
 func (n *NIC) Sent() int64 { return n.sent }

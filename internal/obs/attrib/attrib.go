@@ -104,7 +104,6 @@ type Collector struct {
 	spans  [][]core.Interval // indexed by StackOrder position
 	counts []int
 	apps   []core.Interval
-	blocks int64
 	est    *core.WindowEstimator
 
 	report *Report
@@ -152,16 +151,6 @@ func (c *Collector) AddAccess(blocks int64, start, end sim.Time) {
 	c.est.Add(blocks, start, end)
 }
 
-// AddBlocks accumulates the run's required blocks (the BPS numerator B)
-// alongside the application intervals, so the report can state the
-// run's own BPS — Blocks over Total — next to the per-layer blame.
-func (c *Collector) AddBlocks(blocks int64) {
-	if c == nil {
-		return
-	}
-	c.blocks += blocks
-}
-
 // LayerTime is one layer's share of the attribution report.
 type LayerTime struct {
 	Layer string
@@ -198,18 +187,6 @@ type Report struct {
 	// denominator of BPS.
 	Total sim.Time
 
-	// Blocks is B: the required 512-byte blocks accumulated via
-	// AddBlocks (0 when the feeder does not track blocks).
-	Blocks int64
-
-	// CeilingBPS is the analytic roofline ceiling of the observed
-	// configuration, set by the caller that knows the testbed
-	// parameters (internal/roofline); 0 when no model applies. It
-	// exists so the blame table can print headroom — how much of the
-	// achievable roof the run's BPS reached — next to where the lost
-	// time went.
-	CeilingBPS float64
-
 	// Layers holds one entry per StackOrder layer plus a final
 	// LayerClient entry, in that order.
 	Layers []LayerTime
@@ -236,25 +213,6 @@ type LatencyRow struct {
 	P95   int64
 	P99   int64
 	Max   int64
-}
-
-// BPS returns the report's own blocks-per-second — Blocks over Total —
-// or 0 when either is unknown. Both come from the same application
-// records core.Compute consumes, so this equals the post-hoc metric
-// exactly.
-func (r *Report) BPS() float64 {
-	if r == nil || r.Total <= 0 || r.Blocks <= 0 {
-		return 0
-	}
-	return float64(r.Blocks) / r.Total.Seconds()
-}
-
-// Headroom returns BPS()/CeilingBPS, or 0 when no ceiling was set.
-func (r *Report) Headroom() float64 {
-	if r == nil || r.CeilingBPS <= 0 {
-		return 0
-	}
-	return r.BPS() / r.CeilingBPS
 }
 
 // ExclusiveSum returns the sum of the per-layer exclusive times; by
@@ -313,7 +271,7 @@ func (c *Collector) Report() *Report {
 	if c.report != nil {
 		return c.report
 	}
-	rep := &Report{Blocks: c.blocks}
+	rep := &Report{}
 	if c.spans != nil {
 		c.sweep(rep)
 	}

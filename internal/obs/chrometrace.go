@@ -70,14 +70,6 @@ func metaEvent(pid, tid int64, name, value string) Event {
 		Args: map[string]any{"name": value}}
 }
 
-// Len returns the number of buffered events.
-func (b *TraceBuffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.events)
-}
-
 // Events returns the buffered events.
 func (b *TraceBuffer) Events() []Event {
 	if b == nil {

@@ -1,7 +1,8 @@
 // Package obs is the cross-layer observability subsystem of the
-// simulated I/O stack: a lightweight metrics registry (counters, gauges,
-// fixed-bucket log-scale histograms, and a periodic streaming sampler
-// driven by a simulation daemon), structured event hooks on the sim
+// simulated I/O stack: a lightweight metrics registry (counters,
+// fixed-bucket log-scale histograms, probes over live state, and a
+// periodic streaming sampler driven by a simulation daemon that reads
+// counters, then probes), structured event hooks on the sim
 // engine (event dispatch, process lifecycle, resource admission), and a
 // Chrome trace-event exporter whose output loads in Perfetto or
 // chrome://tracing.
@@ -262,7 +263,6 @@ func (o *Observer) AddAppRecord(pid, blocks int64, start, end sim.Time) {
 	}
 	if o.attrib != nil {
 		o.attrib.AddApp(start, end)
-		o.attrib.AddBlocks(blocks)
 	}
 	if o.buf != nil {
 		o.buf.AppSpan(pid, blocks, start, end)

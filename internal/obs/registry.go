@@ -23,17 +23,16 @@ import (
 // and thereafter only mutated through atomic operations, so the live
 // driver's concurrent workers may update them; reads are likewise safe
 // mid-run or after Run has returned. Registration itself
-// (Counter/Gauge/Histogram/Probe) keeps the single-threaded discipline:
+// (Counter/Histogram/Probe) keeps the single-threaded discipline:
 // call it at construction or from simulation context only.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	probes   []Probe
 
 	// order preserves registration order per kind for deterministic
 	// iteration; exported accessors sort by name instead.
-	counterOrder, gaugeOrder, histOrder []string
+	counterOrder, histOrder []string
 
 	// gen counts registrations, so a periodic reader can keep its
 	// sorted view of the sources until the set changes.
@@ -44,7 +43,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -63,21 +61,6 @@ func (r *Registry) Counter(name string) *Counter {
 	r.counterOrder = append(r.counterOrder, name)
 	r.gen++
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	r.gaugeOrder = append(r.gaugeOrder, name)
-	r.gen++
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -108,7 +91,7 @@ func (r *Registry) Probe(name string, fn func() float64) {
 }
 
 // Gen returns the registry's registration count: it moves whenever a
-// counter, gauge, histogram or probe is added, and only then (0 for a
+// counter, histogram or probe is added, and only then (0 for a
 // nil registry). Like registration, read it from simulation context or
 // after the run.
 func (r *Registry) Gen() uint64 {
@@ -132,18 +115,6 @@ func (r *Registry) Counters() []*Counter {
 	out := make([]*Counter, 0, len(r.counters))
 	for _, name := range sortedKeys(r.counterOrder) {
 		out = append(out, r.counters[name])
-	}
-	return out
-}
-
-// Gauges returns all gauges sorted by name.
-func (r *Registry) Gauges() []*Gauge {
-	if r == nil {
-		return nil
-	}
-	out := make([]*Gauge, 0, len(r.gauges))
-	for _, name := range sortedKeys(r.gaugeOrder) {
-		out = append(out, r.gauges[name])
 	}
 	return out
 }
@@ -208,50 +179,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down. Set/Value are atomic; Add
-// is a CAS loop (gauges are low-rate: probes and samplers).
-type Gauge struct {
-	name string
-	v    atomic.Uint64 // float64 bits
-}
-
-// Name returns the gauge's registered name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.v.Load()
-		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.v.Load())
 }
 
 // HistBuckets is the number of histogram buckets: one underflow bucket

@@ -146,19 +146,13 @@ func TestRegistryNilSafety(t *testing.T) {
 	if c.Value() != 0 || c.Name() != "" {
 		t.Fatal("nil counter accumulated")
 	}
-	g := r.Gauge("x")
-	g.Set(1)
-	g.Add(2)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge accumulated")
-	}
 	h := r.Histogram("x")
 	h.Observe(7)
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
 	r.Probe("x", func() float64 { return 1 })
-	if r.Counters() != nil || r.Gauges() != nil || r.Histograms() != nil || r.Probes() != nil {
+	if r.Counters() != nil || r.Histograms() != nil || r.Probes() != nil {
 		t.Fatal("nil registry returned sources")
 	}
 	if r.StartSampler(nil, 0) != nil {

@@ -4,8 +4,8 @@ import "bps/internal/sim"
 
 // Sampler is a periodic streaming collector: a simulation daemon that
 // wakes every interval (on background events, so it never extends the
-// run), reads every counter, gauge, and probe in the registry, and hands
-// each value to its consumers. It stores no series: per source it keeps
+// run), reads the registry's counters, then its probes, and hands each
+// value to its consumers. It stores no series: per source it keeps
 // only the last sample, which the gap fill carries forward. Sources
 // registered after the sampler starts are picked up at their first tick.
 type Sampler struct {
@@ -75,7 +75,7 @@ type lastSample struct {
 	v    float64
 }
 
-// source is one registered counter, gauge or probe bound to its last
+// source is one registered counter or probe bound to its last
 // sample.
 type source struct {
 	last *lastSample
@@ -96,8 +96,8 @@ func (s *Sampler) sample(now sim.Time) {
 	}
 }
 
-// bindSources rebuilds the sampling order: counters, then gauges, then
-// probes, each sorted by name, so the onSample events (and the Chrome
+// bindSources rebuilds the sampling order: counters, then probes, each
+// sorted by name, so the onSample events (and the Chrome
 // counter tracks built from them) come out in a fixed order.
 func (s *Sampler) bindSources() {
 	s.gen = s.reg.Gen()
@@ -112,9 +112,6 @@ func (s *Sampler) bindSources() {
 	}
 	for _, c := range s.reg.Counters() {
 		add(c.Name(), func() float64 { return float64(c.Value()) })
-	}
-	for _, g := range s.reg.Gauges() {
-		add(g.Name(), g.Value)
 	}
 	for _, pr := range s.reg.Probes() {
 		add(pr.Name, pr.Fn)

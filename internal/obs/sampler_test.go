@@ -73,12 +73,12 @@ func TestSamplerGapFill(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := NewRegistry()
 	s := r.StartSampler(e, tick)
-	g := r.Gauge("test/gap/value")
+	v := 5.0
+	r.Probe("test/gap/value", func() float64 { return v })
 	got := captureSamples(s)
 
-	g.Set(5)
 	s.sample(2 * sim.Millisecond)
-	g.Set(9)
+	v = 9
 	s.sample(11 * sim.Millisecond) // 9 ms of silence: fillers at 4, 6, 8, 10
 
 	wantTimes := []sim.Time{2, 4, 6, 8, 10, 11}
@@ -103,9 +103,9 @@ func TestSamplerLateSourceStartsAtFirstTick(t *testing.T) {
 	r := NewRegistry()
 	s := r.StartSampler(sim.NewEngine(1), ms)
 	got := captureSamples(s)
-	r.Gauge("test/late/early").Set(3)
+	r.Probe("test/late/early", func() float64 { return 3 })
 	s.sample(1 * ms)
-	r.Gauge("test/late/late").Set(7)
+	r.Probe("test/late/late", func() float64 { return 7 })
 	s.sample(4 * ms)
 
 	if want := []sample{{1 * ms, 3}, {2 * ms, 3}, {3 * ms, 3}, {4 * ms, 3}}; !reflect.DeepEqual(got["test/late/early"], want) {
@@ -125,7 +125,7 @@ func TestSamplerRetainsNoSeries(t *testing.T) {
 	for _, name := range []string{"test/mem/a", "test/mem/b", "test/mem/c"} {
 		r.Counter(name).Add(1)
 	}
-	r.Gauge("test/mem/g").Set(2)
+	r.Probe("test/mem/g", func() float64 { return 2 })
 	r.Probe("test/mem/p", func() float64 { return 3 })
 	s := r.StartSampler(sim.NewEngine(1), tick)
 	emitted := 0

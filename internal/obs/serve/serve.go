@@ -114,7 +114,7 @@ type RooflineJSON struct {
 // MetricJSON is one scalar registry metric in wire form.
 type MetricJSON struct {
 	Name  string  `json:"name"`
-	Kind  string  `json:"kind"` // "counter" or "gauge"
+	Kind  string  `json:"kind"` // always "counter"
 	Value float64 `json:"value"`
 }
 
@@ -195,7 +195,6 @@ type Publisher struct {
 	reg      *obs.Registry
 	gen      uint64
 	counters []*obs.Counter
-	gauges   []*obs.Gauge
 	hists    []*obs.Histogram
 
 	// snap is the one snapshot buffer, and roof backs its Roofline.
@@ -382,14 +381,11 @@ func (p *Publisher) update(now sim.Time, src Source) {
 
 	if reg := src.Registry(); reg != p.reg || reg.Gen() != p.gen {
 		p.reg, p.gen = reg, reg.Gen()
-		p.counters, p.gauges, p.hists = reg.Counters(), reg.Gauges(), reg.Histograms()
+		p.counters, p.hists = reg.Counters(), reg.Histograms()
 	}
 	s.Metrics = s.Metrics[:0]
 	for _, c := range p.counters {
 		s.Metrics = append(s.Metrics, MetricJSON{Name: c.Name(), Kind: "counter", Value: float64(c.Value())})
-	}
-	for _, g := range p.gauges {
-		s.Metrics = append(s.Metrics, MetricJSON{Name: g.Name(), Kind: "gauge", Value: g.Value()})
 	}
 	s.Hists = s.Hists[:0]
 	for _, h := range p.hists {

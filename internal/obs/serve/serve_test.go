@@ -609,9 +609,6 @@ func referenceSnapshot(p *Publisher, now sim.Time, src Source) *Snapshot {
 	for _, c := range reg.Counters() {
 		s.Metrics = append(s.Metrics, MetricJSON{Name: c.Name(), Kind: "counter", Value: float64(c.Value())})
 	}
-	for _, g := range reg.Gauges() {
-		s.Metrics = append(s.Metrics, MetricJSON{Name: g.Name(), Kind: "gauge", Value: g.Value()})
-	}
 	for _, h := range reg.Histograms() {
 		s.Hists = append(s.Hists, HistJSON{
 			Name: h.Name(), Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
@@ -733,9 +730,6 @@ func (f *frozenSource) freeze(src live.Source) {
 	for _, c := range src.Registry().Counters() {
 		m := f.reg.Counter(c.Name())
 		m.Add(c.Value() - m.Value())
-	}
-	for _, g := range src.Registry().Gauges() {
-		f.reg.Gauge(g.Name()).Set(g.Value())
 	}
 }
 

@@ -176,9 +176,6 @@ type Server struct {
 	serveName string       // precomputed span name
 }
 
-// ID returns the server's index within the cluster.
-func (s *Server) ID() int { return s.id }
-
 // FS exposes the server's local file system (for stats and cache flush).
 func (s *Server) FS() *fsim.FileSystem { return s.fs }
 

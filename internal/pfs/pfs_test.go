@@ -6,6 +6,7 @@ import (
 
 	"bps/internal/device"
 	"bps/internal/netsim"
+	"bps/internal/obs"
 	"bps/internal/sim"
 )
 
@@ -152,9 +153,9 @@ func TestReadMovesDataAndCompletes(t *testing.T) {
 		t.Fatalf("Moved = %d, want %d", c.Moved(), 8<<20)
 	}
 	// Every server participated (8 MiB over 4 servers, 64 KiB stripes).
-	for _, s := range c.Servers() {
+	for i, s := range c.Servers() {
 		if s.FS().Moved() != 2<<20 {
-			t.Fatalf("server %d moved %d, want %d", s.ID(), s.FS().Moved(), 2<<20)
+			t.Fatalf("server %d moved %d, want %d", i, s.FS().Moved(), 2<<20)
 		}
 	}
 	if cl.NIC().Received() < 8<<20 {
@@ -164,6 +165,7 @@ func TestReadMovesDataAndCompletes(t *testing.T) {
 
 func TestWritePath(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	c := newTestCluster(e, 2)
 	cl := c.NewClient("client0")
 	e.Spawn("app", func(p *sim.Proc) {
@@ -179,11 +181,8 @@ func TestWritePath(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var written int64
-	for _, s := range c.Servers() {
-		written += s.FS().Device().Stats().BytesWritten
-	}
-	if written != 1<<20 {
+	// Every server device is named "ram", so they share one counter.
+	if written := reg.Counter("device/ram/bytes_written").Value(); written != 1<<20 {
 		t.Fatalf("devices wrote %d, want %d", written, 1<<20)
 	}
 }
@@ -229,9 +228,9 @@ func TestPinnedLayoutIsolatesServers(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range c.Servers() {
+	for i, s := range c.Servers() {
 		if s.FS().Moved() != 1<<20 {
-			t.Fatalf("server %d moved %d, want exactly its own file", s.ID(), s.FS().Moved())
+			t.Fatalf("server %d moved %d, want exactly its own file", i, s.FS().Moved())
 		}
 	}
 }
@@ -387,6 +386,7 @@ func TestMetadataServerSerializesLookups(t *testing.T) {
 
 func TestConcurrentReadersAndWritersOnSharedFile(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	c := newTestCluster(e, 4)
 	f, err := c.Create("mixed", 8<<20, c.DefaultLayout())
 	if err != nil {
@@ -413,11 +413,8 @@ func TestConcurrentReadersAndWritersOnSharedFile(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var read, written int64
-	for _, s := range c.Servers() {
-		read += s.FS().Device().Stats().BytesRead
-		written += s.FS().Device().Stats().BytesWritten
-	}
+	read := reg.Counter("device/ram/bytes_read").Value()
+	written := reg.Counter("device/ram/bytes_written").Value()
 	if read != 8<<20 || written != 8<<20 {
 		t.Fatalf("read=%d written=%d, want 8 MiB each", read, written)
 	}
@@ -453,9 +450,9 @@ func TestProcsShareOneClient(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("%d of 3 readers finished", done)
 	}
-	for _, s := range c.Servers() {
+	for i, s := range c.Servers() {
 		if got := s.FS().Moved(); got != 6<<20/4 {
-			t.Errorf("server %d moved %d, want %d", s.ID(), got, 6<<20/4)
+			t.Errorf("server %d moved %d, want %d", i, got, 6<<20/4)
 		}
 	}
 }

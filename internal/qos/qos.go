@@ -180,9 +180,6 @@ func NewController(cfg Config, tenants ...Tenant) (*Controller, error) {
 	return c, nil
 }
 
-// Enabled reports whether the control loop is on.
-func (c *Controller) Enabled() bool { return c != nil && c.cfg.Enabled }
-
 // Middleware returns the admission-control layer for the named tenant.
 // It stamps the tenant identity on every request even when the control
 // loop is disabled (identity threads through traces regardless); with

@@ -44,12 +44,6 @@ func WriteAttribution(w io.Writer, rep *attrib.Report) {
 	if dom := rep.Dominant(); dom != "" {
 		fmt.Fprintf(w, "  dominant: %s\n", dom)
 	}
-	// Printed only when the caller supplied a roofline ceiling, so
-	// reports without a model keep their exact historical layout.
-	if rep.CeilingBPS > 0 {
-		fmt.Fprintf(w, "  roofline: BPS %.0f of ceiling %.0f blk/s — headroom %.1f%%\n",
-			rep.BPS(), rep.CeilingBPS, 100*rep.Headroom())
-	}
 	if len(rep.Stacks) > 0 {
 		fmt.Fprintf(w, "  stacks:\n")
 		for _, st := range rep.Stacks {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -22,44 +21,6 @@ func splitMetric(name string) (layer, component, metric string) {
 	default:
 		return "", "", name
 	}
-}
-
-// WriteObsSummary renders the registry's metrics as a plain-text table
-// grouped by layer (the first path segment of each metric name), the
-// per-layer decomposition companion to the run's headline BPS numbers.
-func WriteObsSummary(w io.Writer, reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	fmt.Fprintln(w, "Observability summary — per-layer metrics")
-	var lastLayer string
-	emit := func(name, kind, value string) {
-		layer, _, _ := splitMetric(name)
-		if layer != lastLayer {
-			fmt.Fprintf(w, "  [%s]\n", layer)
-			lastLayer = layer
-		}
-		fmt.Fprintf(w, "    %-40s %-10s %s\n", name, kind, value)
-	}
-	for _, c := range reg.Counters() {
-		emit(c.Name(), "counter", strconv.FormatInt(c.Value(), 10))
-	}
-	for _, g := range reg.Gauges() {
-		emit(g.Name(), "gauge", strconv.FormatFloat(g.Value(), 'g', 6, 64))
-	}
-	for _, h := range reg.Histograms() {
-		if h.Count() == 0 {
-			emit(h.Name(), "histogram", "(empty)")
-			continue
-		}
-		emit(h.Name(), "histogram", fmt.Sprintf(
-			"n=%d mean=%.1f p50=%d p99=%d max=%d",
-			h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max()))
-	}
-	for _, pr := range reg.Probes() {
-		emit(pr.Name, "probe", strconv.FormatFloat(pr.Fn(), 'g', 6, 64))
-	}
-	fmt.Fprintln(w)
 }
 
 // obsCSVHeader is the row schema of WriteObsCSV: one row per metric (and
@@ -84,11 +45,6 @@ func WriteObsCSV(w io.Writer, reg *obs.Registry) error {
 	}
 	for _, c := range reg.Counters() {
 		if err := row(c.Name(), "counter", strconv.FormatInt(c.Value(), 10)); err != nil {
-			return err
-		}
-	}
-	for _, g := range reg.Gauges() {
-		if err := row(g.Name(), "gauge", fmtFloat(g.Value())); err != nil {
 			return err
 		}
 	}

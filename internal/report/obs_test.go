@@ -13,34 +13,11 @@ func testRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Counter("device/hdd/bytes_read").Add(4096)
 	reg.Counter("net/fabric/transfers").Add(3)
-	reg.Gauge("pfs/mds/load").Set(0.5)
 	h := reg.Histogram("device/hdd/service_ns")
 	h.Observe(1000)
 	h.Observe(3000)
 	reg.Probe("device/hdd/utilization", func() float64 { return 0.25 })
 	return reg
-}
-
-func TestWriteObsSummary(t *testing.T) {
-	var buf bytes.Buffer
-	WriteObsSummary(&buf, testRegistry())
-	out := buf.String()
-	for _, want := range []string{
-		"[device]", "[net]", "[pfs]",
-		"device/hdd/bytes_read", "4096",
-		"device/hdd/service_ns", "n=2",
-		"device/hdd/utilization", "0.25",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-	// Nil registry is a silent no-op.
-	buf.Reset()
-	WriteObsSummary(&buf, nil)
-	if buf.Len() != 0 {
-		t.Fatalf("nil registry wrote %q", buf.String())
-	}
 }
 
 func TestWriteObsCSV(t *testing.T) {
@@ -55,8 +32,8 @@ func TestWriteObsCSV(t *testing.T) {
 	if got := strings.Join(rows[0], ","); got != "layer,component,metric,kind,value" {
 		t.Fatalf("header = %q", got)
 	}
-	// 2 counters + 1 gauge + 5 histogram stats + 1 probe.
-	if len(rows) != 1+2+1+5+1 {
+	// 2 counters + 5 histogram stats + 1 probe.
+	if len(rows) != 1+2+5+1 {
 		t.Fatalf("rows = %d:\n%v", len(rows), rows)
 	}
 	found := map[string]string{}

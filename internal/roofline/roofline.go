@@ -23,7 +23,6 @@
 package roofline
 
 import (
-	"fmt"
 	"math"
 
 	"bps/internal/device"
@@ -196,10 +195,4 @@ func (m Model) Fit(samples []Sample) []PointFit {
 		}
 	}
 	return fits
-}
-
-// String renders the model's roofs on one line.
-func (m Model) String() string {
-	return fmt.Sprintf("roofline: bw roof %.1f MB/s (%.0f blk/s), per-op %v, %d servers × %d clients",
-		m.BandwidthCeiling()/1e6, m.BandwidthCeiling()/trace.BlockSize, m.PerOp(0), m.Servers, m.Clients)
 }

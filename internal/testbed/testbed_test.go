@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 
 	"bps/internal/sim"
@@ -15,11 +16,10 @@ func TestMediaString(t *testing.T) {
 
 func TestNewDeviceKinds(t *testing.T) {
 	e := sim.NewEngine(1)
-	if d := NewDevice(e, HDD); d.Name() != "hdd" {
-		t.Fatalf("HDD device name = %s", d.Name())
-	}
-	if d := NewDevice(e, SSD); d.Name() != "ssd" {
-		t.Fatalf("SSD device name = %s", d.Name())
+	for media, want := range map[Media]string{HDD: "*device.HDD", SSD: "*device.SSD"} {
+		if got := fmt.Sprintf("%T", NewDevice(e, media)); got != want {
+			t.Fatalf("%s device is %s, want %s", media, got, want)
+		}
 	}
 }
 

@@ -75,9 +75,17 @@ type Global struct {
 	records []Record
 }
 
-// Gather merges the records of all processes into a global collection.
+// Gather merges the records of all processes into a global collection,
+// in collector order, with one allocation for the merged records.
 func Gather(collectors ...*Collector) *Global {
+	n := 0
+	for _, c := range collectors {
+		n += len(c.records)
+	}
 	g := &Global{}
+	if n > 0 {
+		g.records = make([]Record, 0, n)
+	}
 	for _, c := range collectors {
 		g.records = append(g.records, c.records...)
 	}

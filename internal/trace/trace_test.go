@@ -61,6 +61,28 @@ func TestCollectorAndGather(t *testing.T) {
 	}
 }
 
+// TestGatherAllocatesOnce: Gather sizes the merged slice from the
+// collectors' lengths up front, so merging four non-empty collectors
+// costs the Global plus one records allocation, and keeps every record
+// in collector order.
+func TestGatherAllocatesOnce(t *testing.T) {
+	cs := make([]*Collector, 4)
+	var want []Record
+	for i := range cs {
+		cs[i] = NewCollector(int64(i))
+		for j := 0; j <= 5*i+3; j++ {
+			cs[i].Record(int64(j+1), sim.Time(j), sim.Time(j+1))
+		}
+		want = append(want, cs[i].Records()...)
+	}
+	if got := Gather(cs...).Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Gather = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Gather(cs...) }); allocs > 2 {
+		t.Fatalf("Gather over 4 collectors made %v allocations, want <= 2", allocs)
+	}
+}
+
 func TestSortByStart(t *testing.T) {
 	g := FromRecords([]Record{
 		{PID: 1, Start: 300, End: 400},

@@ -9,6 +9,7 @@ import (
 	"bps/internal/fsim"
 	"bps/internal/middleware"
 	"bps/internal/netsim"
+	"bps/internal/obs"
 	"bps/internal/pfs"
 	"bps/internal/sim"
 	"bps/internal/trace"
@@ -370,6 +371,7 @@ func TestHopReadDeterminism(t *testing.T) {
 
 func TestSeqWriteMode(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	env := newLocalEnv(e, 1, 1<<20)
 	w := SeqRead{Label: "wr", Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10, Write: true}
 	res, err := w.Run(e, env)
@@ -379,16 +381,17 @@ func TestSeqWriteMode(t *testing.T) {
 	if res.Errors != 0 || res.Trace.Len() != 16 {
 		t.Fatalf("errors=%d ops=%d", res.Errors, res.Trace.Len())
 	}
-	if env.FS.Device().Stats().BytesWritten != 1<<20 {
-		t.Fatalf("device wrote %d", env.FS.Device().Stats().BytesWritten)
+	if got := reg.Counter("device/ram/bytes_written").Value(); got != 1<<20 {
+		t.Fatalf("device wrote %d", got)
 	}
-	if env.FS.Device().Stats().BytesRead != 0 {
-		t.Fatalf("write workload read %d bytes", env.FS.Device().Stats().BytesRead)
+	if got := reg.Counter("device/ram/bytes_read").Value(); got != 0 {
+		t.Fatalf("write workload read %d bytes", got)
 	}
 }
 
 func TestSeqWriteModeMPIIO(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	env := newLocalEnv(e, 1, 1<<20)
 	w := SeqRead{Label: "wrm", Processes: 1, BytesPerProcess: 512 << 10, RecordSize: 64 << 10, Write: true, UseMPIIO: true}
 	res, err := w.Run(e, env)
@@ -398,8 +401,8 @@ func TestSeqWriteModeMPIIO(t *testing.T) {
 	if res.Errors != 0 || res.Trace.Len() != 8 {
 		t.Fatalf("errors=%d ops=%d", res.Errors, res.Trace.Len())
 	}
-	if env.FS.Device().Stats().BytesWritten != 512<<10 {
-		t.Fatalf("device wrote %d", env.FS.Device().Stats().BytesWritten)
+	if got := reg.Counter("device/ram/bytes_written").Value(); got != 512<<10 {
+		t.Fatalf("device wrote %d", got)
 	}
 }
 
