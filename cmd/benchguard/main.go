@@ -261,12 +261,12 @@ func check(w io.Writer, base, fresh map[string]result, guarded []string, thresho
 const allocSlack = 0.02
 
 // allocGuarded lists the benchmarks checkAllocs guards: the page-cache
-// LRU hot paths, which must stay allocation-free, the Fig. 9 macro
-// benchmark whose allocation count they dominate, the sampler pass,
-// which must stay allocation-free between registrations, and the bpsd
-// job batch, whose count the per-tick publisher work sets.
+// LRU hot paths, stamped and listed, which must stay allocation-free,
+// the Fig. 9 macro benchmark whose allocation count they dominate, the
+// sampler pass, which must stay allocation-free between registrations,
+// and the bpsd job batch, whose count the per-tick publisher work sets.
 var allocGuarded = []string{
-	"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkFigure9",
+	"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkLRUFillRuns", "BenchmarkFigure9",
 	"BenchmarkSamplerTick", "BenchmarkBpsdBatch",
 }
 

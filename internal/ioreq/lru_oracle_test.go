@@ -1,6 +1,8 @@
 package ioreq
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,7 +51,7 @@ func (r *refLRU) insert(k int64) {
 // lruOp is one operation of a checked sequence; key numbers the key
 // universe of the run, which a key family maps to an LRU key.
 type lruOp struct {
-	kind byte // opLookup, opContains, opInsert or opReset
+	kind byte // opLookup, opContains, opInsert, opReset or opAge
 	key  int64
 }
 
@@ -58,12 +60,37 @@ const (
 	opContains
 	opInsert
 	opReset
+	// opAge moves a stamped cache's clock to within key&7 ticks of
+	// math.MaxInt32, so a touch soon forces the conversion to the list.
+	// It touches no key, so the oracle ignores it.
+	opAge
 )
 
-// recency walks the slab list from most to least recent, checking that
-// every back link mirrors its forward link.
+// recency returns the resident keys from most to least recent. A
+// stamped cache is read by sorting its stamps; a listed one by walking
+// the slab list, checking that every back link mirrors its forward link.
 func (c *LRU) recency(t *testing.T) []int64 {
 	t.Helper()
+	if !c.listed {
+		type stamped struct {
+			stamp int32
+			key   int64
+		}
+		var all []stamped
+		for b := 1; b < len(c.blocks); b++ {
+			for sub, s := range c.blocks[b].slots {
+				if s != 0 {
+					all = append(all, stamped{s, c.blocks[b].num<<lruBlockBits | int64(sub)})
+				}
+			}
+		}
+		slices.SortFunc(all, func(a, b stamped) int { return cmp.Compare(b.stamp, a.stamp) })
+		var keys []int64
+		for _, s := range all {
+			keys = append(keys, s.key)
+		}
+		return keys
+	}
 	var keys []int64
 	prev := int32(0)
 	for i := c.nodes[0].next; i != 0; i = c.nodes[i].next {
@@ -107,6 +134,10 @@ func checkLRU(t *testing.T, capacity int64, ops []lruOp, key func(int64) int64) 
 		case opReset:
 			c.Reset()
 			ref.keys = ref.keys[:0]
+		case opAge:
+			if !c.listed {
+				c.clock = max(c.clock, math.MaxInt32-int32(op.key&7))
+			}
 		}
 		if c.Len() != len(ref.keys) || c.Hits() != ref.hits || c.Misses() != ref.misses {
 			t.Fatalf("op %d (%d %v): len/hits/misses = %d/%d/%d, oracle %d/%d/%d", n, op.kind, k,
@@ -136,13 +167,23 @@ func fileKeyOf(n int64) int64 {
 }
 
 // checkIndex holds the block index to its invariants: every indexed
-// block maps back to itself, counts its resident keys and names only
-// nodes that point back at it; every recycled block is empty; the absent
-// block is empty; and a non-empty memo agrees with the map.
+// block maps back to itself, counts its resident keys and holds either
+// distinct stamps no later than the clock (no node slab, no recycled
+// block) or, once listed, only nodes that point back at it; every
+// recycled block is empty; the absent block is empty; and a non-empty
+// memo agrees with the map.
 func (c *LRU) checkIndex(t *testing.T) {
 	t.Helper()
 	if c.blocks[0] != (lruBlock{}) {
 		t.Fatalf("absent block written: %+v", c.blocks[0])
+	}
+	stamps := make(map[int32]bool)
+	if c.listed {
+		if len(c.nodes)-1 != c.Len() {
+			t.Fatalf("listed: %d nodes for %d keys", len(c.nodes)-1, c.Len())
+		}
+	} else if len(c.nodes) != 0 || len(c.free) != 0 {
+		t.Fatalf("stamped: %d nodes, %d recycled blocks, want none", len(c.nodes), len(c.free))
 	}
 	free := make(map[int32]bool, len(c.free))
 	for _, b := range c.free {
@@ -172,6 +213,13 @@ func (c *LRU) checkIndex(t *testing.T) {
 				continue
 			}
 			used++
+			if !c.listed {
+				if i < 0 || i > c.clock || stamps[i] {
+					t.Fatalf("block %d slot %d: stamp %d repeated or outside [1, clock %d]", b, sub, i, c.clock)
+				}
+				stamps[i] = true
+				continue
+			}
 			if n := c.nodes[i]; n.blk != b || int(n.sub) != sub {
 				t.Fatalf("block %d slot %d names node %d, which points at block %d slot %d", b, sub, i, n.blk, n.sub)
 			}
@@ -241,9 +289,10 @@ func runOps(rng *rand.Rand, capacity int64) []lruOp {
 	return ops
 }
 
-// memoOps are hand-made sequences aimed at a stale block memo. Keys 0-15
-// share block 0, 16-31 block 1; -1 is in block -1.
-var memoOps = []struct {
+// handOps are hand-made sequences aimed at a stale block memo and at the
+// conversion from stamps to the list. Keys 0-15 share block 0, 16-31
+// block 1; -1 is in block -1.
+var handOps = []struct {
 	name     string
 	capacity int64
 	ops      []lruOp
@@ -272,6 +321,26 @@ var memoOps = []struct {
 	{"reset-absent-negative", 3, []lruOp{
 		{opLookup, -1}, {opReset, 0}, {opInsert, -1}, {opInsert, 0}, {opLookup, -1}, {opInsert, -16}, {opInsert, -17}, {opLookup, 0}, {opLookup, -1}, {opContains, -16},
 	}},
+	// A full stamped cache whose oldest keys were hit or refreshed: the
+	// first eviction must convert them into the right list places, so 0
+	// and then 3 go, not 1 or 2.
+	{"touch-then-convert", 4, []lruOp{
+		{opInsert, 0}, {opInsert, 1}, {opInsert, 17}, {opInsert, 3}, {opLookup, 1}, {opInsert, 17}, {opContains, 0},
+		{opInsert, 4}, {opLookup, 0}, {opInsert, 5}, {opLookup, 3}, {opLookup, 1}, {opInsert, 6}, {opLookup, 17},
+	}},
+	// A Reset after conversion goes back to stamps: the refill stays
+	// stamped until it evicts again, converting into the kept slab.
+	{"reset-after-convert", 3, []lruOp{
+		{opInsert, 0}, {opInsert, 1}, {opInsert, 2}, {opInsert, 3}, {opReset, 0}, {opInsert, 5}, {opInsert, 21},
+		{opLookup, 5}, {opInsert, 7}, {opLookup, 21}, {opInsert, 8}, {opLookup, 5}, {opLookup, 7}, {opInsert, 9},
+	}},
+	// A clock at math.MaxInt32 forces the conversion before the cache is
+	// full: by a hit, by an insert, and, after a Reset, on an empty cache.
+	{"clock-overflow", 8, []lruOp{
+		{opInsert, 0}, {opInsert, 1}, {opInsert, 2}, {opAge, 1}, {opLookup, 0}, {opLookup, 2}, {opInsert, 3},
+		{opReset, 0}, {opInsert, 4}, {opAge, 0}, {opInsert, 5}, {opInsert, 4},
+		{opReset, 0}, {opAge, 0}, {opInsert, 6}, {opInsert, 7}, {opLookup, 6},
+	}},
 }
 
 func TestLRUMatchesOracle(t *testing.T) {
@@ -283,13 +352,13 @@ func TestLRUMatchesOracle(t *testing.T) {
 			checkLRU(t, capacity, runOps(rand.New(rand.NewSource(seed)), capacity), denseKey)
 		}
 	}
-	for _, tc := range memoOps {
+	for _, tc := range handOps {
 		t.Run(tc.name, func(t *testing.T) { checkLRU(t, tc.capacity, tc.ops, denseKey) })
 	}
 }
 
 // FuzzLRU decodes the first byte into a capacity of 1 to 32 and each
-// following byte pair into an operation (inserts weighted 5 in 8) and a
+// following byte pair into an operation (inserts weighted 4 in 8) and a
 // key in [-64, 192), and holds LRU to the oracle for the dense and the
 // file-strided key families (the latter on the raw byte, 0 to 255).
 func FuzzLRU(f *testing.F) {
@@ -297,6 +366,11 @@ func FuzzLRU(f *testing.F) {
 	f.Add([]byte{2, 2, 5, 2, 6, 0, 5, 2, 7, 1, 6, 0, 6, 3, 0, 2, 5})
 	f.Add([]byte{16, 2, 0, 2, 1, 2, 2, 0, 0, 2, 40, 1, 1})
 	f.Add([]byte{0, 2, 64, 2, 80, 0, 64, 0, 80, 3, 0, 0, 80})
+	// The hand-made conversions: touch-then-convert, reset-after-convert
+	// and clock-overflow.
+	f.Add([]byte{3, 2, 64, 2, 65, 2, 81, 2, 67, 0, 65, 2, 81, 2, 68, 0, 64, 2, 69, 0, 67, 2, 70})
+	f.Add([]byte{2, 2, 64, 2, 65, 2, 66, 2, 67, 3, 0, 2, 69, 2, 85, 0, 69, 2, 71, 0, 85, 2, 72, 0, 69})
+	f.Add([]byte{7, 2, 64, 2, 65, 4, 1, 0, 64, 0, 65, 2, 66, 3, 0, 4, 0, 2, 70, 2, 71, 0, 70})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -308,7 +382,7 @@ func FuzzLRU(f *testing.F) {
 		ops := make([]lruOp, 0, len(data)/2)
 		for i := 1; i+1 < len(data); i += 2 {
 			kind := data[i] % 8
-			if kind > opReset {
+			if kind > opAge {
 				kind = opInsert
 			}
 			ops = append(ops, lruOp{kind: kind, key: int64(data[i+1]) - 64})

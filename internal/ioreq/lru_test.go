@@ -11,12 +11,14 @@ import (
 const benchLRUKeys = 1 << 16
 
 // fullLRU returns an LRU of benchLRUKeys capacity holding keys
-// 0..benchLRUKeys-1, key 0 least recent.
+// 0..benchLRUKeys-1, key 0 least recent, converted to the list as its
+// first eviction would.
 func fullLRU() *LRU {
 	c := NewLRU(benchLRUKeys)
 	for k := int64(0); k < benchLRUKeys; k++ {
 		c.Insert(k)
 	}
+	c.listify()
 	return c
 }
 
@@ -37,10 +39,22 @@ func sequentialRun(c *LRU, next int64) int64 {
 	return next + lruRunKeys
 }
 
+// fillRun is the read pattern of a page cache that never fills: look up
+// and insert a run of lruRunKeys missing keys from next, then look the
+// run up again, as a re-read that hits. It returns the next run's start.
+func fillRun(c *LRU, next int64) int64 {
+	end := sequentialRun(c, next)
+	for k := next; k < end; k++ {
+		c.Lookup(k)
+	}
+	return end
+}
+
 // TestLRUSteadyStateAllocs pins the allocation-free hot paths: once the
 // slabs and index have grown, no operation allocates, including a
-// sequential run that recycles whole blocks and a refill after Reset up
-// to the previous high-water mark.
+// sequential run that recycles whole blocks, a fill after Reset that
+// never evicts, and a refill after Reset that evicts again, converting
+// its stamps to the list in the kept node slab.
 func TestLRUSteadyStateAllocs(t *testing.T) {
 	c := fullLRU()
 	next := int64(benchLRUKeys)
@@ -55,9 +69,14 @@ func TestLRUSteadyStateAllocs(t *testing.T) {
 		{"lookup-miss", 10000, func() { c.Lookup(-1 - probe); probe++ }},
 		{"contains", 10000, func() { c.Contains(next - 1 - probe%benchLRUKeys); probe++ }},
 		{"sequential-runs", 1000, func() { next = sequentialRun(c, next) }},
+		{"fill-without-eviction", 20, func() {
+			c.Reset()
+			for k := int64(0); k < benchLRUKeys/2; k = fillRun(c, k) {
+			}
+		}},
 		{"reset-refill", 20, func() {
 			c.Reset()
-			for k := int64(0); k < benchLRUKeys; k++ {
+			for k := int64(0); k < benchLRUKeys+lruRunKeys; k++ {
 				c.Insert(k)
 			}
 		}},
@@ -92,32 +111,40 @@ func TestLRULazyMemory(t *testing.T) {
 }
 
 // TestLRUBytesPerKey pins the live heap of a cache holding 2^18 keys. A
-// dense fill shares blocks between 16 consecutive keys and costs little
-// beyond the 16-byte list node; one key per block is the worst case,
-// paying a whole block and a map entry per key.
+// dense fill shares blocks between 16 consecutive keys; one key per
+// block is the worst case, paying a whole block and a map entry per key.
+// A cache that never filled keeps a 4-byte stamp per key in its blocks;
+// the full ones are made to evict once, so they pay the 16-byte list
+// node too.
 func TestLRUBytesPerKey(t *testing.T) {
 	const keys = 1 << 18
 	for _, tc := range []struct {
-		name   string
-		stride int64
-		limit  float64
+		name     string
+		capacity int64
+		stride   int64
+		limit    float64
 	}{
-		{"dense", 1, 32},
-		{"one-per-block", lruBlockKeys, 160},
+		{"dense", keys, 1, 32},
+		{"one-per-block", keys, lruBlockKeys, 160},
+		{"dense-never-full", 4 * keys, 1, 10},
 	} {
 		best := math.Inf(1)
 		for try := 0; try < 3; try++ {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			c := NewLRU(keys)
-			for k := int64(0); k < keys; k++ {
+			c := NewLRU(tc.capacity)
+			inserts := int64(keys)
+			if tc.capacity == keys {
+				inserts++ // one eviction
+			}
+			for k := int64(0); k < inserts; k++ {
 				c.Insert(k * tc.stride)
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			if c.Len() != keys {
-				t.Fatalf("%s: Len = %d, want %d", tc.name, c.Len(), keys)
+			if c.Len() != keys || c.listed != (tc.capacity == keys) {
+				t.Fatalf("%s: Len = %d, listed %v; want %d keys, listed only when full", tc.name, c.Len(), c.listed, keys)
 			}
 			runtime.KeepAlive(c)
 			best = min(best, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/keys)
@@ -156,6 +183,24 @@ func BenchmarkLRULookupHit(b *testing.B) {
 	}
 	if hits != b.N {
 		b.Fatalf("%d of %d lookups hit", hits, b.N)
+	}
+}
+
+// BenchmarkLRUFillRuns measures the regime of most page caches, which
+// never fill, one op per run: from an empty cache of twice benchLRUKeys
+// capacity, look up lruRunKeys missing consecutive keys, insert them and
+// look them up again, resetting the cache every benchLRUKeys keys.
+func BenchmarkLRUFillRuns(b *testing.B) {
+	c := NewLRU(2 * benchLRUKeys)
+	next := int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == benchLRUKeys {
+			c.Reset()
+			next = 0
+		}
+		next = fillRun(c, next)
 	}
 }
 

@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 
 	"bps/internal/sim"
@@ -57,6 +58,10 @@ func NewCollector(pid int64) *Collector {
 
 // PID returns the process ID the collector records for.
 func (c *Collector) PID() int64 { return c.pid }
+
+// Grow reserves room for n more records, so a process that knows its
+// access count up front records them without regrowing the slice.
+func (c *Collector) Grow(n int) { c.records = slices.Grow(c.records, n) }
 
 // Record appends one access.
 func (c *Collector) Record(blocks int64, start, end sim.Time) {

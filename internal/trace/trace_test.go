@@ -83,6 +83,24 @@ func TestGatherAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestCollectorGrow: a collector grown by n records n more accesses
+// in the room it reserved, and records them as an ungrown one does.
+func TestCollectorGrow(t *testing.T) {
+	grown, plain := NewCollector(3), NewCollector(3)
+	grown.Grow(50)
+	reserved := cap(grown.Records())
+	for j := 0; j < 50; j++ {
+		grown.Record(int64(j), sim.Time(j), sim.Time(2*j))
+		plain.Record(int64(j), sim.Time(j), sim.Time(2*j))
+	}
+	if reserved < 50 || cap(grown.Records()) != reserved {
+		t.Fatalf("Grow(50) reserved %d records, then 50 records left capacity %d", reserved, cap(grown.Records()))
+	}
+	if !reflect.DeepEqual(grown.Records(), plain.Records()) {
+		t.Fatalf("grown collector recorded %v, want %v", grown.Records(), plain.Records())
+	}
+}
+
 func TestSortByStart(t *testing.T) {
 	g := FromRecords([]Record{
 		{PID: 1, Start: 300, End: 400},

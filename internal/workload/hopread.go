@@ -48,6 +48,7 @@ func (w HopRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 	for pid := 0; pid < w.Processes; pid++ {
 		pid := pid
 		col := trace.NewCollector(w.FirstPID + int64(pid))
+		col.Grow(w.Hops * w.RecordsPerHop)
 		pend.collectors[pid] = col
 		target := env.Target(pid)
 		if w.PrefetchWindow > 0 {

@@ -204,6 +204,7 @@ func (w SeqRead) Start(e *sim.Engine, env Env) (*Pending, error) {
 	for pid := 0; pid < w.Processes; pid++ {
 		pid := pid
 		col := trace.NewCollector(w.FirstPID + int64(pid))
+		col.Grow(int((w.BytesPerProcess + w.RecordSize - 1) / w.RecordSize))
 		pend.collectors[pid] = col
 		base := int64(0)
 		if w.StartOffset != nil {
@@ -325,6 +326,7 @@ func (w Noncontig) Start(e *sim.Engine, env Env) (*Pending, error) {
 	for pid := 0; pid < w.Processes; pid++ {
 		pid := pid
 		col := trace.NewCollector(w.FirstPID + int64(pid))
+		col.Grow((w.RegionCount + perCall - 1) / perCall)
 		pend.collectors[pid] = col
 		base := int64(pid) * (w.Span() + w.RegionSpacing)
 		if w.BaseFor != nil {

@@ -100,6 +100,31 @@ func TestSeqReadTailRecord(t *testing.T) {
 	}
 }
 
+// TestCollectorsPresized: workloads that know their per-process access
+// count size each collector to it up front, so a run leaves every
+// collector exactly full (tail records and partial batches included).
+func TestCollectorsPresized(t *testing.T) {
+	for _, w := range []Starter{
+		SeqRead{Label: "seq", Processes: 2, BytesPerProcess: 100 << 10, RecordSize: 64 << 10},
+		Noncontig{Label: "nc", Processes: 2, RegionCount: 70, RegionSize: 256, RegionSpacing: 1024, RegionsPerCall: 32},
+		HopRead{Label: "hop", Processes: 2, Hops: 5, RecordsPerHop: 3, RecordSize: 4 << 10, Seed: 1},
+	} {
+		e := sim.NewEngine(1)
+		pend, err := w.Start(e, newLocalEnv(e, 2, 4<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range pend.collectors {
+			if n := col.Len(); n == 0 || cap(col.Records()) != n {
+				t.Errorf("%T: collector %d holds %d records in capacity %d", w, col.PID(), n, cap(col.Records()))
+			}
+		}
+	}
+}
+
 func TestSeqReadMultiProcessOwnFiles(t *testing.T) {
 	e := sim.NewEngine(1)
 	env := newLocalEnv(e, 4, 1<<20)
