@@ -263,11 +263,13 @@ const allocSlack = 0.02
 // allocGuarded lists the benchmarks checkAllocs guards: the page-cache
 // LRU hot paths, stamped and listed, which must stay allocation-free,
 // the Fig. 9 macro benchmark whose allocation count they dominate, the
-// sampler pass, which must stay allocation-free between registrations,
-// and the bpsd job batch, whose count the per-tick publisher work sets.
+// healthy request path (one POSIX read through pfs), which must stay
+// allocation-free, the sampler pass, which must stay allocation-free
+// between registrations, and the bpsd job batch, whose count the
+// per-tick publisher work sets.
 var allocGuarded = []string{
 	"BenchmarkLRUInsertEvict", "BenchmarkLRULookupHit", "BenchmarkLRUSequentialRuns", "BenchmarkLRUFillRuns", "BenchmarkFigure9",
-	"BenchmarkSamplerTick", "BenchmarkBpsdBatch",
+	"BenchmarkHealthyAccess", "BenchmarkSamplerTick", "BenchmarkBpsdBatch",
 }
 
 // checkAllocs compares fresh allocs/op against base for every guarded

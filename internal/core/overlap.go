@@ -31,7 +31,7 @@ func (iv Interval) Duration() sim.Time {
 // re-growing) the same buffer. A sync.Pool keeps this safe when the
 // experiment runner computes metrics on several worker goroutines.
 var intervalPool = sync.Pool{
-	New: func() interface{} { s := make([]Interval, 0, 1024); return &s },
+	New: func() interface{} { return new([]Interval) },
 }
 
 // OverlapTime computes T in the BPS equation: the union ("overlapped
@@ -39,13 +39,14 @@ var intervalPool = sync.Pool{
 // and idle gaps are excluded, per paper §III.A and Fig. 2. The input
 // order does not matter; cost is O(n log n) for the sort plus one linear
 // merge pass — the paper's Fig. 3 algorithm. The interval scratch buffer
-// is pooled, so steady-state calls allocate nothing.
+// is pooled and grown to len(records) in one step when it is too small,
+// so steady-state calls allocate nothing.
 func OverlapTime(records []trace.Record) sim.Time {
 	if len(records) == 0 {
 		return 0
 	}
 	bufp := intervalPool.Get().(*[]Interval)
-	ivs := (*bufp)[:0]
+	ivs := slices.Grow((*bufp)[:0], len(records))
 	for _, r := range records {
 		ivs = append(ivs, Interval{Start: r.Start, End: r.End})
 	}

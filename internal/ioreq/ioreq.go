@@ -10,6 +10,12 @@
 // The package is timing-neutral by construction: building a Request or
 // threading it through wrappers never advances simulated time. Only the
 // layers that model real work (devices, network legs, caches) sleep.
+//
+// Ownership: the issuer of a request owns it, and may refill and reissue
+// the same Request value once Serve has returned. A layer therefore
+// must not keep a *Request after its Serve returns; a layer that needs
+// the request longer (a queued job, a retry that may still be serviced
+// after it was abandoned) copies it, by value or with Child.
 package ioreq
 
 import (
@@ -46,7 +52,8 @@ func ParseOp(s string) (Op, error) {
 }
 
 // Request describes one access travelling down the layer pipeline. A
-// logical application call allocates one Request; layers that split it
+// logical application call issues one Request (the middleware
+// interfaces refill one value per call); layers that split it
 // (striping, sieving, cache miss runs) derive sub-requests via Child,
 // which keep the parent's identity so trace spans thread end to end.
 type Request struct {
@@ -131,7 +138,9 @@ func (r *Request) TenantID() string { return r.Tenant }
 
 // Layer is one stage of the I/O path. Serve runs req to completion on
 // behalf of proc p, advancing simulated time as the modeled work
-// requires, and returns the request's outcome.
+// requires, and returns the request's outcome. Serve must not keep req
+// (or install it anywhere that outlives the call) once it returns: the
+// issuer reuses the value for its next request. Copy it to keep it.
 type Layer interface {
 	Serve(p *sim.Proc, req *Request) error
 }

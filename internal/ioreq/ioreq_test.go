@@ -105,62 +105,6 @@ func TestLRUEvictionAndCounters(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversAndGivesUp(t *testing.T) {
-	e := sim.NewEngine(1)
-	failErr := errors.New("transient")
-	var fails int
-	var attempts []int
-	flaky := Func(func(p *sim.Proc, req *Request) error {
-		attempts = append(attempts, req.Attempt)
-		if fails > 0 {
-			fails--
-			return failErr
-		}
-		return nil
-	})
-	l := Chain(flaky, Retry(e, RetryConfig{MaxRetries: 3}))
-	runProc(t, e, func(p *sim.Proc) {
-		fails = 2
-		start := p.Now()
-		if err := l.Serve(p, &Request{Op: OpRead, Size: 1}); err != nil {
-			t.Errorf("retry did not recover: %v", err)
-		}
-		if p.Now() == start {
-			t.Error("retries slept no backoff time")
-		}
-		if len(attempts) != 3 || attempts[2] != 2 {
-			t.Errorf("attempts = %v, want [0 1 2]", attempts)
-		}
-
-		attempts = nil
-		fails = 10 // more than the budget
-		if err := l.Serve(p, &Request{Op: OpRead, Size: 1}); !errors.Is(err, failErr) {
-			t.Errorf("exhausted retry returned %v, want the layer error", err)
-		}
-		if len(attempts) != 4 { // first try + MaxRetries
-			t.Errorf("exhausted retry made %d attempts, want 4", len(attempts))
-		}
-	})
-}
-
-func TestRetryIfFiltersErrors(t *testing.T) {
-	e := sim.NewEngine(1)
-	fatal := errors.New("fatal")
-	var calls int
-	l := Chain(
-		Func(func(p *sim.Proc, req *Request) error { calls++; return fatal }),
-		Retry(e, RetryConfig{MaxRetries: 3, RetryIf: func(err error) bool { return !errors.Is(err, fatal) }}),
-	)
-	runProc(t, e, func(p *sim.Proc) {
-		if err := l.Serve(p, &Request{}); !errors.Is(err, fatal) {
-			t.Errorf("err = %v", err)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("non-retryable error was tried %d times, want 1", calls)
-	}
-}
-
 func TestStatsCountsIntoRegistry(t *testing.T) {
 	e := sim.NewEngine(1)
 	ob := obs.Attach(e, obs.Options{})

@@ -55,56 +55,3 @@ func Stats(e *sim.Engine, prefix string) Middleware {
 		})
 	}
 }
-
-// RetryConfig parameterizes the generic Retry middleware: a bounded
-// capped-exponential-backoff retry loop for layer stacks that have no
-// specialized recovery. (The pfs client keeps its own timeout/failover
-// state machine — Retry is for the simple cases, e.g. a faulty local
-// device behind a workload.)
-type RetryConfig struct {
-	// MaxRetries bounds retries after the first attempt (default 3).
-	MaxRetries int
-	// Backoff is the initial retry delay (default 1 ms), doubling per
-	// retry up to MaxBackoff (default 16 ms), plus engine-RNG jitter.
-	Backoff    sim.Time
-	MaxBackoff sim.Time
-	// RetryIf filters retryable errors; nil retries every error.
-	RetryIf func(error) bool
-}
-
-// Retry returns a middleware that re-serves failed requests with capped
-// exponential backoff, bumping req.Attempt on each try. The jitter draw
-// comes from the serving proc's RNG, keeping simulated runs
-// seed-deterministic (on a classic engine that is the engine RNG) while
-// staying race-free when concurrent live workers share one stack.
-func Retry(e *sim.Engine, cfg RetryConfig) Middleware {
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = sim.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 16 * sim.Millisecond
-	}
-	return func(next Layer) Layer {
-		return Func(func(p *sim.Proc, req *Request) error {
-			backoff := cfg.Backoff
-			for attempt := 0; ; attempt++ {
-				req.Attempt = attempt
-				err := next.Serve(p, req)
-				if err == nil || attempt >= cfg.MaxRetries {
-					return err
-				}
-				if cfg.RetryIf != nil && !cfg.RetryIf(err) {
-					return err
-				}
-				jitter := sim.Time(p.Rand().Int63n(int64(backoff)/2 + 1))
-				p.Sleep(backoff + jitter)
-				if backoff *= 2; backoff > cfg.MaxBackoff {
-					backoff = cfg.MaxBackoff
-				}
-			}
-		})
-	}
-}

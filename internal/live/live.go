@@ -20,8 +20,7 @@
 // Fault injection is deliberately not wired in: faults.WrapDevice models
 // simulated hardware, and injecting artificial errors into a real
 // filesystem measurement would corrupt exactly the numbers the run
-// exists to collect. Retry and the shared page cache (wall mode) remain
-// available because they are part of the measured client stack.
+// exists to collect.
 package live
 
 import (
@@ -79,19 +78,8 @@ type Config struct {
 	// via core.NewWindowEstimator).
 	WindowEvery sim.Time
 
-	// Seed derives the per-worker RNG streams (retry jitter).
+	// Seed derives the per-worker RNG streams.
 	Seed int64
-
-	// Retry, when non-nil, installs the generic retry middleware.
-	Retry *ioreq.RetryConfig
-
-	// Cache, when non-nil in wall mode, installs a shared client page
-	// cache. The cache structure is engine-serialized by design, so the
-	// driver serializes the cache-and-below portion of the stack behind
-	// one mutex — measured concurrency then lives in the pacing and the
-	// cache-hit path staying off the device. Ignored in virtual mode,
-	// where cross-worker shared state would break lane determinism.
-	Cache *ioreq.CacheConfig
 
 	// Publish, when non-nil, receives periodic snapshots (every
 	// PublishEvery of real time, default 100 ms) and one final snapshot
@@ -301,21 +289,14 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 
 	// Shared per-slot targets: the backend layer plus the middleware
 	// chain every worker serves through. Outermost to innermost: trace
-	// (inert), stats, retry, [locked cache — wall only], [cost — virtual
-	// only], file.
-	var cacheLock sync.Mutex
+	// (inert), stats, [cost — virtual only], file. Each worker issues
+	// through its own middleware.POSIX, which owns the request it
+	// refills per access, so workers share no request state.
 	targets := make([]middleware.Target, len(files))
 	for slot, f := range files {
 		mws := []ioreq.Middleware{
 			ioreq.Trace(eng, "live", cfg.FS.Name()),
 			ioreq.Stats(eng, "ioreq/live"),
-		}
-		if cfg.Retry != nil {
-			mws = append(mws, ioreq.Retry(eng, *cfg.Retry))
-		}
-		if cfg.Cache != nil && cfg.Mode == Wall {
-			cache := ioreq.NewCache(*cfg.Cache)
-			mws = append(mws, lockMW(&cacheLock), cache.Middleware(extents[slot]))
 		}
 		if cfg.Mode == Virtual {
 			mws = append(mws, costMW(cfg.Cost))
@@ -467,18 +448,6 @@ func costMW(m clock.CostModel) ioreq.Middleware {
 	return func(next ioreq.Layer) ioreq.Layer {
 		return ioreq.Func(func(p *sim.Proc, req *ioreq.Request) error {
 			p.Sleep(m.Cost(req.Size))
-			return next.Serve(p, req)
-		})
-	}
-}
-
-// lockMW serializes the wrapped portion of the stack behind mu — how
-// the engine-serialized page cache stays safe under concurrent workers.
-func lockMW(mu *sync.Mutex) ioreq.Middleware {
-	return func(next ioreq.Layer) ioreq.Layer {
-		return ioreq.Func(func(p *sim.Proc, req *ioreq.Request) error {
-			mu.Lock()
-			defer mu.Unlock()
 			return next.Serve(p, req)
 		})
 	}

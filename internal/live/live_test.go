@@ -9,7 +9,6 @@ import (
 	"bps/internal/backend"
 	"bps/internal/clock"
 	"bps/internal/core"
-	"bps/internal/ioreq"
 	"bps/internal/obs/forecast"
 	"bps/internal/obs/serve"
 	"bps/internal/sim"
@@ -76,10 +75,10 @@ func TestVirtualDeterminism(t *testing.T) {
 	}
 }
 
-// TestVirtualSeedSensitivity: the seed feeds worker RNGs (retry
-// jitter), not the timeline — without retry middleware, two different
-// seeds still produce identical timestamps, which is what makes the
-// livemem figure a pure function of (workload, cost model).
+// TestVirtualSeedSensitivity: the seed feeds worker RNGs, not the
+// timeline — two different seeds produce identical timestamps, which
+// is what makes the livemem figure a pure function of (workload, cost
+// model).
 func TestVirtualSeedSensitivity(t *testing.T) {
 	run := func(seed int64) Report {
 		cfg := virtualConfig(backend.NewMemFS())
@@ -104,8 +103,6 @@ func TestWallSmoke(t *testing.T) {
 		Mode:  Wall,
 		Seed:  1,
 		Label: "wall-smoke",
-		Retry: &ioreq.RetryConfig{MaxRetries: 2, Backoff: sim.Microsecond},
-		Cache: &ioreq.CacheConfig{CapacityBytes: 1 << 20, PageSize: 4096},
 	}
 	rep, err := Run(cfg, testAccesses())
 	if err != nil {
@@ -127,6 +124,33 @@ func TestWallSmoke(t *testing.T) {
 		if r.End < r.Start {
 			t.Fatalf("record %d runs backwards: %+v", i, r)
 		}
+	}
+}
+
+// TestWorkersShareSlot: four wall-clock workers replay into one slot
+// file at once. Each worker issues through its own middleware.POSIX,
+// which reuses one request value per call; run under -race, this is
+// the check that no request state is shared between workers.
+func TestWorkersShareSlot(t *testing.T) {
+	var accs []workload.Access
+	for pid := int64(0); pid < 4; pid++ {
+		for i := int64(0); i < 16; i++ {
+			accs = append(accs, workload.Access{PID: pid, Off: (pid*16 + i) * 4096, Size: 4096, Write: i%2 == 0})
+		}
+	}
+	rep, err := Run(Config{FS: backend.NewMemFS(), Mode: Wall, Seed: 1, Label: "shared-slot"}, accs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Metrics.Ops != 64 {
+		t.Fatalf("errors %d ops %d, want 0 and 64", rep.Errors, rep.Metrics.Ops)
+	}
+	reg := rep.Registry
+	if got := reg.Counter("ioreq/live/requests").Value(); got != 64 {
+		t.Fatalf("stack served %d requests, want 64", got)
+	}
+	if got := reg.Counter("ioreq/live/bytes").Value(); got != 64*4096 {
+		t.Fatalf("stack served %d bytes, want %d", got, 64*4096)
 	}
 }
 

@@ -7,9 +7,11 @@
 //
 // Since the layer-pipeline refactor, the middleware speaks ioreq: a
 // Target is the head of an ioreq.Layer pipeline plus the file identity
-// requests carry, and each application call allocates one ioreq.Request
+// requests carry, and each application call issues one ioreq.Request
 // whose ID threads every derived sub-request — and therefore every
-// trace span — down to the device.
+// trace span — down to the device. POSIX and MPIIO are one process's
+// interfaces, and a process's calls are sequential, so each owns one
+// Request value and refills it, with a fresh ID, on every call.
 package middleware
 
 import (
@@ -75,6 +77,14 @@ func (t Target) NewRequest(p *sim.Proc, op ioreq.Op, off, size int64) *ioreq.Req
 	return ioreq.New(p, op, off, size, t.file)
 }
 
+// fill overwrites *req with a request against this target's file, a
+// fresh engine-unique ID and the issuing process's pid, and returns req.
+// It is NewRequest for an interface that owns its request value.
+func (t Target) fill(req *ioreq.Request, p *sim.Proc, op ioreq.Op, off, size, pid int64) *ioreq.Request {
+	*req = ioreq.Request{Op: op, Off: off, Size: size, PID: pid, ID: p.NextRequestID(), File: t.file, Stripe: -1}
+	return req
+}
+
 // Serve runs one request down the pipeline with the request installed
 // as the proc's context, so every span opened below carries its ID.
 func (t Target) Serve(p *sim.Proc, req *ioreq.Request) error {
@@ -98,10 +108,13 @@ func (t Target) WriteAt(p *sim.Proc, off, size int64) error {
 }
 
 // POSIX is the plain interface: one application call maps to one
-// file-system access and one trace record.
+// file-system access and one trace record. A POSIX belongs to one
+// process (or one live worker) and must not be called concurrently:
+// it reuses one request value across calls.
 type POSIX struct {
 	target Target
 	col    *trace.Collector
+	req    ioreq.Request
 }
 
 // NewPOSIX wraps a target with trace capture for one process.
@@ -111,19 +124,17 @@ func NewPOSIX(target Target, col *trace.Collector) *POSIX {
 
 // Read performs and records one application read.
 func (io *POSIX) Read(p *sim.Proc, off, size int64) error {
-	start := p.Now()
-	req := io.target.NewRequest(p, ioreq.OpRead, off, size)
-	req.PID = io.col.PID()
-	err := io.target.Serve(p, req)
-	record(p, io.col, trace.BlocksOf(size), start)
-	return err
+	return io.access(p, ioreq.OpRead, off, size)
 }
 
 // Write performs and records one application write.
 func (io *POSIX) Write(p *sim.Proc, off, size int64) error {
+	return io.access(p, ioreq.OpWrite, off, size)
+}
+
+func (io *POSIX) access(p *sim.Proc, op ioreq.Op, off, size int64) error {
 	start := p.Now()
-	req := io.target.NewRequest(p, ioreq.OpWrite, off, size)
-	req.PID = io.col.PID()
+	req := io.target.fill(&io.req, p, op, off, size, io.col.PID())
 	err := io.target.Serve(p, req)
 	record(p, io.col, trace.BlocksOf(size), start)
 	return err
@@ -172,11 +183,14 @@ func (c MPIIOConfig) withDefaults() MPIIOConfig {
 // recorded as a single application access whose size is the sum of the
 // region sizes — the data the application required — even though with
 // sieving the layers below move the whole covering extent. Every piece
-// the call decomposes into shares one request ID.
+// the call decomposes into shares one request ID. Like POSIX, an MPIIO
+// belongs to one process and reuses its request values across calls.
 type MPIIO struct {
 	target Target
 	col    *trace.Collector
 	cfg    MPIIOConfig
+	req    ioreq.Request // the call's request
+	piece  ioreq.Request // the one piece in flight below it
 }
 
 // NewMPIIO wraps a target with MPI-IO semantics and trace capture.
@@ -186,7 +200,8 @@ func NewMPIIO(target Target, col *trace.Collector, cfg MPIIOConfig) *MPIIO {
 
 // Read performs a contiguous MPI-IO read (degenerate single region).
 func (m *MPIIO) Read(p *sim.Proc, off, size int64) error {
-	return m.ReadRegions(p, []Region{{Off: off, Size: size}})
+	regions := [1]Region{{Off: off, Size: size}}
+	return m.ReadRegions(p, regions[:])
 }
 
 // Write performs a contiguous MPI-IO write.
@@ -195,8 +210,7 @@ func (m *MPIIO) Write(p *sim.Proc, off, size int64) error {
 		return fmt.Errorf("middleware: write [%d,%d) invalid", off, off+size)
 	}
 	start := p.Now()
-	req := m.target.NewRequest(p, ioreq.OpWrite, off, size)
-	req.PID = m.col.PID()
+	req := m.target.fill(&m.req, p, ioreq.OpWrite, off, size, m.col.PID())
 	err := m.target.Serve(p, req)
 	record(p, m.col, trace.BlocksOf(size), start)
 	return err
@@ -211,9 +225,8 @@ func (m *MPIIO) ReadRegions(p *sim.Proc, regions []Region) error {
 	}
 	start := p.Now()
 	// One logical call, one request identity: every sieve piece or
-	// per-region access below is a Child of req.
-	req := m.target.NewRequest(p, ioreq.OpRead, regions[0].Off, required)
-	req.PID = m.col.PID()
+	// per-region access below is a copy of req with its own range.
+	req := m.target.fill(&m.req, p, ioreq.OpRead, regions[0].Off, required, m.col.PID())
 	if m.cfg.DataSieving && len(regions) > 1 {
 		err = m.sieveRead(p, req, regions)
 	} else {
@@ -226,7 +239,7 @@ func (m *MPIIO) ReadRegions(p *sim.Proc, regions []Region) error {
 // directRead issues one underlying access per region.
 func (m *MPIIO) directRead(p *sim.Proc, req *ioreq.Request, regions []Region) error {
 	for _, r := range regions {
-		if err := m.target.Serve(p, req.Child(r.Off, r.Size)); err != nil {
+		if err := m.target.Serve(p, m.pieceOf(req, r.Off, r.Size)); err != nil {
 			return err
 		}
 	}
@@ -244,11 +257,20 @@ func (m *MPIIO) sieveRead(p *sim.Proc, req *ioreq.Request, regions []Region) err
 		if off+n > hi {
 			n = hi - off
 		}
-		if err := m.target.Serve(p, req.Child(off, n)); err != nil {
+		if err := m.target.Serve(p, m.pieceOf(req, off, n)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pieceOf refills m's piece request as req's child covering
+// [off, off+size): the value form of req.Child, served and done with
+// before the next piece is cut.
+func (m *MPIIO) pieceOf(req *ioreq.Request, off, size int64) *ioreq.Request {
+	m.piece = *req
+	m.piece.Off, m.piece.Size = off, size
+	return &m.piece
 }
 
 // validateRegions checks ordering/overlap and returns the required bytes.

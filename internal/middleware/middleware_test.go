@@ -371,3 +371,90 @@ func TestMPIIOWrite(t *testing.T) {
 		t.Fatalf("wrote %d", got)
 	}
 }
+
+// TestHealthyReadAllocs pins the zero-allocation request path: once
+// warm, a read through POSIX or MPI-IO into a four-server pfs cluster
+// (server page caches on, recovery off) allocates nothing per call —
+// not its request, its pieces, the per-server jobs, their futures nor
+// the wake of the waiting process. Each step hands the daemon app
+// process one call and runs the engine until it is parked again.
+func TestHealthyReadAllocs(t *testing.T) {
+	const fileSize, record = 4 << 20, 256 << 10
+	calls := map[string]func(p *sim.Proc, tgt Target, col *trace.Collector) func(off int64) error{
+		"posix": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
+			io := NewPOSIX(tgt, col)
+			return func(off int64) error { return io.Read(p, off, record) }
+		},
+		"mpiio": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
+			m := NewMPIIO(tgt, col, MPIIOConfig{})
+			return func(off int64) error { return m.Read(p, off, record) }
+		},
+		"mpiio-regions": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
+			m := NewMPIIO(tgt, col, MPIIOConfig{})
+			var regions []Region
+			return func(off int64) error {
+				regions = append(regions[:0], Region{Off: off, Size: 4096}, Region{Off: off + 65536, Size: 4096})
+				return m.ReadRegions(p, regions)
+			}
+		},
+		"mpiio-sieve": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
+			m := NewMPIIO(tgt, col, MPIIOConfig{DataSieving: true, SieveBufSize: 64 << 10})
+			var regions []Region
+			return func(off int64) error {
+				regions = append(regions[:0], Region{Off: off, Size: 4096}, Region{Off: off + 196608, Size: 4096})
+				return m.ReadRegions(p, regions)
+			}
+		},
+	}
+	for name, newCall := range calls {
+		t.Run(name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			defer e.Shutdown()
+			fabric := netsim.NewFabric(e, netsim.DefaultGigabit())
+			devs := make([]device.Device, 4)
+			for i := range devs {
+				devs[i] = device.NewRAMDisk(e, "ram", 1<<30, 10*sim.Microsecond, 500e6)
+			}
+			cluster := pfs.NewCluster(e, fabric, pfs.Config{ServerFS: fsim.Config{CacheBytes: 16 << 20}}, devs)
+			f, err := cluster.Create("data", fileSize, cluster.DefaultLayout())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tgt := NewTarget(cluster.NewClient("c0").Layer(f), f.Name(), f.Size())
+			col := trace.NewCollector(0)
+			col.Grow(1 << 12)
+			next := e.NewQueue()
+			var off int64
+			var ioErr error
+			var item any = struct{}{}
+			e.SpawnDaemon("app", func(p *sim.Proc) {
+				call := newCall(p, tgt, col)
+				for {
+					next.Get(p)
+					if err := call(off); err != nil && ioErr == nil {
+						ioErr = err
+					}
+					off = (off + record) % (fileSize - record)
+				}
+			})
+			step := func() {
+				next.Put(item)
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*fileSize/record; i++ {
+				step() // fill the server caches and every scratch list
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("warm %s read: %v allocs/call, want 0", name, allocs)
+			}
+			if ioErr != nil {
+				t.Fatal(ioErr)
+			}
+			if col.Len() == 0 {
+				t.Fatal("no access was recorded")
+			}
+		})
+	}
+}

@@ -18,9 +18,12 @@ type Client struct {
 	// Per-client scratch for access. chunks is done with before the
 	// access first parks, so procs sharing the client reuse one slice.
 	// A fan-out list is held across parks, so each access pops its own
-	// from spareJobs and pushes it back, cleared, when it ends.
+	// from spareJobs and pushes it back, cleared, when it ends. freeJobs
+	// holds the jobs of ended direct-path accesses, kept with their
+	// pieces storage and future for newJob to reuse.
 	chunks    []chunk
 	spareJobs [][]*job
+	freeJobs  []*job
 }
 
 // NewClient attaches a client (compute node) to the cluster fabric.
@@ -56,7 +59,9 @@ var ErrRPCTimeout = errors.New("pfs: rpc timeout")
 // read or write on behalf of one client call. All pieces share one stripe
 // position. Under recovery, every attempt is a fresh job with a fresh
 // future: a timed-out job may still be sitting in a server queue, and its
-// eventual completion must not touch the retry's state.
+// eventual completion must not touch the retry's state. On the direct
+// path every job has completed, and its server worker has let go of it,
+// by the time the access returns, so the client recycles it (newJob).
 type job struct {
 	client  *Client
 	file    *File
@@ -64,9 +69,27 @@ type job struct {
 	write   bool
 	bytes   int64
 	replica bool // service against the position's replica file
-	req     *ioreq.Request
-	done    *sim.Future
-	err     error
+	// req is the access's request routed to this job's stripe position:
+	// a copy, because the job can outlive the access's Serve (a timed-out
+	// attempt still queued on a server).
+	req  ioreq.Request
+	done *sim.Future
+	err  error
+}
+
+// newJob returns an empty job for an access to f, reusing a recycled
+// direct-path job (its pieces storage and its future, reset) when the
+// client has one.
+func (cl *Client) newJob(p *sim.Proc, f *File, write bool) *job {
+	n := len(cl.freeJobs)
+	if n == 0 {
+		return &job{client: cl, file: f, write: write, done: p.NewFuture()}
+	}
+	j := cl.freeJobs[n-1]
+	cl.freeJobs = cl.freeJobs[:n-1]
+	*j = job{client: cl, file: f, pieces: j.pieces[:0], write: write, done: j.done}
+	j.done.Reset()
+	return j
 }
 
 // Layer adapts the client+file pair into an ioreq layer: requests
@@ -108,23 +131,23 @@ func (cl *Client) access(p *sim.Proc, f *File, req *ioreq.Request) error {
 	}
 
 	// Group chunks by server position, preserving per-server order: one
-	// RPC per involved server, as PVFS aggregates list I/O. Each job
-	// carries a child of req routed to its stripe position, so every
-	// server-side span keeps the request's identity.
-	perServer := make(map[int]*job)
+	// RPC per involved server, as PVFS aggregates list I/O. The fan-out
+	// is at most the stripe count, so a scan of the access's own jobs
+	// finds a position's job. Each job carries a child of req routed to
+	// its stripe position, so every server-side span keeps the request's
+	// identity.
 	for _, ch := range cl.chunks {
-		j, ok := perServer[ch.pos]
-		if !ok {
-			jr := req.Child(off, 0)
-			jr.Stripe = ch.pos
-			j = &job{
-				client: cl,
-				file:   f,
-				write:  write,
-				req:    jr,
-				done:   p.NewFuture(),
+		var j *job
+		for _, k := range jobs {
+			if k.pieces[0].pos == ch.pos {
+				j = k
+				break
 			}
-			perServer[ch.pos] = j
+		}
+		if j == nil {
+			j = cl.newJob(p, f, write)
+			j.req = *req
+			j.req.Off, j.req.Size, j.req.Stripe = off, 0, ch.pos
 			jobs = append(jobs, j)
 		}
 		j.pieces = append(j.pieces, ch)
@@ -151,6 +174,7 @@ func (cl *Client) access(p *sim.Proc, f *File, req *ioreq.Request) error {
 		err = cl.accessRecovered(p, f, jobs)
 	} else {
 		err = cl.accessDirect(p, f, jobs)
+		cl.freeJobs = append(cl.freeJobs, jobs...)
 	}
 	sp.End()
 	clear(jobs)
@@ -199,7 +223,7 @@ func (cl *Client) accessRecovered(p *sim.Proc, f *File, jobs []*job) error {
 		i, j := i, j
 		wg.Add(1)
 		p.Spawn(fmt.Sprintf("%s.rpc%d", p.Name(), i), func(sub *sim.Proc) {
-			sub.SetCtx(j.req) // child procs inherit the request context
+			sub.SetCtx(&j.req) // child procs inherit the request context
 			errs[i] = cl.runRecovered(sub, f, j)
 			wg.Done()
 		})
@@ -225,6 +249,10 @@ func (cl *Client) runRecovered(p *sim.Proc, f *File, base *job) error {
 	for attempt := 0; ; attempt++ {
 		j := base
 		if attempt > 0 {
+			// Each retry carries its own request copy: the abandoned
+			// attempt's job may still be queued on a server and serviced
+			// late, and stamping Attempt/Deadline on a shared struct
+			// would rewrite the request that late servicing reports.
 			j = &job{
 				client:  cl,
 				file:    f,
@@ -235,19 +263,9 @@ func (cl *Client) runRecovered(p *sim.Proc, f *File, base *job) error {
 				req:     base.req,
 				done:    p.NewFuture(),
 			}
-			if base.req != nil {
-				// Each retry carries its own request copy: the abandoned
-				// attempt's job may still be queued on a server and serviced
-				// late, and stamping Attempt/Deadline on a shared struct
-				// would rewrite the request that late servicing reports.
-				r := *base.req
-				j.req = &r
-			}
 		}
-		if j.req != nil {
-			j.req.Attempt = attempt
-			j.req.Deadline = p.Now() + rc.Timeout
-		}
+		j.req.Attempt = attempt
+		j.req.Deadline = p.Now() + rc.Timeout
 		srvID := f.layout.Servers[pos]
 		if j.replica {
 			srvID = f.replicaServer(pos)
@@ -324,7 +342,7 @@ func (s *Server) worker(p *sim.Proc) {
 		}
 		s.requests.Add(1)
 		s.bytes.Add(j.bytes)
-		p.SetCtx(j.req) // server-side spans join the request's span chain
+		p.SetCtx(&j.req) // server-side spans join the request's span chain
 		var sp obs.Span
 		if s.o.Spanning() {
 			var args map[string]any

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bps/internal/device"
+	"bps/internal/ioreq"
 	"bps/internal/netsim"
 	"bps/internal/sim"
 )
@@ -282,5 +283,92 @@ func TestNoReplicasWithoutFailover(t *testing.T) {
 	}
 	if f2.replicaServer(0) != 1 || f2.replicaServer(1) != 0 {
 		t.Fatalf("replica placement wrong: %d, %d", f2.replicaServer(0), f2.replicaServer(1))
+	}
+}
+
+// workerCtxTracer samples every server worker's request context at each
+// dispatched event: which request a worker is servicing, and which
+// access the application has in flight at that moment.
+type workerCtxTracer struct {
+	workers []*sim.Proc
+	current *uint64 // the application's access in flight (its request ID)
+	seen    []ctxSample
+}
+
+type ctxSample struct {
+	req      *ioreq.Request
+	id       uint64
+	attempt  int
+	inFlight uint64
+}
+
+func (tr *workerCtxTracer) EventDispatched(sim.Time, uint64) {
+	for _, w := range tr.workers {
+		if r, ok := w.Ctx().(*ioreq.Request); ok && r != nil {
+			tr.seen = append(tr.seen, ctxSample{req: r, id: r.ID, attempt: r.Attempt, inFlight: *tr.current})
+		}
+	}
+}
+
+func (tr *workerCtxTracer) ProcStarted(p *sim.Proc) {
+	if strings.Contains(p.Name(), ".worker") {
+		tr.workers = append(tr.workers, p)
+	}
+}
+
+func (tr *workerCtxTracer) ProcEnded(*sim.Proc)                           {}
+func (tr *workerCtxTracer) ResourceQueued(*sim.Resource, *sim.Proc, int)  {}
+func (tr *workerCtxTracer) ResourceAcquired(*sim.Resource, int, sim.Time) {}
+func (tr *workerCtxTracer) ResourceReleased(*sim.Resource, int)           {}
+
+// TestAbandonedAttemptIsNeverReused: a job that timed out may still be
+// serviced late, so neither it nor its request may be handed to a later
+// access. The first access's first attempt is stuck behind a 10 ms slow
+// window, times out after 2 ms and is retried; the accesses after it run
+// while that attempt is still being serviced. Every request a server
+// worker services must keep the identity it was issued with, and the
+// late service must report the abandoned attempt's own identity.
+func TestAbandonedAttemptIsNeverReused(t *testing.T) {
+	e := sim.NewEngine(1)
+	var current uint64
+	tr := &workerCtxTracer{current: &current}
+	e.SetTracer(tr)
+	rc := RecoveryConfig{Enabled: true, Timeout: 2 * sim.Millisecond, MaxRetries: 4, Backoff: sim.Millisecond}
+	c := newRecoveryCluster(e, 1, rc, func(int) ServerFaults {
+		return fakeFaults{delay: 10 * sim.Millisecond, slowFrom: 0, slowTo: sim.Millisecond}
+	})
+	cl := c.NewClient("client0")
+	e.Spawn("app", func(p *sim.Proc) {
+		f, err := c.Create("data", 1<<20, c.DefaultLayout())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 16; i++ {
+			current = uint64(i + 1) // cl.Read draws the next request ID
+			if err := cl.Read(p, f, int64(i)*(64<<10), 64<<10); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	identity := map[*ioreq.Request]ctxSample{}
+	late := false
+	for _, s := range tr.seen {
+		if first, ok := identity[s.req]; !ok {
+			identity[s.req] = s
+		} else if first.id != s.id || first.attempt != s.attempt {
+			t.Fatalf("request %p serviced as access %d attempt %d, then as access %d attempt %d",
+				s.req, first.id, first.attempt, s.id, s.attempt)
+		}
+		if s.id == 1 && s.attempt == 0 && s.inFlight > 1 {
+			late = true
+		}
+	}
+	if !late {
+		t.Fatal("the abandoned first attempt was not seen serviced during a later access")
 	}
 }

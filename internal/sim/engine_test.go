@@ -211,6 +211,102 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	}
 }
 
+// TestFutureWakesWaitersInArrivalOrder: the first waiter sits inline
+// and later ones in a slice; completion still wakes them in the order
+// they arrived.
+func TestFutureWakesWaitersInArrivalOrder(t *testing.T) {
+	e := NewEngine(1)
+	f := e.NewFuture()
+	var order []string
+	for _, name := range []string{"a", "b", "c"} {
+		e.Spawn(name, func(p *Proc) {
+			f.Wait(p)
+			order = append(order, name)
+		})
+	}
+	e.At(Millisecond, f.Complete)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("wake order %v, want [a b c]", order)
+	}
+}
+
+// TestFutureReset: a reset future completes once more and wakes only
+// the processes that waited after the reset; completing it twice still
+// panics.
+func TestFutureReset(t *testing.T) {
+	e := NewEngine(1)
+	f := e.NewFuture()
+	wakes := map[string][]Time{}
+	wait := func(p *Proc) {
+		f.Wait(p)
+		wakes[p.Name()] = append(wakes[p.Name()], p.Now())
+	}
+	e.Spawn("old", wait)
+	e.Spawn("owner", func(p *Proc) {
+		p.Sleep(Millisecond)
+		f.Complete()
+		p.Sleep(Millisecond)
+		f.Reset()
+		if f.Done() {
+			t.Error("Done after Reset")
+		}
+		p.Spawn("new", wait)
+		p.Sleep(Millisecond)
+		f.Complete()
+		defer func() {
+			if recover() == nil {
+				t.Error("second Complete of a reset future did not panic")
+			}
+		}()
+		f.Complete()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wakes["old"]; len(got) != 1 || got[0] != Millisecond {
+		t.Errorf("old waiter woke at %v, want once at 1ms", got)
+	}
+	if got := wakes["new"]; len(got) != 1 || got[0] != 3*Millisecond {
+		t.Errorf("new waiter woke at %v, want once at 3ms", got)
+	}
+	if !f.Done() || f.When() != 3*Millisecond {
+		t.Errorf("done=%v when=%v, want the reset completion at 3ms", f.Done(), f.When())
+	}
+}
+
+// TestFutureResetPanicsWhileWaitedOn: Reset refuses a future that a
+// parked waiter or a pending WaitTimeout observer still holds.
+func TestFutureResetPanicsWhileWaitedOn(t *testing.T) {
+	for name, wait := range map[string]func(f *Future, p *Proc){
+		"Wait":        func(f *Future, p *Proc) { f.Wait(p) },
+		"WaitTimeout": func(f *Future, p *Proc) { f.WaitTimeout(p, 10*Millisecond) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(1)
+			f := e.NewFuture()
+			e.Spawn("waiter", func(p *Proc) { wait(f, p) })
+			e.Spawn("owner", func(p *Proc) {
+				p.Sleep(Millisecond)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("Reset with a registered waiter did not panic")
+						}
+					}()
+					f.Reset()
+				}()
+				f.Complete()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine(1)
 	wg := e.NewWaitGroup()

@@ -246,11 +246,18 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Future is a one-shot completion that processes can wait on. Construct
-// with Engine.NewFuture or Proc.NewFuture.
+// with Engine.NewFuture or Proc.NewFuture. A completed future with
+// nothing registered on it can be turned back into an incomplete one
+// with Reset and reused.
 type Future struct {
-	eng     *Engine
-	done    bool
-	when    Time
+	eng  *Engine
+	done bool
+	when Time
+
+	// waiter is the first process to wait, kept inline so the common
+	// single-waiter future allocates nothing; waiters holds any later
+	// ones. Complete wakes them in arrival order.
+	waiter  *Proc
 	waiters []*Proc
 
 	// onComplete callbacks run synchronously inside Complete, after the
@@ -278,14 +285,31 @@ func (f *Future) Complete() {
 	}
 	f.done = true
 	f.when = f.eng.now
-	for _, p := range f.waiters {
+	if p := f.waiter; p != nil {
+		f.waiter = nil
 		f.eng.wake(p)
+		for _, p := range f.waiters {
+			f.eng.wake(p)
+		}
+		f.waiters = nil
 	}
-	f.waiters = nil
 	for _, fn := range f.onComplete {
 		fn()
 	}
 	f.onComplete = nil
+}
+
+// Reset turns the future back into an incomplete one, so its owner can
+// reuse it for a new completion instead of allocating another. It
+// panics while a waiter or a WaitTimeout observer is still registered:
+// such a future is still in use. Only the future's owner may call it,
+// once every process that waited on the old completion has resumed.
+func (f *Future) Reset() {
+	if f.waiter != nil || len(f.onComplete) > 0 {
+		panic("sim: Reset of a Future still waited on")
+	}
+	f.done = false
+	f.when = 0
 }
 
 // Wait suspends p until the future completes. Returns immediately if it
@@ -294,7 +318,11 @@ func (f *Future) Wait(p *Proc) {
 	if f.done {
 		return
 	}
-	f.waiters = append(f.waiters, p)
+	if f.waiter == nil {
+		f.waiter = p
+	} else {
+		f.waiters = append(f.waiters, p)
+	}
 	p.park()
 }
 
