@@ -3,7 +3,7 @@
 // I/O System" (IEEE IPDPSW 2013), together with the full simulated
 // parallel-I/O testbed used to reproduce the paper's evaluation.
 //
-// The package has three layers:
+// The package has two layers:
 //
 //   - The metric toolkit: trace records (one 32-byte record per
 //     application I/O access), the overlapped-I/O-time computation
@@ -16,12 +16,11 @@
 //     direct-attached or PVFS-like parallel file system) and returns
 //     measured metrics.
 //
-//   - The paper-reproduction suite (NewSuite) regenerating every
-//     evaluation table and figure.
-//
-// The heavy lifting lives in internal packages (sim, device, netsim,
-// fsim, pfs, middleware, trace, core, stats, workload, experiments);
-// this package is the supported surface.
+// The paper-reproduction suite, which regenerates every evaluation
+// table and figure, is the bpsbench command (cmd/bpsbench). The heavy
+// lifting lives in internal packages (sim, device, netsim, fsim, pfs,
+// middleware, trace, core, stats, workload, experiments); this package
+// is the supported surface.
 package bps
 
 import (
@@ -54,15 +53,6 @@ const (
 // 512-byte blocks, start time, and end time.
 type Record = trace.Record
 
-// Collector accumulates the records of one process.
-type Collector = trace.Collector
-
-// NewCollector returns a collector for the given process ID.
-func NewCollector(pid int64) *Collector { return trace.NewCollector(pid) }
-
-// Gather merges per-process collectors into a global record collection.
-func Gather(collectors ...*Collector) *trace.Global { return trace.Gather(collectors...) }
-
 // BlocksOf converts a byte count to whole 512-byte blocks, rounding up.
 func BlocksOf(bytes int64) int64 { return trace.BlocksOf(bytes) }
 
@@ -92,6 +82,10 @@ func OverlapTime(records []Record) Time { return core.OverlapTime(records) }
 // SumTime is the naive alternative: the arithmetic sum of access
 // durations, counting concurrency multiply (ARPT's numerator).
 func SumTime(records []Record) Time { return core.SumTime(records) }
+
+// Span is the wall span from the earliest start to the latest end,
+// idle gaps included; 0 for no records.
+func Span(records []Record) Time { return core.Span(records) }
 
 // ComputeMetrics derives a run's metrics from its records, the bytes
 // actually moved at the file-system level, and the application execution

@@ -3,24 +3,23 @@ package bps
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
 func TestFacadeMetricToolkit(t *testing.T) {
-	c := NewCollector(1)
-	c.Record(BlocksOf(64<<10), 0, Second)
-	c.Record(BlocksOf(64<<10), Second, 2*Second)
-	g := Gather(c)
-	m := ComputeMetrics(g.Records(), 128<<10, 2*Second)
+	records := []Record{
+		{PID: 1, Blocks: BlocksOf(64 << 10), Start: 0, End: Second},
+		{PID: 1, Blocks: BlocksOf(64 << 10), Start: Second, End: 2 * Second},
+	}
+	m := ComputeMetrics(records, 128<<10, 2*Second)
 	if m.Ops != 2 || m.IOTime != 2*Second {
 		t.Fatalf("metrics = %+v", m)
 	}
 	if got := m.BPS(); math.Abs(got-128) > 1e-9 {
 		t.Fatalf("BPS = %v, want 128 blocks/s", got)
 	}
-	if OverlapTime(g.Records()) != 2*Second || SumTime(g.Records()) != 2*Second {
-		t.Fatal("overlap/sum mismatch")
+	if OverlapTime(records) != 2*Second || SumTime(records) != 2*Second || Span(records) != 2*Second {
+		t.Fatal("overlap/sum/span mismatch")
 	}
 }
 
@@ -161,26 +160,6 @@ func TestSimulateDeterminism(t *testing.T) {
 	}
 	if a.Metrics != b.Metrics {
 		t.Fatalf("nondeterministic simulate: %+v vs %+v", a.Metrics, b.Metrics)
-	}
-}
-
-func TestSuiteFacade(t *testing.T) {
-	s := NewSuite(ExperimentParams{Scale: 1.0 / 1024, Seed: 42})
-	f, err := s.Figure("fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	WriteFigure(&buf, f)
-	if !strings.Contains(buf.String(), "normalized CC") {
-		t.Fatalf("figure output:\n%s", buf.String())
-	}
-	buf.Reset()
-	WriteTable1(&buf)
-	WriteTable2(&buf)
-	WriteSummary(&buf, []Figure{f})
-	if !strings.Contains(buf.String(), "Table 1") || !strings.Contains(buf.String(), "Summary") {
-		t.Fatalf("tables output:\n%s", buf.String())
 	}
 }
 

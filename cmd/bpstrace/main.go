@@ -129,7 +129,7 @@ func run(w io.Writer, files []string, opts options) error {
 	if moved == 0 {
 		moved = required
 	}
-	execTime := span(records)
+	execTime := bps.Span(records)
 	if opts.execSeconds > 0 {
 		execTime = bps.Time(opts.execSeconds * float64(bps.Second))
 	}
@@ -260,19 +260,6 @@ func readFile(name, format string) ([]bps.Record, error) {
 	return recs, nil
 }
 
-func span(records []bps.Record) bps.Time {
-	lo, hi := records[0].Start, records[0].End
-	for _, r := range records[1:] {
-		if r.Start < lo {
-			lo = r.Start
-		}
-		if r.End > hi {
-			hi = r.End
-		}
-	}
-	return hi - lo
-}
-
 func printPerPID(w io.Writer, records []bps.Record) {
 	byPID := make(map[int64][]bps.Record)
 	for _, r := range records {
@@ -289,7 +276,7 @@ func printPerPID(w io.Writer, records []bps.Record) {
 		for _, r := range recs {
 			required += r.Blocks * bps.BlockSize
 		}
-		m := bps.ComputeMetrics(recs, required, span(recs))
+		m := bps.ComputeMetrics(recs, required, bps.Span(recs))
 		report.WriteMetrics(w, fmt.Sprintf("pid %d", pid), m)
 	}
 }

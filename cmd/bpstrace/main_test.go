@@ -177,7 +177,7 @@ func TestSpanHelper(t *testing.T) {
 		{Start: 5, End: 12},
 		{Start: 18, End: 40},
 	}
-	if got := span(recs); got != 35 {
+	if got := bps.Span(recs); got != 35 {
 		t.Fatalf("span = %v, want 35", got)
 	}
 }

@@ -2,7 +2,6 @@ package bps
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"bps/internal/obs/ingest"
@@ -11,10 +10,9 @@ import (
 
 // IOLog is a parsed Darshan-style I/O log: timestamped per-rank
 // read/write segments plus optional per-rank module counters that
-// cross-check them. Build one with ReadLog/ReadLogs (or the codec
-// functions directly) and replay it with ReplayLog; Log.Records turns
-// it into the paper's 32-byte records for post-hoc metrics without any
-// simulation.
+// cross-check them. Build one with ReadLogs and replay it with
+// ReplayLog; Log.Records turns it into the paper's 32-byte records for
+// post-hoc metrics without any simulation.
 type IOLog = ingest.Log
 
 // LogSegment is one timestamped access of an IOLog.
@@ -27,20 +25,15 @@ type LogCounter = ingest.Counter
 // ingested log (see IOLog.Accesses and ReplayAccesses).
 type Access = workload.Access
 
-// ReadLog parses one Darshan-style log file. The format is sniffed from
-// the name: .csv reads the segment table (rank,file,op,offset,length,
+// ReadLogs parses and merges the Darshan-style log files of one job
+// (per-rank logs, or counters and segments split across files), then
+// validates the merged whole. Each file's format is sniffed from its
+// name: .csv reads the segment table (rank,file,op,offset,length,
 // start_s,end_s with a header row), anything else the JSONL form (one
-// object per line, "type": "segment" or "counter"). The log is
-// validated before being returned: segment sanity plus, when the
-// recognized POSIX_* counters are present, an exact cross-check of
-// operation counts and byte totals against the segments.
-func ReadLog(path string) (*IOLog, error) {
-	return ReadLogs(path)
-}
-
-// ReadLogs parses and merges several log files of one job (per-rank
-// logs, or counters and segments split across files), then validates
-// the merged whole.
+// object per line, "type": "segment" or "counter"). Validation checks
+// segment sanity plus, when the recognized POSIX_* counters are
+// present, an exact cross-check of operation counts and byte totals
+// against the segments.
 func ReadLogs(paths ...string) (*IOLog, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("bps: no log files given")
@@ -63,18 +56,6 @@ func ReadLogs(paths ...string) (*IOLog, error) {
 	}
 	return merged, nil
 }
-
-// ParseLogCSV parses the CSV segment-table form from a reader.
-func ParseLogCSV(r io.Reader) (*IOLog, error) { return ingest.ReadCSV(r) }
-
-// ParseLogJSONL parses the JSONL form from a reader.
-func ParseLogJSONL(r io.Reader) (*IOLog, error) { return ingest.ReadJSONL(r) }
-
-// WriteLogCSV encodes a log's segments as the CSV segment table.
-func WriteLogCSV(w io.Writer, l *IOLog) error { return ingest.WriteCSV(w, l) }
-
-// WriteLogJSONL encodes a full log (counters and segments) as JSONL.
-func WriteLogJSONL(w io.Writer, l *IOLog) error { return ingest.WriteJSONL(w, l) }
 
 // ReplayLog re-issues an ingested log against a simulated stack: the
 // log's access stream (one file slot per distinct rank/file pair, one

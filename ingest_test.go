@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"bps"
 	"bps/internal/obs/forecast"
+	"bps/internal/obs/ingest"
 	"bps/internal/obs/serve"
 	"bps/internal/sim"
 )
@@ -30,7 +33,7 @@ func replayCfg() bps.RunConfig {
 // ingested sample log replayed twice produces bit-identical window
 // series and forecasts.
 func TestReplayLogDeterminism(t *testing.T) {
-	l, err := bps.ReadLog("testdata/darshan_sample.csv")
+	l, err := bps.ReadLogs("testdata/darshan_sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestReplayLogDeterminism(t *testing.T) {
 // TestReplayLogMeasuresB checks the replay pushes exactly the log's
 // bytes through the stack: B must equal total segment bytes / 512.
 func TestReplayLogMeasuresB(t *testing.T) {
-	l, err := bps.ReadLog("testdata/darshan_sample.csv")
+	l, err := bps.ReadLogs("testdata/darshan_sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,40 +98,40 @@ func TestReplayLogMeasuresB(t *testing.T) {
 }
 
 // TestLogRoundTripThroughPublicCodecs writes the parsed sample back
-// out through both public codecs and reparses, requiring identical
-// segment tables.
+// out in both file forms and rereads each through ReadLogs, which picks
+// the codec from the file name, requiring identical segment tables.
 func TestLogRoundTripThroughPublicCodecs(t *testing.T) {
-	l, err := bps.ReadLog("testdata/darshan_sample.csv")
+	l, err := bps.ReadLogs("testdata/darshan_sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csvBuf, jlBuf bytes.Buffer
-	if err := bps.WriteLogCSV(&csvBuf, l); err != nil {
-		t.Fatal(err)
-	}
-	if err := bps.WriteLogJSONL(&jlBuf, l); err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := bps.ParseLogCSV(&csvBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSONL, err := bps.ParseLogJSONL(&jlBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromCSV.Segments, l.Segments) {
-		t.Error("CSV round trip changed the segment table")
-	}
-	if !reflect.DeepEqual(fromJSONL.Segments, l.Segments) {
-		t.Error("JSONL round trip changed the segment table")
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer, *bps.IOLog) error{
+		"log.csv":   ingest.WriteCSV,
+		"log.jsonl": ingest.WriteJSONL,
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf, l); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := bps.ReadLogs(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(back.Segments, l.Segments) {
+			t.Errorf("%s round trip changed the segment table", name)
+		}
 	}
 }
 
 // TestReadLogsMergesAndValidates splits the sample by rank into two
 // JSONL files and merges them back through ReadLogs.
 func TestReadLogsMergesAndValidates(t *testing.T) {
-	l, err := bps.ReadLog("testdata/darshan_sample.csv")
+	l, err := bps.ReadLogs("testdata/darshan_sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestReadLogsMergesAndValidates(t *testing.T) {
 		}
 		part.SynthesizeCounters()
 		var buf bytes.Buffer
-		if err := bps.WriteLogJSONL(&buf, part); err != nil {
+		if err := ingest.WriteJSONL(&buf, part); err != nil {
 			t.Fatal(err)
 		}
 		path := fmt.Sprintf("%s/rank%d.jsonl", dir, rank)
@@ -175,7 +178,7 @@ func TestReplayLogRejectsBadLog(t *testing.T) {
 	if _, err := bps.ReadLogs(); err == nil {
 		t.Fatal("ReadLogs with no paths succeeded")
 	}
-	if _, err := bps.ReadLog(t.TempDir() + "/missing.csv"); err == nil {
+	if _, err := bps.ReadLogs(t.TempDir() + "/missing.csv"); err == nil {
 		t.Fatal("missing file read without error")
 	}
 }
@@ -184,7 +187,7 @@ func TestReplayLogRejectsBadLog(t *testing.T) {
 // layer: replaying under two hooked publishers yields byte-identical
 // snapshot JSON, the wire-level form of the determinism criterion.
 func TestServeSnapshotJSONStable(t *testing.T) {
-	l, err := bps.ReadLog("testdata/darshan_sample.csv")
+	l, err := bps.ReadLogs("testdata/darshan_sample.csv")
 	if err != nil {
 		t.Fatal(err)
 	}

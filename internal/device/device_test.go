@@ -356,8 +356,9 @@ func TestSSDNANDWrittenTracksAmplification(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := int64(2.5 * (1 << 20))
-		if d.NANDWritten() != want {
-			t.Fatalf("NANDWritten = %d, want %d", d.NANDWritten(), want)
+		// With GC off, the credit is every NAND byte programmed.
+		if d.gcCredit != want {
+			t.Fatalf("NAND written = %d, want %d", d.gcCredit, want)
 		}
 		// Logical bytes stay at the requested size.
 		if got := obs.Get(e).Registry().Counter("device/ssd/bytes_written").Value(); got != 1<<20 {
@@ -367,14 +368,14 @@ func TestSSDNANDWrittenTracksAmplification(t *testing.T) {
 		if err := d.Access(p, Request{Offset: 0, Size: 1 << 20}); err != nil {
 			t.Fatal(err)
 		}
-		if d.NANDWritten() != want {
-			t.Fatalf("read changed NANDWritten to %d", d.NANDWritten())
+		if d.gcCredit != want {
+			t.Fatalf("read changed NAND written to %d", d.gcCredit)
 		}
 	})
 }
 
 func TestSSDGCPausesStallDevice(t *testing.T) {
-	run := func(gcEvery int64, gcPause sim.Time) (sim.Time, uint64) {
+	run := func(gcEvery int64, gcPause sim.Time) sim.Time {
 		e := sim.NewEngine(1)
 		cfg := DefaultSSD()
 		cfg.GCPauseEvery = gcEvery
@@ -390,18 +391,16 @@ func TestSSDGCPausesStallDevice(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return e.Now(), d.GCPauses()
+		return e.Now()
 	}
-	noGC, zero := run(0, 0)
-	if zero != 0 {
-		t.Fatalf("GC pauses with GC disabled: %d", zero)
+	noGC := run(0, 0)
+	if paused := run(0, 50*sim.Millisecond); paused != noGC {
+		t.Fatalf("GC disabled by a zero interval still paused: %v vs %v", paused, noGC)
 	}
-	withGC, pauses := run(8<<20, 50*sim.Millisecond)
-	if pauses != 4 {
-		t.Fatalf("pauses = %d, want 4 (32 MiB / 8 MiB)", pauses)
-	}
-	if withGC < noGC+4*50*sim.Millisecond {
-		t.Fatalf("GC run %v vs %v: pauses not charged", withGC, noGC)
+	// One lone writer: each pause adds exactly its length, so the extra
+	// time counts the pauses, 4 for 32 MiB at one per 8 MiB.
+	if withGC := run(8<<20, 50*sim.Millisecond); withGC != noGC+4*50*sim.Millisecond {
+		t.Fatalf("GC run %v, want %v plus 4 pauses of 50ms", withGC, noGC)
 	}
 }
 

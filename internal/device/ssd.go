@@ -24,8 +24,8 @@ type SSDConfig struct {
 
 	// WriteAmplification (≥ 1, default 1) multiplies the NAND traffic of
 	// every write — the FTL's garbage-collection overhead. Write service
-	// time scales with the amplified size and NANDWritten tracks the
-	// physical bytes programmed.
+	// time scales with the amplified size, and the amplified bytes count
+	// toward the next garbage-collection pause.
 	WriteAmplification float64
 
 	// GCPauseEvery and GCPause model foreground garbage collection: after
@@ -61,9 +61,7 @@ type SSD struct {
 	channels *sim.Resource
 	ins      instruments
 
-	nandWritten int64 // physical bytes programmed (amplified)
-	gcCredit    int64 // NAND bytes written since the last GC pause
-	gcPauses    uint64
+	gcCredit int64 // NAND bytes written since the last GC pause
 }
 
 // NewSSD constructs an SSD bound to the engine. Invalid configurations
@@ -85,15 +83,6 @@ func NewSSD(e *sim.Engine, cfg SSDConfig) *SSD {
 	d.ins = newInstruments(e, cfg.Name, d.channels)
 	return d
 }
-
-// NANDWritten returns the physical bytes programmed, including the
-// FTL's write amplification — the device-level analogue of the I/O
-// stack's extra data movement.
-func (d *SSD) NANDWritten() int64 { return d.nandWritten }
-
-// GCPauses returns how many foreground garbage-collection stalls
-// occurred.
-func (d *SSD) GCPauses() uint64 { return d.gcPauses }
 
 // Capacity implements Device.
 func (d *SSD) Capacity() int64 { return d.cfg.Capacity }
@@ -142,9 +131,7 @@ func (d *SSD) Access(p *sim.Proc, req Request) error {
 	svc := d.serviceTime(req, k)
 	p.Sleep(svc)
 	if req.Write {
-		nand := d.amplified(req.Size)
-		d.nandWritten += nand
-		d.gcCredit += nand
+		d.gcCredit += d.amplified(req.Size)
 	}
 	d.channels.ReleaseN(k)
 	d.ins.done(req, svc)
@@ -163,7 +150,6 @@ func (d *SSD) maybeGC(p *sim.Proc) {
 	}
 	for d.gcCredit >= d.cfg.GCPauseEvery {
 		d.gcCredit -= d.cfg.GCPauseEvery
-		d.gcPauses++
 		d.channels.AcquireN(p, d.cfg.Channels)
 		p.Sleep(d.cfg.GCPause)
 		d.channels.ReleaseN(d.cfg.Channels)

@@ -40,11 +40,6 @@ type Params struct {
 	FaultRates []float64
 }
 
-// Default returns the parameters used by the benchmark harness: 1/64 of
-// the paper's data volume, which preserves every shape while keeping a
-// full reproduction in the tens of seconds.
-func Default() Params { return Params{Scale: 1.0 / 64, Seed: 42} }
-
 func (p Params) withDefaults() Params {
 	if p.Scale <= 0 {
 		p.Scale = 1.0 / 64
@@ -204,17 +199,4 @@ func (s *Suite) Figure(id string) (Figure, error) {
 		return Figure{}, fmt.Errorf("experiments: unknown figure %q (have %v, extensions %v, %q, %q, %q, and %q)",
 			id, FigureIDs, ExtensionIDs, FaultFigureID, ClientCacheFigureID, QoSFigureID, LiveMemFigureID)
 	}
-}
-
-// All reproduces every figure in paper order.
-func (s *Suite) All() ([]Figure, error) {
-	figs := make([]Figure, 0, len(FigureIDs))
-	for _, id := range FigureIDs {
-		f, err := s.Figure(id)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -40,9 +39,6 @@ func TestParamsDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
 	if p.Scale != 1.0/64 || p.Seed != 42 {
 		t.Fatalf("defaults = %+v", p)
-	}
-	if got := Default().withDefaults(); !reflect.DeepEqual(got, p) {
-		t.Fatalf("Default() = %+v", got)
 	}
 	if v := (Params{Scale: 1}).scaled(1000, 64); v != 1024 {
 		t.Fatalf("scaled rounding = %d, want 1024", v)
@@ -294,14 +290,11 @@ func TestBPSCorrectEverywhere(t *testing.T) {
 // TestNoRunErrors verifies no workload access failed in any experiment.
 func TestNoRunErrors(t *testing.T) {
 	s := testSuite(t)
-	figs, err := s.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != len(FigureIDs) {
-		t.Fatalf("All returned %d figures", len(figs))
-	}
-	for _, f := range figs {
+	for _, id := range FigureIDs {
+		f, err := s.Figure(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, pt := range f.Points {
 			if pt.Errors != 0 {
 				t.Errorf("%s %s: %d failed accesses", f.ID, pt.Label, pt.Errors)
@@ -471,8 +464,13 @@ func TestCompareAgainstPaper(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no paper comparison available", id)
 		}
-		if !a.AllSignsMatch() {
-			t.Errorf("%s: direction mismatch vs paper: %+v", id, a.SignMatches)
+		if len(a.SignMatches) == 0 {
+			t.Errorf("%s: no metric compared against the paper", id)
+		}
+		for k, ok := range a.SignMatches {
+			if !ok {
+				t.Errorf("%s: %v direction mismatch vs paper: %+v", id, k, a.SignMatches)
+			}
 		}
 	}
 	// Detail figures and extensions have no paper CC entry.

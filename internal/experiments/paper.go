@@ -64,16 +64,6 @@ type Agreement struct {
 	Paper PaperCC
 }
 
-// AllSignsMatch reports whether every metric's direction reproduced.
-func (a Agreement) AllSignsMatch() bool {
-	for _, ok := range a.SignMatches {
-		if !ok {
-			return false
-		}
-	}
-	return len(a.SignMatches) > 0
-}
-
 // Compare evaluates a reproduced CC figure against PaperResults. The
 // second return is false when the paper reports nothing for the figure
 // (detail figures, extensions).

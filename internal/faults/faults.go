@@ -108,12 +108,6 @@ func (c Config) Enabled() bool {
 	return c.Device.enabled() || c.Network.enabled() || c.Server.enabled()
 }
 
-// DeviceEnabled reports whether the device layer misbehaves.
-func (c Config) DeviceEnabled() bool { return c.Device.enabled() }
-
-// NetworkEnabled reports whether the network layer misbehaves.
-func (c Config) NetworkEnabled() bool { return c.Network.enabled() }
-
 // ServerEnabled reports whether the PFS-server layer misbehaves.
 func (c Config) ServerEnabled() bool { return c.Server.enabled() }
 

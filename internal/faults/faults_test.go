@@ -46,14 +46,14 @@ func TestProfileZeroRateInjectsNothing(t *testing.T) {
 		t.Error("zero profile built a link-fault model")
 	}
 	sf := NewServerFaults(c, 0)
-	if sf.Down(0) || sf.Down(sim.Second) || sf.SlowDelay(sim.Second) != 0 || sf.Dead() {
+	if sf.Down(0) || sf.Down(sim.Second) || sf.SlowDelay(sim.Second) != 0 || sf.dead {
 		t.Error("zero profile's server faults misbehave")
 	}
 }
 
 func TestProfileEnablesEveryLayer(t *testing.T) {
 	c := Profile(7, 0.01)
-	if !c.DeviceEnabled() || !c.NetworkEnabled() || !c.ServerEnabled() {
+	if !c.Device.enabled() || !c.Network.enabled() || !c.ServerEnabled() {
 		t.Fatalf("Profile(seed, 0.01) leaves a layer healthy: %+v", c)
 	}
 }

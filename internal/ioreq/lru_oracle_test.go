@@ -14,9 +14,8 @@ import (
 // evidence that the links, the blocks and the memo implement the same
 // eviction order.
 type refLRU struct {
-	capacity     int
-	keys         []int64
-	hits, misses uint64
+	capacity int
+	keys     []int64
 }
 
 // touch moves keys[i] to the front.
@@ -29,11 +28,9 @@ func (r *refLRU) touch(i int) {
 func (r *refLRU) lookup(k int64) bool {
 	i := slices.Index(r.keys, k)
 	if i < 0 {
-		r.misses++
 		return false
 	}
 	r.touch(i)
-	r.hits++
 	return true
 }
 
@@ -97,7 +94,7 @@ func (c *LRU) recency(t *testing.T) []int64 {
 		if c.nodes[i].prev != prev {
 			t.Fatalf("slot %d: prev %d, want %d", i, c.nodes[i].prev, prev)
 		}
-		if len(keys) > c.Len() {
+		if len(keys) > int(c.size) {
 			t.Fatal("recency list longer than Len: cycle")
 		}
 		n := c.nodes[i]
@@ -139,9 +136,8 @@ func checkLRU(t *testing.T, capacity int64, ops []lruOp, key func(int64) int64) 
 				c.clock = max(c.clock, math.MaxInt32-int32(op.key&7))
 			}
 		}
-		if c.Len() != len(ref.keys) || c.Hits() != ref.hits || c.Misses() != ref.misses {
-			t.Fatalf("op %d (%d %v): len/hits/misses = %d/%d/%d, oracle %d/%d/%d", n, op.kind, k,
-				c.Len(), c.Hits(), c.Misses(), len(ref.keys), ref.hits, ref.misses)
+		if int(c.size) != len(ref.keys) {
+			t.Fatalf("op %d (%d %v): len = %d, oracle %d", n, op.kind, k, c.size, len(ref.keys))
 		}
 		for _, rk := range ref.keys {
 			if !c.Contains(rk) {
@@ -179,8 +175,8 @@ func (c *LRU) checkIndex(t *testing.T) {
 	}
 	stamps := make(map[int32]bool)
 	if c.listed {
-		if len(c.nodes)-1 != c.Len() {
-			t.Fatalf("listed: %d nodes for %d keys", len(c.nodes)-1, c.Len())
+		if len(c.nodes)-1 != int(c.size) {
+			t.Fatalf("listed: %d nodes for %d keys", len(c.nodes)-1, int(c.size))
 		}
 	} else if len(c.nodes) != 0 || len(c.free) != 0 {
 		t.Fatalf("stamped: %d nodes, %d recycled blocks, want none", len(c.nodes), len(c.free))
@@ -229,8 +225,8 @@ func (c *LRU) checkIndex(t *testing.T) {
 		}
 		resident += int(used)
 	}
-	if resident != c.Len() {
-		t.Fatalf("blocks hold %d keys, Len %d", resident, c.Len())
+	if resident != int(c.size) {
+		t.Fatalf("blocks hold %d keys, size %d", resident, int(c.size))
 	}
 	if c.memoNum != noBlock && c.memoBlk != c.index[c.memoNum] {
 		t.Fatalf("memo says block number %d is at %d, index says %d", c.memoNum, c.memoBlk, c.index[c.memoNum])

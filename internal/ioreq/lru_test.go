@@ -100,8 +100,8 @@ func TestLRULazyMemory(t *testing.T) {
 			c.Insert(k)
 		}
 		runtime.ReadMemStats(&after)
-		if c.Len() != 10 {
-			t.Fatalf("Len = %d, want 10", c.Len())
+		if c.size != 10 {
+			t.Fatalf("size = %d, want 10", c.size)
 		}
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -143,8 +143,8 @@ func TestLRUBytesPerKey(t *testing.T) {
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			if c.Len() != keys || c.listed != (tc.capacity == keys) {
-				t.Fatalf("%s: Len = %d, listed %v; want %d keys, listed only when full", tc.name, c.Len(), c.listed, keys)
+			if c.size != keys || c.listed != (tc.capacity == keys) {
+				t.Fatalf("%s: size = %d, listed %v; want %d keys, listed only when full", tc.name, c.size, c.listed, keys)
 			}
 			runtime.KeepAlive(c)
 			best = min(best, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/keys)

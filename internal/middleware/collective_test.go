@@ -55,8 +55,8 @@ func TestCollectiveReadsExtentOnce(t *testing.T) {
 	}
 	// Each process records exactly its own required data.
 	for pid, col := range cols {
-		if col.Len() != 1 {
-			t.Fatalf("pid %d recorded %d accesses", pid, col.Len())
+		if len(col.Records()) != 1 {
+			t.Fatalf("pid %d recorded %d accesses", pid, len(col.Records()))
 		}
 		wantBlocks := trace.BlocksOf(64 * (16 << 10)) // 256/4 regions each
 		if col.Records()[0].Blocks != wantBlocks {
@@ -214,8 +214,8 @@ func TestCollectiveSingleProcess(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Moved() != 128<<10 || col.Len() != 1 {
-		t.Fatalf("moved=%d records=%d", fs.Moved(), col.Len())
+	if fs.Moved() != 128<<10 || len(col.Records()) != 1 {
+		t.Fatalf("moved=%d records=%d", fs.Moved(), len(col.Records()))
 	}
 }
 

@@ -72,7 +72,7 @@ func TestPOSIXRecordsFailedAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper §III.A: failed accesses are still counted in B.
-	if col.Len() != 1 || col.Records()[0].Blocks != trace.BlocksOf(2<<20) {
+	if len(col.Records()) != 1 || col.Records()[0].Blocks != trace.BlocksOf(2<<20) {
 		t.Fatalf("failed access not recorded: %+v", col.Records())
 	}
 }
@@ -129,7 +129,7 @@ func TestMPIIOSievingMovesHolesButRecordsRequired(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return fs.Moved(), trace.Gather(col).TotalBytes(), col.Len()
+		return fs.Moved(), trace.Gather(col).TotalBlocks() * trace.BlockSize, len(col.Records())
 	}
 
 	movedSieve, recSieve, opsSieve := run(true)
@@ -188,7 +188,7 @@ func TestMPIIOContiguousRead(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != 1 || col.Records()[0].Blocks != 128 {
+	if len(col.Records()) != 1 || col.Records()[0].Blocks != 128 {
 		t.Fatalf("records = %+v", col.Records())
 	}
 }
@@ -218,7 +218,7 @@ func TestMPIIOOverPFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	required := int64(64 * 256)
-	if got := trace.Gather(col).TotalBytes(); got != roundUpBlocks(required) {
+	if got := trace.Gather(col).TotalBlocks() * trace.BlockSize; got != roundUpBlocks(required) {
 		t.Fatalf("recorded %d, want %d", got, required)
 	}
 	extent := int64(63*(256+8192) + 256)
@@ -227,30 +227,38 @@ func TestMPIIOOverPFS(t *testing.T) {
 	}
 }
 
+// prefetchOver builds a Prefetcher over a local file system and the
+// counter of what it sends downstream.
+func prefetchOver(e *sim.Engine) (Target, *Prefetcher, *countLayer, *fsim.FileSystem) {
+	target, fs := localSetup(e, 16<<20)
+	down := &countLayer{Layer: target.Layer()}
+	pf := NewPrefetcher(target.With(down), 4<<20)
+	return target, pf, down, fs
+}
+
 func TestPrefetcherSequentialHits(t *testing.T) {
 	e := sim.NewEngine(1)
-	var pf *Prefetcher
+	var down *countLayer
 	var fs *fsim.FileSystem
+	reads := int64(0)
 	e.Spawn("app", func(p *sim.Proc) {
 		var target Target
-		target, fs = localSetup(e, 16<<20)
-		pf = NewPrefetcher(target, 4<<20)
+		var pf *Prefetcher
+		target, pf, down, fs = prefetchOver(e)
 		col := trace.NewCollector(1)
 		io := NewPOSIX(target.With(pf), col)
 		for off := int64(0); off < 8<<20; off += 64 << 10 {
 			if err := io.Read(p, off, 64<<10); err != nil {
 				t.Error(err)
 			}
+			reads++
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pf.Hits() == 0 {
-		t.Fatal("sequential reads produced no prefetch hits")
-	}
-	if pf.PrefetchedBytes() == 0 {
-		t.Fatal("no readahead bytes")
+	if down.n >= reads {
+		t.Fatalf("%d sequential reads sent %d requests downstream: no prefetch hits", reads, down.n)
 	}
 	// The prefetcher moved at least the demand (8 MiB) through the FS.
 	if fs.Moved() < 8<<20 {
@@ -264,10 +272,11 @@ func TestPrefetcherSequentialHits(t *testing.T) {
 
 func TestPrefetcherRandomBypasses(t *testing.T) {
 	e := sim.NewEngine(1)
-	var pf *Prefetcher
+	var down *countLayer
 	e.Spawn("app", func(p *sim.Proc) {
-		target, _ := localSetup(e, 16<<20)
-		pf = NewPrefetcher(target, 4<<20)
+		var target Target
+		var pf *Prefetcher
+		target, pf, down, _ = prefetchOver(e)
 		tgt := target.With(pf)
 		offsets := []int64{8 << 20, 0, 12 << 20, 4 << 20}
 		for _, off := range offsets {
@@ -279,20 +288,18 @@ func TestPrefetcherRandomBypasses(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pf.Hits() != 0 {
-		t.Fatalf("random reads got %d staging hits", pf.Hits())
+	if down.n != 4 {
+		t.Fatalf("4 random reads sent %d requests downstream: staging hits", down.n)
 	}
-	if pf.PrefetchedBytes() != 0 {
-		t.Fatalf("random reads triggered readahead of %d bytes", pf.PrefetchedBytes())
+	if down.bytes != 4*4096 {
+		t.Fatalf("random reads fetched %d bytes, want exactly the 16 KiB demand", down.bytes)
 	}
 }
 
 func TestPrefetcherWriteInvalidates(t *testing.T) {
 	e := sim.NewEngine(1)
-	var pf *Prefetcher
 	e.Spawn("app", func(p *sim.Proc) {
-		target, _ := localSetup(e, 16<<20)
-		pf = NewPrefetcher(target, 4<<20)
+		target, pf, down, _ := prefetchOver(e)
 		tgt := target.With(pf)
 		// Prime the staging buffer sequentially from offset 0.
 		if err := tgt.ReadAt(p, 0, 64<<10); err != nil {
@@ -304,11 +311,11 @@ func TestPrefetcherWriteInvalidates(t *testing.T) {
 		if err := tgt.WriteAt(p, 0, 4096); err != nil {
 			t.Error(err)
 		}
-		hitsBefore := pf.Hits()
+		before := down.n
 		if err := tgt.ReadAt(p, 128<<10, 4096); err != nil {
 			t.Error(err)
 		}
-		if pf.Hits() != hitsBefore {
+		if down.n != before+1 {
 			t.Error("read after write served from stale staging buffer")
 		}
 	})
@@ -364,7 +371,7 @@ func TestMPIIOWrite(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != 1 || col.Records()[0].Blocks != trace.BlocksOf(256<<10) {
+	if len(col.Records()) != 1 || col.Records()[0].Blocks != trace.BlocksOf(256<<10) {
 		t.Fatalf("records = %+v", col.Records())
 	}
 	if got := reg.Counter("device/ram/bytes_written").Value(); got != 256<<10 {
@@ -452,7 +459,7 @@ func TestHealthyReadAllocs(t *testing.T) {
 			if ioErr != nil {
 				t.Fatal(ioErr)
 			}
-			if col.Len() == 0 {
+			if len(col.Records()) == 0 {
 				t.Fatal("no access was recorded")
 			}
 		})

@@ -25,8 +25,6 @@ type Prefetcher struct {
 	// staged is the half-open prefetched range.
 	stagedLo, stagedHi int64
 	lastEnd            int64
-	hits, misses       uint64
-	prefetched         int64
 }
 
 // NewPrefetcher builds a readahead layer in front of target's pipeline;
@@ -38,15 +36,6 @@ func NewPrefetcher(target Target, window int64) *Prefetcher {
 	return &Prefetcher{inner: target.Layer(), size: target.Size(), Window: window, MemRate: 5e9}
 }
 
-// Hits returns the number of reads fully served from the staging buffer.
-func (pf *Prefetcher) Hits() uint64 { return pf.hits }
-
-// Misses returns the number of reads that went to the underlying layer.
-func (pf *Prefetcher) Misses() uint64 { return pf.misses }
-
-// PrefetchedBytes returns the total bytes fetched ahead of demand.
-func (pf *Prefetcher) PrefetchedBytes() int64 { return pf.prefetched }
-
 // Serve implements ioreq.Layer. Writes bypass and invalidate the
 // staging buffer (keeping the model conservative).
 func (pf *Prefetcher) Serve(p *sim.Proc, req *ioreq.Request) error {
@@ -57,12 +46,10 @@ func (pf *Prefetcher) Serve(p *sim.Proc, req *ioreq.Request) error {
 	off, size := req.Off, req.Size
 	if off >= pf.stagedLo && off+size <= pf.stagedHi {
 		// Full staging-buffer hit: memory-speed copy.
-		pf.hits++
 		p.Sleep(sim.TransferTime(size, pf.MemRate))
 		pf.lastEnd = off + size
 		return nil
 	}
-	pf.misses++
 	sequential := off == pf.lastEnd
 	pf.lastEnd = off + size
 
@@ -81,7 +68,6 @@ func (pf *Prefetcher) Serve(p *sim.Proc, req *ioreq.Request) error {
 	if err := pf.inner.Serve(p, req.Child(off, fetch)); err != nil {
 		return err
 	}
-	pf.prefetched += fetch - size
 	pf.stagedLo, pf.stagedHi = off, off+fetch
 	return nil
 }

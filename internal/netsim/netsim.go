@@ -114,8 +114,6 @@ type NIC struct {
 	name   string
 	tx     *sim.Resource
 	rx     *sim.Resource
-
-	sent, received int64 // bytes
 }
 
 // NewNIC attaches a new NIC to the fabric.
@@ -134,18 +132,6 @@ func (f *Fabric) NewNIC(name string) *NIC {
 	}
 	return n
 }
-
-// Sent returns total bytes transmitted.
-func (n *NIC) Sent() int64 { return n.sent }
-
-// Received returns total bytes received.
-func (n *NIC) Received() int64 { return n.received }
-
-// TxBusy returns accumulated transmit-side busy time.
-func (n *NIC) TxBusy() sim.Time { return n.tx.BusyTime() }
-
-// RxBusy returns accumulated receive-side busy time.
-func (n *NIC) RxBusy() sim.Time { return n.rx.BusyTime() }
 
 // serialization returns the time to clock size bytes through one NIC side,
 // including per-frame overhead.
@@ -199,7 +185,6 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst *NIC, size int64) {
 	src.tx.Acquire(p)
 	p.Sleep(txSer)
 	src.tx.Release()
-	src.sent += size
 
 	if f.backplane != nil {
 		f.backplane.Acquire(p)
@@ -211,7 +196,6 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst *NIC, size int64) {
 	dst.rx.Acquire(p)
 	p.Sleep(ser)
 	dst.rx.Release()
-	dst.received += size
 
 	f.transfers.Add(1)
 	f.bytes.Add(size)

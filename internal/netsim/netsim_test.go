@@ -4,11 +4,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bps/internal/obs"
 	"bps/internal/sim"
 )
 
 func TestTransferTimeComponents(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	f := NewFabric(e, Config{Bandwidth: 1e6, Latency: sim.Millisecond, MTU: 1 << 20, FrameOverhead: 0})
 	a, b := f.NewNIC("a"), f.NewNIC("b")
 	var took sim.Time
@@ -24,13 +26,14 @@ func TestTransferTimeComponents(t *testing.T) {
 	if took != want {
 		t.Fatalf("transfer took %v, want %v", took, want)
 	}
-	if a.Sent() != 1e6 || b.Received() != 1e6 {
-		t.Fatalf("counters: sent=%d received=%d", a.Sent(), b.Received())
+	if got := reg.Counter("net/fabric/bytes").Value(); got != 1e6 {
+		t.Fatalf("fabric moved %d bytes, want 1e6", got)
 	}
 }
 
 func TestZeroAndLoopbackTransfers(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	f := NewFabric(e, DefaultGigabit())
 	a := f.NewNIC("a")
 	e.Spawn("p", func(p *sim.Proc) {
@@ -43,8 +46,8 @@ func TestZeroAndLoopbackTransfers(t *testing.T) {
 	if e.Now() >= sim.Millisecond {
 		t.Fatalf("loopback transfers took %v", e.Now())
 	}
-	if a.Sent() != 0 {
-		t.Fatalf("loopback counted as sent: %d", a.Sent())
+	if got := reg.Counter("net/fabric/bytes").Value(); got != 0 {
+		t.Fatalf("loopback counted as sent: %d", got)
 	}
 }
 
@@ -100,8 +103,8 @@ func TestNICBusyAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if a.TxBusy() != 500*sim.Millisecond || b.RxBusy() != 500*sim.Millisecond {
-		t.Fatalf("busy: tx=%v rx=%v, want 500ms each", a.TxBusy(), b.RxBusy())
+	if tx, rx := a.tx.BusyTime(), b.rx.BusyTime(); tx != 500*sim.Millisecond || rx != 500*sim.Millisecond {
+		t.Fatalf("busy: tx=%v rx=%v, want 500ms each", tx, rx)
 	}
 }
 

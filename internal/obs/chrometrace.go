@@ -152,10 +152,6 @@ type Span struct {
 	start sim.Time // span open time (attribution only)
 }
 
-// Active reports whether the span is actually recording — use it to skip
-// building argument maps when tracing is off.
-func (s Span) Active() bool { return s.ok || s.layer > 0 }
-
 // End closes the span at the current simulated time.
 func (s Span) End() {
 	if s.o == nil {

@@ -243,15 +243,6 @@ type traceIDed interface{ TraceID() uint64 }
 // identical to the pre-QoS output.
 type tenanted interface{ TenantID() string }
 
-// Counter emits a Chrome counter-track sample at the current simulated
-// time (distinct from Registry counters: this is a trace visualization).
-func (o *Observer) Counter(name string, v float64) {
-	if o == nil || o.buf == nil {
-		return
-	}
-	o.buf.counter(name, o.now(), v)
-}
-
 // AddAppRecord converts one gathered application trace record into an
 // "app" layer span, one Chrome thread per application PID. Records share
 // the simulation's timeline, so they align with the per-layer spans

@@ -104,7 +104,7 @@ func TestTraceBufferWrite(t *testing.T) {
 		sp := o.Begin(p, "device", "hdd read", map[string]any{"size": 512})
 		p.Sleep(3 * sim.Microsecond)
 		sp.End()
-		o.Counter("queue", 2)
+		o.buf.counter("queue", o.now(), 2)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -151,11 +151,10 @@ func TestNilObserver(t *testing.T) {
 		t.Fatal("nil observer reported attached state")
 	}
 	sp := o.Begin(nil, "device", "x", nil)
-	if sp.Active() {
+	if sp.ok || sp.layer > 0 {
 		t.Fatal("nil observer opened a span")
 	}
 	sp.End()
-	o.Counter("x", 1)
 	o.AddAppRecord(1, 1, 0, 1)
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {

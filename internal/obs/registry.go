@@ -308,26 +308,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	return max
 }
-
-// Bucket is one non-empty histogram bucket.
-type Bucket struct {
-	Lo, Hi int64 // closed sample range
-	Count  uint64
-}
-
-// Buckets returns the non-empty buckets in ascending range order.
-func (h *Histogram) Buckets() []Bucket {
-	if h == nil {
-		return nil
-	}
-	var out []Bucket
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		lo, hi := BucketBounds(i)
-		out = append(out, Bucket{Lo: lo, Hi: hi, Count: c})
-	}
-	return out
-}

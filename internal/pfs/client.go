@@ -31,9 +31,6 @@ func (c *Cluster) NewClient(name string) *Client {
 	return &Client{cluster: c, nic: c.fabric.NewNIC(name)}
 }
 
-// NIC returns the client's network interface.
-func (cl *Client) NIC() *netsim.NIC { return cl.nic }
-
 // Open looks a file up through the metadata server, paying the RPC
 // round trip and queueing behind other metadata operations — the
 // runtime equivalent of Cluster.Open.

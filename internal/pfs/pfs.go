@@ -176,9 +176,6 @@ type Server struct {
 	serveName string       // precomputed span name
 }
 
-// FS exposes the server's local file system (for stats and cache flush).
-func (s *Server) FS() *fsim.FileSystem { return s.fs }
-
 // NewCluster builds a cluster with one server per device, starting
 // ServerWorkers handler processes per server.
 func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []device.Device) *Cluster {
@@ -235,9 +232,6 @@ func NewCluster(e *sim.Engine, fabric *netsim.Fabric, cfg Config, devices []devi
 	}
 	return c
 }
-
-// Servers returns the cluster's servers.
-func (c *Cluster) Servers() []*Server { return c.servers }
 
 // Moved returns total bytes moved through all server devices — the
 // file-system-level data volume that the bandwidth metric sees.
@@ -312,9 +306,6 @@ func (f *File) Name() string { return f.name }
 
 // Size returns the logical file size.
 func (f *File) Size() int64 { return f.size }
-
-// Layout returns the file's striping attributes.
-func (f *File) Layout() Layout { return f.layout }
 
 // Create allocates a striped file across the layout's servers.
 func (c *Cluster) Create(name string, size int64, layout Layout) (*File, error) {

@@ -132,6 +132,7 @@ func TestCreateValidation(t *testing.T) {
 
 func TestReadMovesDataAndCompletes(t *testing.T) {
 	e := sim.NewEngine(1)
+	reg := obs.Attach(e, obs.Options{}).Registry()
 	c := newTestCluster(e, 4)
 	cl := c.NewClient("client0")
 	var readErr error
@@ -153,13 +154,13 @@ func TestReadMovesDataAndCompletes(t *testing.T) {
 		t.Fatalf("Moved = %d, want %d", c.Moved(), 8<<20)
 	}
 	// Every server participated (8 MiB over 4 servers, 64 KiB stripes).
-	for i, s := range c.Servers() {
-		if s.FS().Moved() != 2<<20 {
-			t.Fatalf("server %d moved %d, want %d", i, s.FS().Moved(), 2<<20)
+	for i, s := range c.servers {
+		if s.fs.Moved() != 2<<20 {
+			t.Fatalf("server %d moved %d, want %d", i, s.fs.Moved(), 2<<20)
 		}
 	}
-	if cl.NIC().Received() < 8<<20 {
-		t.Fatalf("client received %d bytes", cl.NIC().Received())
+	if got := reg.Counter("net/fabric/bytes").Value(); got < 8<<20 {
+		t.Fatalf("fabric carried %d bytes, less than the 8 MiB read", got)
 	}
 }
 
@@ -228,9 +229,9 @@ func TestPinnedLayoutIsolatesServers(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range c.Servers() {
-		if s.FS().Moved() != 1<<20 {
-			t.Fatalf("server %d moved %d, want exactly its own file", i, s.FS().Moved())
+	for i, s := range c.servers {
+		if s.fs.Moved() != 1<<20 {
+			t.Fatalf("server %d moved %d, want exactly its own file", i, s.fs.Moved())
 		}
 	}
 }
@@ -450,8 +451,8 @@ func TestProcsShareOneClient(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("%d of 3 readers finished", done)
 	}
-	for i, s := range c.Servers() {
-		if got := s.FS().Moved(); got != 6<<20/4 {
+	for i, s := range c.servers {
+		if got := s.fs.Moved(); got != 6<<20/4 {
 			t.Errorf("server %d moved %d, want %d", i, got, 6<<20/4)
 		}
 	}
@@ -469,8 +470,8 @@ func TestStripeSizeOverrideInLayout(t *testing.T) {
 	if len(chunks) != 2 || chunks[0].size != 128<<10 {
 		t.Fatalf("chunks = %+v, want two 128 KiB stripes", chunks)
 	}
-	if f.Layout().StripeSize != 128<<10 {
-		t.Fatalf("layout = %+v", f.Layout())
+	if f.layout.StripeSize != 128<<10 {
+		t.Fatalf("layout = %+v", f.layout)
 	}
 }
 

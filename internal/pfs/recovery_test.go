@@ -102,7 +102,7 @@ func TestRetryRidesThroughTransientOutage(t *testing.T) {
 	if doneAt < 20*sim.Millisecond {
 		t.Fatalf("read finished at %v, before the outage cleared", doneAt)
 	}
-	if got := c.Servers()[0].FS().Moved(); got != 64<<10 {
+	if got := c.servers[0].fs.Moved(); got != 64<<10 {
 		t.Fatalf("server moved %d, want exactly one serviced read (dropped jobs do no I/O)", got)
 	}
 }
@@ -168,11 +168,11 @@ func TestFailoverToReplica(t *testing.T) {
 	if readErr != nil {
 		t.Fatalf("read did not fail over: %v", readErr)
 	}
-	if got := c.Servers()[0].FS().Moved(); got != 0 {
+	if got := c.servers[0].fs.Moved(); got != 0 {
 		t.Fatalf("dead server moved %d bytes", got)
 	}
 	// Server 1 serviced its own 64 KiB stripe plus position 0's replica.
-	if got := c.Servers()[1].FS().Moved(); got != 128<<10 {
+	if got := c.servers[1].fs.Moved(); got != 128<<10 {
 		t.Fatalf("surviving server moved %d, want %d", got, 128<<10)
 	}
 }

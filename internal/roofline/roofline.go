@@ -158,41 +158,3 @@ func Headroom(measuredBPS, ceilingBPS float64) float64 {
 	}
 	return measuredBPS / ceilingBPS
 }
-
-// Sample is one measured sweep point awaiting a roofline fit.
-type Sample struct {
-	Label       string
-	RecordBytes int64
-	Concurrency int
-	ExtraPerOp  sim.Time
-	BPS         float64
-}
-
-// PointFit is one sample held against the model.
-type PointFit struct {
-	Label       string  `json:"label"`
-	MeasuredBPS float64 `json:"measured_bps"`
-	CeilingBPS  float64 `json:"ceiling_bps"`
-	Headroom    float64 `json:"headroom"`
-
-	// OpBound reports which roof binds at this sample's record size
-	// and concurrency: true when the operation roof is below the
-	// bandwidth roof.
-	OpBound bool `json:"op_bound"`
-}
-
-// Fit holds every sample against the model, in input order.
-func (m Model) Fit(samples []Sample) []PointFit {
-	fits := make([]PointFit, len(samples))
-	for i, s := range samples {
-		ceiling := m.CeilingBPS(s.RecordBytes, s.Concurrency, s.ExtraPerOp)
-		fits[i] = PointFit{
-			Label:       s.Label,
-			MeasuredBPS: s.BPS,
-			CeilingBPS:  ceiling,
-			Headroom:    Headroom(s.BPS, ceiling),
-			OpBound:     ceiling < m.BandwidthCeiling()/trace.BlockSize,
-		}
-	}
-	return fits
-}

@@ -117,32 +117,6 @@ func TestHeadroomEdgeCases(t *testing.T) {
 }
 
 // TestFit: fits preserve order and classify the binding roof.
-func TestFit(t *testing.T) {
-	m := FromCluster(testbed.ClusterSpec{Servers: 4, Media: testbed.SSD, Clients: 1})
-	fits := m.Fit([]Sample{
-		{Label: "small", RecordBytes: 4 << 10, Concurrency: 1, BPS: 10000},
-		{Label: "large", RecordBytes: 4 << 20, Concurrency: 1, BPS: 200000},
-	})
-	if len(fits) != 2 || fits[0].Label != "small" || fits[1].Label != "large" {
-		t.Fatalf("fit order broken: %+v", fits)
-	}
-	if !fits[0].OpBound {
-		t.Fatalf("small record not op-bound: %+v", fits[0])
-	}
-	if fits[1].OpBound {
-		t.Fatalf("large record op-bound: %+v", fits[1])
-	}
-	for _, f := range fits {
-		want := Headroom(f.MeasuredBPS, f.CeilingBPS)
-		if f.Headroom != want {
-			t.Fatalf("%s headroom = %v, want %v", f.Label, f.Headroom, want)
-		}
-		if f.Headroom <= 0 || f.Headroom > 1.5 {
-			t.Fatalf("%s headroom %v outside sane range", f.Label, f.Headroom)
-		}
-	}
-}
-
 // BenchmarkRooflineCeiling is benchguard-tracked: the ceiling sits on
 // live serving paths (every publisher snapshot), so it must stay cheap.
 func BenchmarkRooflineCeiling(b *testing.B) {

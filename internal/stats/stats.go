@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -108,12 +107,6 @@ func NewCCTable(label string, runs []core.Metrics) CCTable {
 		tbl.CC[k] = MetricCC(k, vals, exec)
 	}
 	return tbl
-}
-
-// String renders the table on one line, in the paper's metric order.
-func (t CCTable) String() string {
-	return fmt.Sprintf("%s: IOPS=%+.2f BW=%+.2f ARPT=%+.2f BPS=%+.2f",
-		t.Label, t.CC[core.IOPS], t.CC[core.BW], t.CC[core.ARPT], t.CC[core.BPS])
 }
 
 // Spearman computes the rank correlation coefficient: Pearson on the

@@ -71,9 +71,6 @@ func (c *Collector) Record(blocks int64, start, end sim.Time) {
 // Records returns the accumulated records (not a copy).
 func (c *Collector) Records() []Record { return c.records }
 
-// Len returns the number of recorded accesses.
-func (c *Collector) Len() int { return len(c.records) }
-
 // Global is the gathered cross-process record collection (paper step 2):
 // the total block count B and the time collection col_time.
 type Global struct {
@@ -103,18 +100,8 @@ func FromRecords(records []Record) *Global {
 	return &Global{records: records}
 }
 
-// Append merges more records into the collection, e.g. when the I/O
-// system services several applications concurrently and all of them are
-// recorded (paper §III.B step 1).
-func (g *Global) Append(records ...Record) {
-	g.records = append(g.records, records...)
-}
-
 // Records returns the gathered records (not a copy).
 func (g *Global) Records() []Record { return g.records }
-
-// Len returns the number of gathered records.
-func (g *Global) Len() int { return len(g.records) }
 
 // TotalBlocks returns B: the sum of required blocks over every access.
 func (g *Global) TotalBlocks() int64 {
@@ -124,9 +111,6 @@ func (g *Global) TotalBlocks() int64 {
 	}
 	return b
 }
-
-// TotalBytes returns B in bytes.
-func (g *Global) TotalBytes() int64 { return g.TotalBlocks() * BlockSize }
 
 // SortByStart orders the collection by access start time (the sort step
 // of the paper's Fig. 3 algorithm), breaking ties by end time then PID so
@@ -142,18 +126,4 @@ func (g *Global) SortByStart() {
 		}
 		return a.PID < b.PID
 	})
-}
-
-// PIDs returns the distinct process IDs present, sorted.
-func (g *Global) PIDs() []int64 {
-	seen := make(map[int64]bool)
-	for _, r := range g.records {
-		seen[r.PID] = true
-	}
-	out := make([]int64, 0, len(seen))
-	for pid := range seen {
-		out = append(out, pid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -39,25 +39,15 @@ func TestCollectorAndGather(t *testing.T) {
 	c1.Record(8, 0, 100)
 	c1.Record(16, 100, 300)
 	c2.Record(4, 50, 150)
-	if c1.Len() != 2 || c1.PID() != 1 {
-		t.Fatalf("collector state: len=%d pid=%d", c1.Len(), c1.PID())
+	if len(c1.Records()) != 2 || c1.PID() != 1 {
+		t.Fatalf("collector state: len=%d pid=%d", len(c1.Records()), c1.PID())
 	}
 	g := Gather(c1, c2)
-	if g.Len() != 3 {
-		t.Fatalf("gathered %d records", g.Len())
+	if len(g.Records()) != 3 {
+		t.Fatalf("gathered %d records", len(g.Records()))
 	}
 	if g.TotalBlocks() != 28 {
 		t.Fatalf("TotalBlocks = %d, want 28", g.TotalBlocks())
-	}
-	if g.TotalBytes() != 28*512 {
-		t.Fatalf("TotalBytes = %d", g.TotalBytes())
-	}
-	if pids := g.PIDs(); !reflect.DeepEqual(pids, []int64{1, 2}) {
-		t.Fatalf("PIDs = %v", pids)
-	}
-	g.Append(Record{PID: 9, Blocks: 1, Start: 0, End: 1})
-	if g.Len() != 4 || g.TotalBlocks() != 29 {
-		t.Fatalf("after Append: len=%d blocks=%d", g.Len(), g.TotalBlocks())
 	}
 }
 

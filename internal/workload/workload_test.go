@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bps/internal/core"
@@ -69,11 +70,11 @@ func TestSeqReadSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.Len() != 16 {
-		t.Fatalf("recorded %d ops, want 16", res.Trace.Len())
+	if len(res.Trace.Records()) != 16 {
+		t.Fatalf("recorded %d ops, want 16", len(res.Trace.Records()))
 	}
-	if res.Trace.TotalBytes() != 1<<20 {
-		t.Fatalf("required bytes = %d", res.Trace.TotalBytes())
+	if res.Trace.TotalBlocks()*trace.BlockSize != 1<<20 {
+		t.Fatalf("required bytes = %d", res.Trace.TotalBlocks()*trace.BlockSize)
 	}
 	if res.Moved != 1<<20 {
 		t.Fatalf("moved = %d", res.Moved)
@@ -92,11 +93,11 @@ func TestSeqReadTailRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.Len() != 2 {
-		t.Fatalf("ops = %d, want 2", res.Trace.Len())
+	if len(res.Trace.Records()) != 2 {
+		t.Fatalf("ops = %d, want 2", len(res.Trace.Records()))
 	}
-	if res.Trace.TotalBytes() != 100<<10 {
-		t.Fatalf("required = %d, want %d", res.Trace.TotalBytes(), 100<<10)
+	if res.Trace.TotalBlocks()*trace.BlockSize != 100<<10 {
+		t.Fatalf("required = %d, want %d", res.Trace.TotalBlocks()*trace.BlockSize, 100<<10)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestCollectorsPresized(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, col := range pend.collectors {
-			if n := col.Len(); n == 0 || cap(col.Records()) != n {
+			if n := len(col.Records()); n == 0 || cap(col.Records()) != n {
 				t.Errorf("%T: collector %d holds %d records in capacity %d", w, col.PID(), n, cap(col.Records()))
 			}
 		}
@@ -133,7 +134,7 @@ func TestSeqReadMultiProcessOwnFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Trace.PIDs()); got != 4 {
+	if got := len(pidsOf(res.Trace)); got != 4 {
 		t.Fatalf("PIDs = %d, want 4", got)
 	}
 	if res.Moved != 4<<20 {
@@ -170,8 +171,8 @@ func TestSeqReadSegmentedSharedFile(t *testing.T) {
 	if res.Moved != nprocs*seg {
 		t.Fatalf("moved = %d, want %d", res.Moved, nprocs*seg)
 	}
-	if res.Trace.Len() != nprocs*seg/(64<<10) {
-		t.Fatalf("ops = %d", res.Trace.Len())
+	if len(res.Trace.Records()) != nprocs*seg/(64<<10) {
+		t.Fatalf("ops = %d", len(res.Trace.Records()))
 	}
 }
 
@@ -208,8 +209,8 @@ func TestSeqReadOutOfBoundsCountsErrors(t *testing.T) {
 		t.Fatalf("errors = %d, want 1", res.Errors)
 	}
 	// Both accesses recorded, including the failed one (paper §III.A).
-	if res.Trace.Len() != 2 {
-		t.Fatalf("trace len = %d, want 2", res.Trace.Len())
+	if len(res.Trace.Records()) != 2 {
+		t.Fatalf("trace len = %d, want 2", len(res.Trace.Records()))
 	}
 }
 
@@ -275,8 +276,8 @@ func TestNoncontigSievingMovesMore(t *testing.T) {
 			sieve.Trace.TotalBlocks(), direct.Trace.TotalBlocks(), wantBlocks)
 	}
 	// 512 regions in calls of 128 → 4 MPI-IO accesses.
-	if sieve.Trace.Len() != 4 {
-		t.Fatalf("ops = %d, want 4", sieve.Trace.Len())
+	if len(sieve.Trace.Records()) != 4 {
+		t.Fatalf("ops = %d, want 4", len(sieve.Trace.Records()))
 	}
 }
 
@@ -299,7 +300,7 @@ func TestNoncontigMultiProcessDisjoint(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d (processes overlapped?)", res.Errors)
 	}
-	if got := len(res.Trace.PIDs()); got != 4 {
+	if got := len(pidsOf(res.Trace)); got != 4 {
 		t.Fatalf("PIDs = %d", got)
 	}
 }
@@ -316,7 +317,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.ExecTime != b.ExecTime || a.Moved != b.Moved || a.Trace.Len() != b.Trace.Len() {
+	if a.ExecTime != b.ExecTime || a.Moved != b.Moved || len(a.Trace.Records()) != len(b.Trace.Records()) {
 		t.Fatal("nondeterministic workload run")
 	}
 	for i, r := range a.Trace.Records() {
@@ -403,8 +404,8 @@ func TestSeqWriteMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 || res.Trace.Len() != 16 {
-		t.Fatalf("errors=%d ops=%d", res.Errors, res.Trace.Len())
+	if res.Errors != 0 || len(res.Trace.Records()) != 16 {
+		t.Fatalf("errors=%d ops=%d", res.Errors, len(res.Trace.Records()))
 	}
 	if got := reg.Counter("device/ram/bytes_written").Value(); got != 1<<20 {
 		t.Fatalf("device wrote %d", got)
@@ -423,8 +424,8 @@ func TestSeqWriteModeMPIIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 || res.Trace.Len() != 8 {
-		t.Fatalf("errors=%d ops=%d", res.Errors, res.Trace.Len())
+	if res.Errors != 0 || len(res.Trace.Records()) != 8 {
+		t.Fatalf("errors=%d ops=%d", res.Errors, len(res.Trace.Records()))
 	}
 	if got := reg.Counter("device/ram/bytes_written").Value(); got != 512<<10 {
 		t.Fatalf("device wrote %d", got)
@@ -439,10 +440,20 @@ func TestFirstPIDOffsetsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pids := res.Trace.PIDs()
+	pids := pidsOf(res.Trace)
 	if len(pids) != 2 || pids[0] != 10 || pids[1] != 11 {
 		t.Fatalf("PIDs = %v, want [10 11]", pids)
 	}
+}
+
+// pidsOf returns the distinct process IDs of a trace, sorted.
+func pidsOf(g *trace.Global) []int64 {
+	var pids []int64
+	for _, r := range g.Records() {
+		pids = append(pids, r.PID)
+	}
+	slices.Sort(pids)
+	return slices.Compact(pids)
 }
 
 func TestTwoWorkloadsShareOneEngine(t *testing.T) {
@@ -463,18 +474,16 @@ func TestTwoWorkloadsShareOneEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra, rb := pa.Result(), pb.Result()
-	if ra.Trace.Len() != 32 || rb.Trace.Len() != 16 {
-		t.Fatalf("ops: a=%d b=%d", ra.Trace.Len(), rb.Trace.Len())
+	if len(ra.Trace.Records()) != 32 || len(rb.Trace.Records()) != 16 {
+		t.Fatalf("ops: a=%d b=%d", len(ra.Trace.Records()), len(rb.Trace.Records()))
 	}
 	// The shorter workload finished first; exec times are per workload.
 	if rb.ExecTime >= ra.ExecTime {
 		t.Fatalf("exec: a=%v b=%v, b should finish first", ra.ExecTime, rb.ExecTime)
 	}
 	// Combined trace covers all four PIDs.
-	combined := trace.Gather()
-	combined.Append(ra.Trace.Records()...)
-	combined.Append(rb.Trace.Records()...)
-	if got := len(combined.PIDs()); got != 4 {
+	combined := trace.FromRecords(append(slices.Clone(ra.Trace.Records()), rb.Trace.Records()...))
+	if got := len(pidsOf(combined)); got != 4 {
 		t.Fatalf("combined PIDs = %d", got)
 	}
 }
@@ -503,8 +512,8 @@ func TestReplayPreservesStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 || res.Trace.Len() != 4 {
-		t.Fatalf("errors=%d ops=%d", res.Errors, res.Trace.Len())
+	if res.Errors != 0 || len(res.Trace.Records()) != 4 {
+		t.Fatalf("errors=%d ops=%d", res.Errors, len(res.Trace.Records()))
 	}
 	// Required bytes preserved exactly.
 	if res.Trace.TotalBlocks() != 128+128+64+64 {

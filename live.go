@@ -85,7 +85,7 @@ func (cfg LiveConfig) liveConfig() live.Config {
 }
 
 // MeasureAccesses issues an offset-aware access stream — generated
-// (iogen), ingested from a Darshan-style log (ReadLog), or handwritten —
+// (iogen), ingested from a Darshan-style log (ReadLogs), or handwritten —
 // against a real backend and measures it: one concurrent worker per
 // recorded process, recorded think time preserved, application-required
 // blocks and actually-moved bytes counted exactly as in a simulation.

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Reach gate: fail when a function that no run reaches is not on the
-allow-list, or when a listed function is reached.
+"""Reach gate and smoke harness: run every command and example at
+smoke scale, check what each run must print, and fail when a function
+that no run reaches is not on the allow-list, or when a listed function
+is reached.
 
 Run from the root of a checkout (or through `make reach`):
 
@@ -14,9 +16,15 @@ client-cache and QoS sweeps with every observability flag, the suite,
 livemem, -seeds, -csv, both live backends on both clocks, one -serve
 run, iogen with every pattern and format plus -layout, bpstrace plain,
 replayed, multi-stack, fault-injected and on blkparse text, bpsd over
-HTTP (every endpoint, the jobs API, SIGTERM, a Darshan log), and the
-examples. cmd/benchguard is left out of the build and the scan: it is
-the bench-regression tool `make bench-check` runs, and its one job,
+HTTP (every endpoint, the jobs API, SIGTERM, a Darshan log, a local
+stack), and the examples. The smoke checks: the fig9 attribution and
+livemem outputs equal their goldens under testdata/ byte for byte, the
+osfs wall-clock run prints a nonzero BPS and a well-formed windows CSV,
+the suite prints headroom, CIs and the composite and writes ceilings
+to its JSON, and bpsd serves bps_window_bps on /metrics, activates the
+QoS throttle, reports itself healthy and exits 0 on SIGTERM.
+cmd/benchguard is left out of the build and the scan: it is the
+bench-regression tool `make bench-check` runs, and its one job,
 running the benchmarks, takes minutes.
 
 It merges the profiles with `go tool covdata textfmt` and computes
@@ -29,16 +37,19 @@ guarantees. Each is keyed by file and Recv.Func, without line numbers.
 The allow-list (scripts/reach_allow.txt) holds one unreached function
 per line, `file<TAB>Recv.Func<TAB>reason`, where reason is one of
 `perfbench`, `public-api`, `test-double`, `engine-primitive` or
-`test-only <TestName>` (a test, fuzz target or benchmark of that name
-must exist in the module). The gate fails on any unreached function
-not listed, and on any listed function that is reached or no longer
-exists, so the list only shrinks. For a `test-only` entry the gate
-checks only that the named test exists, not that it reaches the
-function. On failure it prints each unlisted unreached function as
+`test-only <TestName>`. The gate fails on any unreached function not
+listed, and on any listed function that is reached or no longer
+exists, so the list only shrinks. A `test-only` entry must name a
+test, fuzz target or benchmark that reaches the function: the gate
+builds each package holding such a test once with `go test -c -cover
+-coverpkg=<module>/...`, runs the binary once per listed test with its
+own coverage directory, and fails when that run leaves the function
+unreached. On failure it prints each unlisted unreached function as
 `file<TAB>Recv.Func`, the allow-list's own key. Scratch files are
 removed at exit.
 """
 
+import difflib
 import os
 import re
 import shutil
@@ -97,9 +108,25 @@ def build(mod, bindir):
 
 
 def run(argv, cwd, env):
+    """Runs one smoke invocation and returns its stdout."""
     p = subprocess.run(argv, cwd=cwd, env=env, text=True, capture_output=True, timeout=RUN_TIMEOUT)
     if p.returncode != 0:
         sys.exit("reach: %s exited %d\n%s" % (" ".join(argv), p.returncode, p.stderr[-4000:]))
+    return p.stdout
+
+
+def expect(ok, what, detail=""):
+    if not ok:
+        sys.exit("reach: %s\n%s" % (what, detail[-4000:]))
+
+
+def golden(out, repo, name):
+    """Fails unless out equals testdata/<name> byte for byte."""
+    with open(os.path.join(repo, "testdata", name)) as f:
+        want = f.read()
+    if out != want:
+        diff = difflib.unified_diff(want.splitlines(True), out.splitlines(True), "testdata/" + name, "got")
+        sys.exit("reach: output differs from testdata/%s\n%s" % (name, "".join(diff)[-4000:]))
 
 
 def http(method, url, body=None):
@@ -140,8 +167,10 @@ def bpsd_session(argv, cwd, env, jobs):
 
     try:
         wait_for(serving, "bpsd to publish windows")
-        for path in ("/", "/metrics", "/windows", "/forecast", "/roofline", "/healthz"):
+        for path in ("/", "/windows", "/forecast", "/roofline", "/healthz"):
             http("GET", base + path)
+        metrics = http("GET", base + "/metrics")[1]
+        expect(re.search(r"^bps_window_bps", metrics, re.M), "bpsd: /metrics missing bps_window_bps", metrics)
         with urllib.request.urlopen(base + "/stream", timeout=10) as r:
             r.readline()  # the first server-sent event
         if jobs:
@@ -152,8 +181,13 @@ def bpsd_session(argv, cwd, env, jobs):
                     sys.exit("reach: bpsd refused a job: %d %s" % (status, text))
             wait_for(lambda: all('"state":"done"' in http("GET", base + "/jobs/%d" % i)[1] for i in (1, 2)),
                      "bpsd jobs to finish")
-            for method, path in (("GET", "/jobs"), ("DELETE", "/jobs/1"), ("GET", "/qos"), ("GET", "/healthz")):
-                http(method, base + path)
+            http("GET", base + "/jobs")
+            http("DELETE", base + "/jobs/1")
+            # alpha's floor is unmeetable, so the controller must act.
+            qos = http("GET", base + "/qos")[1]
+            expect(re.search(r'"activations":[1-9]', qos), "bpsd: QoS throttle never activated", qos)
+            health = http("GET", base + "/healthz")[1]
+            expect('"status":"ok"' in health, "bpsd: unhealthy", health)
         p.send_signal(signal.SIGTERM)
         p.wait(timeout=60)
     finally:
@@ -183,18 +217,39 @@ def exercise(bins, repo, work, env):
         [b, "-fig", "all", "-scale", SCALE, "-q"],
         [b, "-fig", "fig4", "-scale", SCALE, "-q", "-csv"],
         [b, "-fig", "fig4", "-scale", SCALE, "-q", "-seeds", "2"],
-        [b, "-fig", "suite", "-scale", SCALE, "-q", "-seeds", "2", "-roofline-out", "suite.json"],
-        [b, "-fig", "livemem", "-scale", SCALE, "-q"],
-        [b, "-fig", "faults", "-scale", SCALE, "-q", "-fault-rates", "0,0.064"] + obs("faults"),
+        [b, "-fig", "faults", "-scale", SCALE, "-q", "-fault-rates", "0,0.016,0.064"] + obs("faults"),
         [b, "-fig", "clientcache", "-scale", SCALE, "-q"] + obs("clientcache"),
         [b, "-fig", "qos", "-scale", SCALE, "-q"] + obs("qos"),
         [b, "-fig", "fig4", "-scale", SCALE, "-q", "-serve", "127.0.0.1:%d" % free_port()],
         [b, "-backend", "mem"] + live + ["-metrics-out", "mem.csv", "-windows-out", "mem.windows.csv", "-forecast"],
         [b, "-backend", "mem", "-wall"] + live,
         [b, "-backend", "os", "-dir", osdir] + live,
-        [b, "-backend", "os", "-dir", osdir, "-wall"] + live + ["-metrics-out", "os.csv", "-windows-out", "os.windows.csv"],
     ):
         run(argv, work, env)
+
+    # The blame table pins the attribution sweep and the simulation.
+    # Regenerate the golden after an intended change:
+    #   go run ./cmd/bpsbench -fig fig9 -scale 0.002 -q -attrib-out attrib_fig9.folded > testdata/attrib_fig9.golden
+    golden(run([b, "-fig", "fig9", "-scale", SCALE, "-q", "-attrib-out", "fig9.folded"], work, env),
+           repo, "attrib_fig9.golden")
+    # Regenerate after an intended change:
+    #   go run ./cmd/bpsbench -fig livemem -scale 0.002 -q > testdata/livemem.golden
+    golden(run([b, "-fig", "livemem", "-scale", SCALE, "-q"], work, env), repo, "livemem.golden")
+
+    out = run([b, "-fig", "suite", "-scale", SCALE, "-q", "-seeds", "2", "-roofline-out", "suite.json"], work, env)
+    for want in ("headroom", "95% CI", "Composite"):
+        expect(want in out, "suite: output lacks " + want, out)
+    with open(os.path.join(work, "suite.json")) as f:
+        expect('"ceiling_bps"' in f.read(), "suite: JSON lacks ceiling_bps")
+
+    out = run([b, "-backend", "os", "-dir", osdir, "-wall"] + live +
+              ["-metrics-out", "os.csv", "-windows-out", "os.windows.csv"], work, env)
+    expect(re.search(r"BPS: *[1-9]", out), "livefs: osfs run reported no BPS", out)
+    with open(os.path.join(work, "os.windows.csv")) as f:
+        rows = f.read().splitlines()
+    expect(rows[:1] == ["start_s,end_s,ops,blocks,busy_s,bps,bw_bytes_per_s,iops,arpt_s,utilization"],
+           "livefs: malformed windows CSV", "\n".join(rows[:3]))
+    expect(len(rows) > 1, "livefs: windows CSV has no rows")
 
     g = bins["iogen"]
     for pattern in ("sequential", "concurrent", "bursty", "random"):
@@ -221,8 +276,9 @@ def exercise(bins, repo, work, env):
         run(argv, work, env)
 
     d = bins["bpsd"]
-    bpsd_session([d, "-procs", "2", "-mb", "8", "-batch-wait", "300ms"], work, env, jobs=True)
+    bpsd_session([d, "-procs", "2", "-mb", "8", "-batch-wait", "500ms"], work, env, jobs=True)
     bpsd_session([d, "-jobs=false", os.path.join(repo, "testdata", "darshan_sample.csv")], work, env, jobs=False)
+    bpsd_session([d, "-jobs=false", "-stack", "hdd", "-procs", "2", "-mb", "4"], work, env, jobs=False)
 
     for name in sorted(bins):
         if name not in ("bpsbench", "bpstrace", "bpsd", "iogen"):
@@ -288,21 +344,26 @@ def functions(mod):
                 i += 1
 
 
+def ran(blocks, path, span):
+    """Reports whether any block of path starting in the line span ran."""
+    first, last = span
+    return any(c > 0 and first <= s <= last for s, c in blocks.get(path, ()))
+
+
 def unreached(mod, profile):
-    """Returns every function and the unreached ones, as (file, key)
-    sets."""
+    """Returns every function's line span, keyed by (file, key), and
+    the set of unreached ones."""
     blocks = reached_blocks(profile, mod)
-    known, zero = set(), set()
+    spans, zero = {}, set()
     for path, key, first, last in functions(mod):
-        known.add((path, key))
-        if not any(c > 0 and first <= s <= last for s, c in blocks.get(path, ())):
+        spans[(path, key)] = (first, last)
+        if not ran(blocks, path, (first, last)):
             zero.add((path, key))
-    return known, zero
+    return spans, zero
 
 
-def load_allow():
+def load_allow(tests):
     allow, bad = {}, []
-    tests = test_names()
     with open(ALLOW) as f:
         for n, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -325,43 +386,81 @@ def load_allow():
     return allow, bad
 
 
-def test_names():
-    """Returns the names of the module's tests, fuzz targets and
-    benchmarks (perfbench/ excluded)."""
-    names = set()
+def test_dirs():
+    """Returns the module's tests, fuzz targets and benchmarks
+    (perfbench/ excluded), each mapped to the package directories that
+    declare it."""
+    dirs = {}
     decl = re.compile(r"^func ((?:Test|Fuzz|Benchmark)\w*)\(", re.M)
-    for root, dirs, files in os.walk("."):
-        dirs[:] = [d for d in dirs if not d.startswith(".") and d not in ("testdata", "perfbench")]
+    for root, subdirs, files in os.walk("."):
+        subdirs[:] = [d for d in subdirs if not d.startswith(".") and d not in ("testdata", "perfbench")]
         for f in files:
             if f.endswith("_test.go"):
                 with open(os.path.join(root, f)) as fh:
-                    names.update(decl.findall(fh.read()))
-    return names
+                    for name in decl.findall(fh.read()):
+                        dirs.setdefault(name, set()).add(os.path.normpath(root))
+    return dirs
+
+
+def test_only_unreached(mod, allow, tests, spans, tmp):
+    """Returns the test-only entries whose named test does not reach
+    the listed function. Each package declaring a listed test is built
+    once as a coverage-instrumented test binary; each listed test runs
+    alone, in its package directory, with its own coverage directory."""
+    bins, bad = {}, []
+    for (path, key), reason in sorted(allow.items()):
+        if not reason.startswith("test-only ") or (path, key) not in spans:
+            continue
+        name = reason.split()[1]
+        reached = False
+        for d in sorted(tests.get(name, ())):
+            if d not in bins:
+                bins[d] = os.path.join(tmp, "tests", d.replace(os.sep, "_") + ".test")
+                sh(["go", "test", "-c", "-cover", "-coverpkg=" + mod + "/...", "-o", bins[d], "./" + d])
+            cov = tempfile.mkdtemp(dir=tmp)
+            if name.startswith("Benchmark"):
+                flags = ["-test.run=^$", "-test.bench=^%s$" % name, "-test.benchtime=1x"]
+            else:
+                flags = ["-test.run=^%s$" % name]
+            p = subprocess.run([bins[d]] + flags + ["-test.gocoverdir=" + cov], cwd=d, text=True,
+                               capture_output=True, timeout=RUN_TIMEOUT)
+            if p.returncode != 0:
+                sys.exit("reach: %s in %s failed\n%s" % (name, d, (p.stdout + p.stderr)[-4000:]))
+            profile = cov + ".txt"
+            sh(["go", "tool", "covdata", "textfmt", "-i=" + cov, "-o", profile])
+            if ran(reached_blocks(profile, mod), path, spans[(path, key)]):
+                reached = True
+                break
+        if not reached:
+            bad.append("listed test-only but %s does not reach it: %s\t%s" % (name, path, key))
+    return bad
 
 
 def main():
     repo = os.getcwd()
     mod = sh(["go", "list", "-m"]).strip()
+    tests = test_dirs()
+    allow, problems = load_allow(tests)
     tmp = tempfile.mkdtemp(prefix="bps-reach-")
     try:
         bindir, cov, work = (os.path.join(tmp, d) for d in ("bin", "cov", "work"))
-        for d in (bindir, cov, work):
+        for d in (bindir, cov, work, os.path.join(tmp, "tests")):
             os.mkdir(d)
         bins = build(mod, bindir)
         env = dict(os.environ, GOCOVERDIR=cov)
         exercise(bins, repo, work, env)
         profile = os.path.join(tmp, "profile.txt")
         sh(["go", "tool", "covdata", "textfmt", "-i=" + cov, "-o", profile])
-        known, zero = unreached(mod, profile)
+        spans, zero = unreached(mod, profile)
+        problems += test_only_unreached(mod, allow, tests, spans, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    allow, problems = load_allow()
     for entry in sorted(zero - allow.keys()):
         problems.append("unreached and not listed: %s\t%s" % entry)
-    for entry in sorted(allow.keys() & known - zero):
+    for entry in sorted(allow.keys() & spans.keys() - zero):
         problems.append("listed but reached (delete the entry): %s\t%s" % entry)
-    for entry in sorted(allow.keys() - known):
+    for entry in sorted(allow.keys() - spans.keys()):
         problems.append("listed but no such function (delete the entry): %s\t%s" % entry)
     print("reach: %d functions unreached, %d listed" % (len(zero), len(allow)))
     if problems:

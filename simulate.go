@@ -415,7 +415,7 @@ func ReplayTrace(cfg RunConfig, records []Record) (RunReport, error) {
 }
 
 // ReplayAccesses re-issues an offset-aware access stream — typically
-// reconstructed from an ingested Darshan-style log (see ReadLog) —
+// reconstructed from an ingested Darshan-style log (see ReadLogs) —
 // against the configured storage stack. Unlike ReplayTrace, accesses
 // keep their recorded operations, offsets, and file separation: the env
 // gets one file per access slot, sized to the largest offset reached.
