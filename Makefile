@@ -87,7 +87,8 @@ perf-pairs:
 # reach is the smoke harness and reach gate: build every command and
 # example with coverage, run them at smoke scale (figures, sweeps, live
 # backends, bpstrace, bpsd over HTTP), check their outputs (the fig9
-# attribution and livemem goldens, the suite's headroom and CIs, the
+# attribution, livemem, multi-stack replay, multiapp and whatif
+# goldens, the suite's headroom and CIs, the
 # osfs windows CSV, bpsd's metrics, QoS throttle, health and SIGTERM
 # drain), and fail when a function no run reaches is missing from
 # scripts/reach_allow.txt, or a listed one is reached, so the list only

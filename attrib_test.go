@@ -144,9 +144,9 @@ func TestAttributionConcurrentApps(t *testing.T) {
 		Seed:    7,
 		Observe: &bps.ObserveOptions{Attribution: true},
 	}
-	combined, _, err := bps.SimulateConcurrentApps(cfg,
-		bps.AppSpec{Name: "a", Processes: 1, BytesPerProcess: 128 << 10, RecordSize: 64 << 10},
-		bps.AppSpec{Name: "b", Processes: 1, BytesPerProcess: 128 << 10, RecordSize: 32 << 10,
+	combined, _, _, err := bps.SimulateTenants(cfg, bps.QoSConfig{},
+		bps.TenantSpec{Tenant: bps.QoSTenant{Name: "a"}, Processes: 1, BytesPerProcess: 128 << 10, RecordSize: 64 << 10},
+		bps.TenantSpec{Tenant: bps.QoSTenant{Name: "b"}, Processes: 1, BytesPerProcess: 128 << 10, RecordSize: 32 << 10,
 			ComputePerOp: bps.Millisecond},
 	)
 	if err != nil {

@@ -183,11 +183,14 @@ func TestTimelineFacade(t *testing.T) {
 	}
 }
 
+// TestSimulateConcurrentApps runs the paper's multi-application case:
+// several applications as tenants under a zero QoSConfig.
 func TestSimulateConcurrentApps(t *testing.T) {
-	combined, perApp, err := SimulateConcurrentApps(
+	combined, perApp, _, err := SimulateTenants(
 		RunConfig{Storage: Storage{Media: SSD, Servers: 2}, Seed: 4},
-		AppSpec{Name: "a", Processes: 2, BytesPerProcess: 2 << 20, RecordSize: 64 << 10},
-		AppSpec{Name: "b", Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10, ComputePerOp: Millisecond},
+		QoSConfig{},
+		TenantSpec{Tenant: QoSTenant{Name: "a"}, Processes: 2, BytesPerProcess: 2 << 20, RecordSize: 64 << 10},
+		TenantSpec{Tenant: QoSTenant{Name: "b"}, Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10, ComputePerOp: Millisecond},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +218,36 @@ func TestSimulateConcurrentApps(t *testing.T) {
 		t.Fatalf("errors = %d", combined.Errors)
 	}
 
-	if _, _, err := SimulateConcurrentApps(RunConfig{}); err == nil {
+	if _, _, _, err := SimulateTenants(RunConfig{}, QoSConfig{}); err == nil {
 		t.Error("no apps accepted")
 	}
-	if _, _, err := SimulateConcurrentApps(RunConfig{}, AppSpec{Name: "bad"}); err == nil {
+	if _, _, _, err := SimulateTenants(RunConfig{}, QoSConfig{}, TenantSpec{Tenant: QoSTenant{Name: "bad"}}); err == nil {
 		t.Error("invalid app accepted")
+	}
+}
+
+// TestSimulateTenantsFaultEvery: a local tenant run honours
+// Storage.FaultEvery like every other local stack. Two tenants issue
+// 16 reads each on one SSD with no page cache, so the device sees 32
+// accesses and every 4th fails; the failed accesses still count in B.
+func TestSimulateTenantsFaultEvery(t *testing.T) {
+	tenant := func(name string) TenantSpec {
+		return TenantSpec{Tenant: QoSTenant{Name: name}, Processes: 1, BytesPerProcess: 1 << 20, RecordSize: 64 << 10}
+	}
+	combined, perTenant, _, err := SimulateTenants(
+		RunConfig{Storage: Storage{Media: SSD, FaultEvery: 4}, Seed: 1},
+		QoSConfig{}, tenant("a"), tenant("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if combined.Errors != 8 {
+		t.Fatalf("errors = %d, want 8 (every 4th of 32 device accesses)", combined.Errors)
+	}
+	if got := perTenant[0].Errors + perTenant[1].Errors; got != combined.Errors {
+		t.Fatalf("per-tenant errors sum to %d, combined %d", got, combined.Errors)
+	}
+	if combined.Metrics.Blocks != 2*BlocksOf(1<<20) {
+		t.Fatalf("B = %d blocks, failed accesses dropped", combined.Metrics.Blocks)
 	}
 }
 

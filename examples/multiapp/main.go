@@ -17,19 +17,22 @@ import (
 )
 
 func main() {
-	combined, perApp, err := bps.SimulateConcurrentApps(
+	// Each application is a tenant; the zero QoSConfig leaves them
+	// unarbitrated, so the controller only observes.
+	combined, perApp, _, err := bps.SimulateTenants(
 		bps.RunConfig{
 			Storage: bps.Storage{Media: bps.HDD, Servers: 4},
 			Seed:    1,
 		},
-		bps.AppSpec{
-			Name:            "scan",
+		bps.QoSConfig{},
+		bps.TenantSpec{
+			Tenant:          bps.QoSTenant{Name: "scan"},
 			Processes:       2,
 			BytesPerProcess: 64 << 20,
 			RecordSize:      1 << 20,
 		},
-		bps.AppSpec{
-			Name:            "analytics",
+		bps.TenantSpec{
+			Tenant:          bps.QoSTenant{Name: "analytics"},
 			Processes:       2,
 			BytesPerProcess: 8 << 20,
 			RecordSize:      64 << 10,

@@ -43,23 +43,19 @@ func qosTenantB(bytes int64) qos.TenantSpec {
 	}
 }
 
-// qosRunSpec is the figure's shared stack: four HDD servers with server
-// caching off, so tenant interference reaches the disks instead of
-// being absorbed by server readahead.
-func qosRunSpec(q qos.Config, tenants ...qos.TenantSpec) qos.RunSpec {
-	return qos.RunSpec{Servers: 4, Media: testbed.HDD, ServerCache: -1, QoS: q, Tenants: tenants}
-}
-
 // runQoSPoint executes one multi-tenant run on a fresh engine — the
 // qos-flavored sibling of runOne, returning the full qos.Result so the
-// sweep can read per-tenant outcomes.
-func runQoSPoint(seed int64, label string, observe *obs.Options, spec qos.RunSpec) (qos.Result, *Observation, error) {
+// sweep can read per-tenant outcomes. The figure's shared stack is four
+// HDD servers with server caching off, so tenant interference reaches
+// the disks instead of being absorbed by server readahead.
+func runQoSPoint(seed int64, label string, observe *obs.Options, q qos.Config, tenants ...qos.TenantSpec) (qos.Result, *Observation, error) {
 	e := sim.NewEngine(seed)
 	var ob *obs.Observer
 	if observe != nil {
 		ob = obs.Attach(e, *observe)
 	}
-	res, err := qos.Run(e, spec)
+	cluster, _ := testbed.NewCluster(e, testbed.ClusterSpec{Servers: 4, Media: testbed.HDD, ServerCache: -1})
+	res, err := qos.Run(e, qos.RunSpec{Cluster: cluster, QoS: q, Tenants: tenants})
 	if err != nil {
 		return qos.Result{}, nil, fmt.Errorf("run %s: %w", label, err)
 	}
@@ -115,10 +111,9 @@ func (s *Suite) qosSweep() ([]Point, error) {
 		aBytes := s.params.scaled(qosABytes, 1<<20)
 		bBytes := s.params.scaled(qosBBytes, 4<<10)
 
-		solo, soloObs, err := runQoSPoint(
+		solo, _, err := runQoSPoint(
 			DeriveSeed(s.params.Seed, QoSFigureID, "A-solo"), "A-solo",
-			s.observe,
-			qosRunSpec(qos.Config{}, qosTenantA(aBytes, 0)))
+			s.pointObserve(false), qos.Config{}, qosTenantA(aBytes, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -133,34 +128,35 @@ func (s *Suite) qosSweep() ([]Point, error) {
 		}
 
 		specs := []struct {
-			label string
-			spec  qos.RunSpec
+			label   string
+			q       qos.Config
+			tenants []qos.TenantSpec
 		}{
-			{"A+B", qosRunSpec(qos.Config{}, qosTenantA(aBytes, 0), qosTenantB(bBytes))},
-			{"A+B-throttled", qosRunSpec(qos.Config{Enabled: true}, qosTenantA(aBytes, floor), qosTenantB(bBytes))},
+			{"A+B", qos.Config{}, []qos.TenantSpec{qosTenantA(aBytes, 0), qosTenantB(bBytes)}},
+			{"A+B-throttled", qos.Config{Enabled: true}, []qos.TenantSpec{qosTenantA(aBytes, floor), qosTenantB(bBytes)}},
 		}
 		results := make([]qos.Result, len(specs))
-		observations := make([]*Observation, len(specs))
+		var last *Observation
 		err = ForEach(s.params.Parallel, len(specs), func(i int) error {
 			sp := specs[i]
+			final := i == len(specs)-1
 			res, ob, err := runQoSPoint(
 				DeriveSeed(s.params.Seed, QoSFigureID, sp.label), sp.label,
-				s.observe, sp.spec)
+				s.pointObserve(final), sp.q, sp.tenants...)
 			if err != nil {
 				return err
 			}
 			results[i] = res
-			observations[i] = ob
+			if final {
+				last = ob
+			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if s.observe != nil {
-			s.lastObs = observations[len(observations)-1]
-			if s.lastObs == nil {
-				s.lastObs = soloObs
-			}
+		if last != nil {
+			s.lastObs = last
 		}
 		pts := []Point{qosPoint("A-solo", solo, 0)}
 		pts[0].Aux["a_vs_solo"] = 1

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bps/internal/obs"
 	"bps/internal/sim"
 	"bps/internal/stats"
 	"bps/internal/workload"
@@ -103,7 +104,9 @@ func ForEach(workers, n int, job func(i int) error) error {
 //
 // When the suite observes, every run carries its own observer and the
 // suite's last observation becomes the final point's — the same
-// semantics a sequential pass over the sweep had.
+// semantics a sequential pass over the sweep had. Only that point's
+// observation is kept, and only it collects trace events (see
+// pointObserve).
 func (s *Suite) runSweep(sweepID string, specs []runSpec) ([]Point, error) {
 	seen := make(map[string]bool, len(specs))
 	for _, sp := range specs {
@@ -113,23 +116,39 @@ func (s *Suite) runSweep(sweepID string, specs []runSpec) ([]Point, error) {
 		seen[sp.label] = true
 	}
 	points := make([]Point, len(specs))
-	observations := make([]*Observation, len(specs))
-	observe := s.observe
+	var last *Observation
 	err := ForEach(s.params.Parallel, len(specs), func(i int) error {
 		sp := specs[i]
-		pt, ob, err := runOne(DeriveSeed(s.params.Seed, sweepID, sp.label), sp.label, observe, sp.build)
+		final := i == len(specs)-1
+		pt, ob, err := runOne(DeriveSeed(s.params.Seed, sweepID, sp.label), sp.label, s.pointObserve(final), sp.build)
 		if err != nil {
 			return err
 		}
 		points[i] = pt
-		observations[i] = ob
+		if final {
+			last = ob
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if observe != nil && len(observations) > 0 {
-		s.lastObs = observations[len(observations)-1]
+	if last != nil {
+		s.lastObs = last
 	}
 	return points, nil
+}
+
+// pointObserve returns the observer options of one sweep point. Only a
+// sweep's final point can become LastObservation, the one run an export
+// writes, so only it collects Chrome trace events and queue counters;
+// every point keeps attribution, windows, the sampler and Tick, so
+// blame and live serving see every run.
+func (s *Suite) pointObserve(final bool) *obs.Options {
+	if s.observe == nil || final {
+		return s.observe
+	}
+	o := *s.observe
+	o.ChromeTrace, o.QueueCounters = false, false
+	return &o
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -166,6 +167,40 @@ func TestParallelMatchesSequential(t *testing.T) {
 		so, po := obsSummary(seq.LastObservation()), obsSummary(par.LastObservation())
 		if so != po {
 			t.Errorf("%s: observation summaries differ:\n--- parallel=1\n%s--- parallel=8\n%s", id, so, po)
+		}
+	}
+}
+
+// TestOnlyFinalPointTraces: with Chrome tracing on, only a sweep's
+// final point, the one LastObservation keeps, collects trace events;
+// every point still runs its sampler and Tick. It covers a runSweep
+// figure and the qos sweep.
+func TestOnlyFinalPointTraces(t *testing.T) {
+	for _, id := range []string{"fig4", QoSFigureID} {
+		var mu sync.Mutex
+		ticked := make(map[*obs.Observer]bool)
+		s := NewSuite(Params{Scale: 1.0 / 512, Seed: 42, Parallel: 2})
+		s.SetObserve(&obs.Options{ChromeTrace: true, QueueCounters: true, SampleEvery: sim.Millisecond,
+			Tick: func(_ sim.Time, o *obs.Observer) {
+				mu.Lock()
+				ticked[o] = true
+				mu.Unlock()
+			}})
+		fig, err := s.Figure(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := s.LastObservation()
+		if last == nil || last.Obs.TraceBuffer() == nil {
+			t.Fatalf("%s: the final point holds no trace buffer", id)
+		}
+		if len(ticked) != len(fig.Points) {
+			t.Errorf("%s: %d observers ticked, want one per point (%d)", id, len(ticked), len(fig.Points))
+		}
+		for o := range ticked {
+			if o != last.Obs && o.TraceBuffer() != nil {
+				t.Errorf("%s: an earlier point's observer holds a trace buffer", id)
+			}
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package live is the measurement driver for real backends: it replays
 // a workload.Access stream from N concurrent goroutines — one per
-// recorded process, the same grouping and pacing contract as
-// workload.ReplayIO — against a backend.FS (a real directory tree or
-// the in-memory filesystem), through the exact middleware chain and
-// metric stack the simulator uses. The output Report carries the same
-// Metrics/Records/Attribution shape a simulated run produces, so every
-// downstream consumer (report writers, figures, the serve endpoints)
-// works on live data unchanged.
+// recorded process, scheduled by workload.Schedule and issued by
+// workload.Issue, the simulated replay's own loop — against a
+// backend.FS (a real directory tree or the in-memory filesystem),
+// through the exact middleware chain and metric stack the simulator
+// uses. The output Report carries the same Metrics/Records/Attribution
+// shape a simulated run produces, so every downstream consumer (report
+// writers, figures, the serve endpoints) works on live data unchanged.
 //
 // Two timelines are supported. Wall mode shares one wall clock across
 // workers: timestamps are real elapsed nanoseconds, think-time pacing
@@ -26,7 +26,6 @@ package live
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,9 +151,9 @@ func (d *driver) WindowEvery() sim.Time { return d.est.Every() }
 func (d *driver) Registry() *obs.Registry { return d.reg }
 
 // add feeds one completed access to the window estimator.
-func (d *driver) add(blocks int64, start, end sim.Time) {
+func (d *driver) add(r trace.Record) {
 	d.mu.Lock()
-	d.est.Add(blocks, start, end)
+	d.est.Add(r.Blocks, r.Start, r.End)
 	d.mu.Unlock()
 }
 
@@ -197,8 +196,8 @@ func openSlots(fsys backend.FS, accs []workload.Access) ([]backend.File, []int64
 // prepare a real dataset ahead of time. Existing files are kept and
 // grown only if too small. It returns the per-slot extents in bytes.
 func Layout(fsys backend.FS, accs []workload.Access) ([]int64, error) {
-	if len(accs) == 0 {
-		return nil, fmt.Errorf("live layout: no accesses")
+	if err := workload.Validate(accs); err != nil {
+		return nil, fmt.Errorf("live layout: %w", err)
 	}
 	files, extents, err := openSlots(fsys, accs)
 	if err != nil {
@@ -223,35 +222,9 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 	if cfg.FS == nil {
 		return Report{}, fmt.Errorf("live %q: no backend FS", cfg.Label)
 	}
-	if len(accs) == 0 {
-		return Report{}, fmt.Errorf("live %q: no accesses", cfg.Label)
-	}
-
-	// Group per PID and order by recorded start, exactly as ReplayIO.
-	perPID := make(map[int64][]workload.Access)
-	var pids []int64
-	for _, a := range accs {
-		if a.Size <= 0 {
-			return Report{}, fmt.Errorf("live %q: access with size %d", cfg.Label, a.Size)
-		}
-		if a.Off < 0 || a.Slot < 0 {
-			return Report{}, fmt.Errorf("live %q: access with offset %d slot %d", cfg.Label, a.Off, a.Slot)
-		}
-		if _, ok := perPID[a.PID]; !ok {
-			pids = append(pids, a.PID)
-		}
-		perPID[a.PID] = append(perPID[a.PID], a)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		s := perPID[pid]
-		sort.SliceStable(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-	}
-	base := accs[0].Start
-	for _, a := range accs {
-		if a.Start < base {
-			base = a.Start
-		}
+	streams, base, err := workload.Schedule(accs)
+	if err != nil {
+		return Report{}, fmt.Errorf("live %q: %w", cfg.Label, err)
 	}
 
 	// Lay out the slot files: every access range must be backed by real
@@ -281,10 +254,10 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 
 	d := &driver{reg: o.Registry(), est: core.NewWindowEstimator(cfg.WindowEvery)}
 
-	var wall *clockWall
+	var wall *clock.Wall
 	if cfg.Mode == Wall {
-		wall = newClockWall()
-		o.SetClock(wall.w)
+		wall = clock.NewWall()
+		o.SetClock(wall)
 	}
 
 	// Shared per-slot targets: the backend layer plus the middleware
@@ -326,7 +299,7 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 				case <-tick.C:
 					var now sim.Time
 					if wall != nil {
-						now = wall.w.Now()
+						now = wall.Now()
 					} else {
 						now = d.maxWindowEnd()
 					}
@@ -341,56 +314,30 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 		}
 	}
 
-	// One goroutine per recorded process, pacing by recorded think time
-	// on its own clock.
-	cols := make([]*trace.Collector, len(pids))
-	lanes := make([]*clock.VirtualLane, len(pids))
+	// One goroutine per recorded process, issuing its stream on its own
+	// clock. The sim path feeds the window estimator inside AppAccess,
+	// which the dormant observer deliberately no-ops, so each access's
+	// record is fed here.
+	target := func(slot int) middleware.Target { return targets[slot] }
+	cols := make([]*trace.Collector, len(streams))
+	lanes := make([]*clock.VirtualLane, len(streams))
 	var errs atomic.Int64
 	var wg sync.WaitGroup
-	for i, pid := range pids {
-		col := trace.NewCollector(pid)
+	for i, stream := range streams {
+		col := trace.NewCollector(stream[0].PID)
 		cols[i] = col
 		var lc sim.LiveClock
-		if cfg.Mode == Wall {
-			lc = wall.w
+		if wall != nil {
+			lc = wall
 		} else {
 			lanes[i] = clock.NewVirtualLane(0)
 			lc = lanes[i]
 		}
-		p := exec.NewProc(fmt.Sprintf("live.pid%d", pid), lc, workerSeed(cfg.Seed, i))
-		myAccs := perPID[pid]
+		p := exec.NewProc(fmt.Sprintf("live.pid%d", stream[0].PID), lc, workerSeed(cfg.Seed, i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ios := make(map[int]*middleware.POSIX)
-			start := p.Now()
-			for _, a := range myAccs {
-				io, ok := ios[a.Slot]
-				if !ok {
-					io = middleware.NewPOSIX(targets[a.Slot], col)
-					ios[a.Slot] = io
-				}
-				issueAt := start + (a.Start - base)
-				if now := p.Now(); now < issueAt {
-					p.Sleep(issueAt - now)
-				}
-				var err error
-				if a.Write {
-					err = io.Write(p, a.Off, a.Size)
-				} else {
-					err = io.Read(p, a.Off, a.Size)
-				}
-				if err != nil {
-					errs.Add(1)
-				}
-				// The record just captured is the access's authoritative
-				// interval; feed it to the shared window estimator (the
-				// sim path does this inside AppAccess, which the dormant
-				// observer deliberately no-ops).
-				recs := col.Records()
-				r := recs[len(recs)-1]
-				d.add(r.Blocks, r.Start, r.End)
-			}
+			errs.Add(int64(workload.Issue(p, stream, base, col, target, d.add)))
 		}()
 	}
 	wg.Wait()
@@ -398,7 +345,7 @@ func Run(cfg Config, accs []workload.Access) (Report, error) {
 	// T: wall time elapsed, or the furthest virtual lane cursor.
 	var execTime sim.Time
 	if cfg.Mode == Wall {
-		execTime = wall.w.Now()
+		execTime = wall.Now()
 	} else {
 		for _, l := range lanes {
 			if t := l.Now(); t > execTime {
@@ -435,12 +382,6 @@ func (d *driver) maxWindowEnd() sim.Time {
 	}
 	return wins[len(wins)-1].End
 }
-
-// clockWall wraps the shared wall clock so the driver can hold one
-// origin for pacing, publishing, and the final T.
-type clockWall struct{ w *clock.Wall }
-
-func newClockWall() *clockWall { return &clockWall{w: clock.NewWall()} }
 
 // costMW charges the virtual cost model for every request reaching the
 // backend — the deterministic stand-in for real device service time.

@@ -12,6 +12,7 @@ import (
 	"bps/internal/obs/forecast"
 	"bps/internal/obs/serve"
 	"bps/internal/sim"
+	"bps/internal/trace"
 	"bps/internal/workload"
 )
 
@@ -186,6 +187,11 @@ func TestLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, bad := range []workload.Access{{Size: 0}, {Size: 1, Off: -1}, {Size: 1, Slot: -1}} {
+		if _, err := Layout(m, []workload.Access{bad}); err == nil {
+			t.Errorf("layout of access %+v accepted", bad)
+		}
+	}
 	if len(extents) != 2 || extents[0] != 8192 || extents[1] != 10096 {
 		t.Fatalf("extents = %v, want [8192 10096]", extents)
 	}
@@ -234,8 +240,8 @@ func TestMaxWindowEnd(t *testing.T) {
 	if got := d.maxWindowEnd(); got != 0 {
 		t.Fatalf("no accesses: maxWindowEnd = %v, want 0", got)
 	}
-	d.add(8, 2*sim.Millisecond, 5*sim.Millisecond)
-	d.add(8, 12*sim.Millisecond, 23*sim.Millisecond)
+	d.add(trace.Record{Blocks: 8, Start: 2 * sim.Millisecond, End: 5 * sim.Millisecond})
+	d.add(trace.Record{Blocks: 8, Start: 12 * sim.Millisecond, End: 23 * sim.Millisecond})
 	if got, want := d.maxWindowEnd(), 30*sim.Millisecond; got != want {
 		t.Fatalf("maxWindowEnd = %v, want %v (the end of the window holding 23 ms)", got, want)
 	}

@@ -382,8 +382,8 @@ func TestMPIIOWrite(t *testing.T) {
 // TestHealthyReadAllocs pins the zero-allocation request path: once
 // warm, a read through POSIX or MPI-IO into a four-server pfs cluster
 // (server page caches on, recovery off) allocates nothing per call —
-// not its request, its pieces, the per-server jobs, their futures nor
-// the wake of the waiting process. Each step hands the daemon app
+// not its request, its pieces, its readahead fetch, the per-server
+// jobs, their futures nor the wake of the waiting process. Each step hands the daemon app
 // process one call and runs the engine until it is parked again.
 func TestHealthyReadAllocs(t *testing.T) {
 	const fileSize, record = 4 << 20, 256 << 10
@@ -391,6 +391,18 @@ func TestHealthyReadAllocs(t *testing.T) {
 		"posix": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
 			io := NewPOSIX(tgt, col)
 			return func(off int64) error { return io.Read(p, off, record) }
+		},
+		// HopRead with prefetch: each call is a hop of two half records,
+		// and a 64 KiB window makes the second read (and the first, unless
+		// the hop wrapped) a sequential miss that extends the readahead.
+		"posix-prefetch": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
+			io := NewPOSIX(tgt.With(NewPrefetcher(tgt, 64<<10)), col)
+			return func(off int64) error {
+				if err := io.Read(p, off, record/2); err != nil {
+					return err
+				}
+				return io.Read(p, off+record/2, record/2)
+			}
 		},
 		"mpiio": func(p *sim.Proc, tgt Target, col *trace.Collector) func(int64) error {
 			m := NewMPIIO(tgt, col, MPIIOConfig{})

@@ -11,7 +11,8 @@ import (
 // memory speed. Like data sieving, this is an optimization that moves
 // *more* data through the I/O system than the application requires — the
 // second source of BW/BPS divergence the paper names (§I, prefetching
-// [13,14]). Fetch sub-requests keep the demand request's identity.
+// [13,14]). Fetch sub-requests keep the demand request's identity. A
+// Prefetcher serves one process, whose calls are sequential.
 type Prefetcher struct {
 	inner ioreq.Layer
 	size  int64 // file size, bounds the readahead window
@@ -25,6 +26,11 @@ type Prefetcher struct {
 	// staged is the half-open prefetched range.
 	stagedLo, stagedHi int64
 	lastEnd            int64
+
+	// fetch is the one readahead request the prefetcher owns: the value
+	// form of req.Child, refilled per sequential miss and done with
+	// before Serve returns.
+	fetch ioreq.Request
 }
 
 // NewPrefetcher builds a readahead layer in front of target's pipeline;
@@ -65,7 +71,9 @@ func (pf *Prefetcher) Serve(p *sim.Proc, req *ioreq.Request) error {
 	if fetch < size {
 		fetch = size
 	}
-	if err := pf.inner.Serve(p, req.Child(off, fetch)); err != nil {
+	pf.fetch = *req
+	pf.fetch.Off, pf.fetch.Size = off, fetch
+	if err := pf.inner.Serve(p, &pf.fetch); err != nil {
 		return err
 	}
 	pf.stagedLo, pf.stagedHi = off, off+fetch

@@ -31,16 +31,14 @@ func specB() TenantSpec {
 	}
 }
 
-func runSpecWith(q Config, tenants ...TenantSpec) RunSpec {
-	// Server caching off: interference must reach the disks, not be
-	// absorbed by server readahead.
-	return RunSpec{Servers: 4, Media: testbed.HDD, ServerCache: -1, QoS: q, Tenants: tenants}
-}
-
-func mustRun(t *testing.T, seed int64, spec RunSpec) Result {
+// mustRun runs the tenants on four HDD servers with server caching
+// off: interference must reach the disks, not be absorbed by server
+// readahead.
+func mustRun(t *testing.T, seed int64, q Config, tenants ...TenantSpec) Result {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	res, err := Run(e, spec)
+	cluster, _ := testbed.NewCluster(e, testbed.ClusterSpec{Servers: 4, Media: testbed.HDD, ServerCache: -1})
+	res, err := Run(e, RunSpec{Cluster: cluster, QoS: q, Tenants: tenants})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -63,20 +61,20 @@ func wallRate(r TenantResult) float64 {
 func TestInterferenceAndThrottle(t *testing.T) {
 	const seed = 42
 
-	solo := mustRun(t, seed, runSpecWith(Config{}, specA(0)))
+	solo := mustRun(t, seed, Config{}, specA(0))
 	soloBPS := solo.Tenants[0].Metrics.BPS()
 	if soloBPS <= 0 {
 		t.Fatalf("solo BPS = %v, want > 0", soloBPS)
 	}
 
-	both := mustRun(t, seed, runSpecWith(Config{}, specA(0), specB()))
+	both := mustRun(t, seed, Config{}, specA(0), specB())
 	bothBPS := both.Tenants[0].Metrics.BPS()
 	if bothBPS >= 0.8*soloBPS {
 		t.Fatalf("tenant B degrades A's BPS only %.4g -> %.4g (want >= 20%% degradation)", soloBPS, bothBPS)
 	}
 
 	floor := 0.9 * wallRate(solo.Tenants[0])
-	throttled := mustRun(t, seed, runSpecWith(Config{Enabled: true}, specA(floor), specB()))
+	throttled := mustRun(t, seed, Config{Enabled: true}, specA(floor), specB())
 	thrBPS := throttled.Tenants[0].Metrics.BPS()
 	if thrBPS < 0.9*soloBPS {
 		t.Fatalf("throttled A BPS %.4g not within 10%% of solo %.4g", thrBPS, soloBPS)
@@ -106,12 +104,12 @@ func TestInterferenceAndThrottle(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	q := Config{Enabled: true}
 	a, b := specA(1e6), specB()
-	r1 := mustRun(t, 7, runSpecWith(q, a, b))
-	r2 := mustRun(t, 7, runSpecWith(q, a, b))
+	r1 := mustRun(t, 7, q, a, b)
+	r2 := mustRun(t, 7, q, a, b)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("same seed, different results")
 	}
-	r3 := mustRun(t, 8, runSpecWith(q, a, b))
+	r3 := mustRun(t, 8, q, a, b)
 	if reflect.DeepEqual(r1.Combined, r3.Combined) {
 		t.Fatalf("different seeds gave identical combined metrics (suspicious)")
 	}
@@ -123,8 +121,8 @@ func TestDeterminism(t *testing.T) {
 // with QoS disabled.
 func TestDisabledQoSIsTimingNeutral(t *testing.T) {
 	a, b := specA(0), specB()
-	off := mustRun(t, 42, runSpecWith(Config{}, a, b))
-	on := mustRun(t, 42, runSpecWith(Config{Enabled: true}, a, b))
+	off := mustRun(t, 42, Config{}, a, b)
+	on := mustRun(t, 42, Config{Enabled: true}, a, b)
 	if !reflect.DeepEqual(off.Records, on.Records) {
 		t.Fatalf("enabled-but-floorless QoS changed the timeline")
 	}
@@ -139,7 +137,7 @@ func TestDisabledQoSIsTimingNeutral(t *testing.T) {
 // block total.
 func TestShedMode(t *testing.T) {
 	q := Config{Enabled: true, ShedAfter: 2}
-	res := mustRun(t, 42, runSpecWith(q, specA(1e12), specB()))
+	res := mustRun(t, 42, q, specA(1e12), specB())
 	var b TenantResult
 	for _, tr := range res.Tenants {
 		if tr.Name == "tenantB" {
@@ -191,7 +189,7 @@ func TestShedErrorIdentity(t *testing.T) {
 // small-request tenant occupies more than its metric share, the
 // streaming tenant less.
 func TestInterferenceScores(t *testing.T) {
-	res := mustRun(t, 42, runSpecWith(Config{}, specA(0), specB()))
+	res := mustRun(t, 42, Config{}, specA(0), specB())
 	var a, b TenantReport
 	for _, tr := range res.Report.Tenants {
 		switch tr.Name {
@@ -228,6 +226,11 @@ func TestRunValidation(t *testing.T) {
 	e = sim.NewEngine(1)
 	if _, err := Run(e, RunSpec{Tenants: []TenantSpec{{Tenant: Tenant{Name: "a"}}}}); err == nil {
 		t.Fatal("zero-size workload accepted")
+	}
+	e = sim.NewEngine(1)
+	ok := TenantSpec{Tenant: Tenant{Name: "a"}, Processes: 1, BytesPerProcess: 4096, RecordSize: 4096}
+	if _, err := Run(e, RunSpec{Tenants: []TenantSpec{ok}}); err == nil {
+		t.Fatal("run without a stack accepted")
 	}
 }
 

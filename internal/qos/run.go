@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"bps/internal/core"
-	"bps/internal/faults"
 	"bps/internal/fsim"
 	"bps/internal/ioreq"
 	"bps/internal/pfs"
 	"bps/internal/sim"
-	"bps/internal/testbed"
 	"bps/internal/trace"
 	"bps/internal/workload"
 )
@@ -33,20 +31,11 @@ type TenantSpec struct {
 
 // RunSpec describes one multi-tenant engine run.
 type RunSpec struct {
-	// Servers selects the stack: 0 = direct-attached local file system,
-	// n ≥ 1 = PVFS-like cluster with n I/O servers.
-	Servers int
-	Media   testbed.Media
-
-	// Faults, when enabled, degrades the stack with the given plan.
-	Faults faults.Config
-
-	// ServerCache overrides each I/O server's page-cache size (see
-	// testbed.ClusterSpec.ServerCache): 0 keeps the testbed default,
-	// negative disables server caching and readahead — the setting the
-	// qos figure uses so tenant interference reaches the devices instead
-	// of being absorbed by server readahead.
-	ServerCache int64
+	// Cluster, when non-nil, is the shared parallel file system the
+	// tenants run on; otherwise LocalFS is the shared local one. The
+	// caller builds either on the run's engine, faults included.
+	Cluster *pfs.Cluster
+	LocalFS *fsim.FileSystem
 
 	// QoS configures the admission controller.
 	QoS Config
@@ -80,9 +69,12 @@ type Result struct {
 	Report *Report
 }
 
-// Run executes every tenant's workload concurrently on one I/O system
-// built on e, with the QoS controller's admission middleware at the top
-// of each tenant's pipeline. The engine must be fresh; Run drives it to
+// Run executes every tenant's workload concurrently on the stack
+// spec names, built on e, with the QoS controller's admission
+// middleware at the top of each tenant's pipeline. With QoS disabled
+// this is the paper's multi-application recording (§III.B step 1): the
+// controller only observes, so the timeline is that of the workloads
+// sharing the stack alone. The engine must be fresh; Run drives it to
 // completion and shuts it down.
 func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 	if len(spec.Tenants) == 0 {
@@ -95,36 +87,17 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 		}
 		tenants[i] = t.Tenant
 	}
+	if spec.Cluster == nil && spec.LocalFS == nil {
+		return Result{}, fmt.Errorf("qos: no stack given")
+	}
 	ctl, err := NewController(spec.QoS, tenants...)
 	if err != nil {
 		return Result{}, err
 	}
-
-	var cluster *pfs.Cluster
-	var localFS *fsim.FileSystem
-	if spec.Servers > 0 {
-		cluster, _ = testbed.NewCluster(e, testbed.ClusterSpec{
-			Servers:     spec.Servers,
-			Media:       spec.Media,
-			Clients:     0,
-			Faults:      spec.Faults,
-			ServerCache: spec.ServerCache,
-		})
-	} else {
-		dev := faults.WrapDevice(e, testbed.NewDevice(e, spec.Media), spec.Faults, "local."+spec.Media.String())
-		localFS = fsim.New(dev, fsim.Config{})
-	}
-	moved := func() int64 {
-		if cluster != nil {
-			return cluster.Moved()
-		}
-		return localFS.Moved()
-	}
-
 	var pendings []*workload.Pending
 	firstPID := int64(0)
 	for _, t := range spec.Tenants {
-		env, err := tenantEnv(cluster, localFS, t, ctl.Middleware(t.Name))
+		env, err := tenantEnv(spec, t, ctl.Middleware(t.Name))
 		if err != nil {
 			return Result{}, fmt.Errorf("qos: tenant %q: %w", t.Name, err)
 		}
@@ -144,34 +117,37 @@ func Run(e *sim.Engine, spec RunSpec) (Result, error) {
 		}
 		pendings = append(pendings, pend)
 	}
-	if cluster != nil {
-		cluster.FlushCaches()
+	if spec.Cluster != nil {
+		spec.Cluster.FlushCaches()
 	}
 	if err := e.Run(); err != nil {
 		return Result{}, fmt.Errorf("qos: simulation: %w", err)
 	}
 	e.Shutdown()
 
+	// Moved is the stack-wide total every tenant's env reports.
 	res := Result{Report: ctl.Report()}
+	var moved int64
 	for i, pend := range pendings {
 		tr := pend.Result()
+		moved = tr.Moved
 		res.Tenants = append(res.Tenants, TenantResult{
 			Name:    spec.Tenants[i].Name,
-			Metrics: core.Compute(tr.Trace, moved(), tr.ExecTime),
+			Metrics: core.Compute(tr.Trace, moved, tr.ExecTime),
 			Records: tr.Trace.Records(),
 			Errors:  tr.Errors,
 		})
 		res.Records = append(res.Records, tr.Trace.Records()...)
 		res.Errors += tr.Errors
 	}
-	res.Combined = core.Compute(trace.FromRecords(res.Records), moved(), e.Now())
+	res.Combined = core.Compute(trace.FromRecords(res.Records), moved, e.Now())
 	return res, nil
 }
 
 // tenantEnv builds tenant t's private files and clients on the shared
 // infrastructure, with the tenant's admission middleware outermost.
-func tenantEnv(cluster *pfs.Cluster, localFS *fsim.FileSystem, t TenantSpec, mw ioreq.Middleware) (workload.Env, error) {
-	if cluster != nil {
+func tenantEnv(spec RunSpec, t TenantSpec, mw ioreq.Middleware) (workload.Env, error) {
+	if cluster := spec.Cluster; cluster != nil {
 		env := &workload.ClusterEnv{Cluster: cluster, Wrap: mw}
 		for i := 0; i < t.Processes; i++ {
 			f, err := cluster.Create(fmt.Sprintf("%s.file%d", t.Name, i), t.BytesPerProcess, cluster.DefaultLayout())
@@ -183,9 +159,9 @@ func tenantEnv(cluster *pfs.Cluster, localFS *fsim.FileSystem, t TenantSpec, mw 
 		}
 		return env, nil
 	}
-	env := &workload.LocalEnv{FS: localFS, Wrap: mw}
+	env := &workload.LocalEnv{FS: spec.LocalFS, Wrap: mw}
 	for i := 0; i < t.Processes; i++ {
-		f, err := localFS.Create(fmt.Sprintf("%s.file%d", t.Name, i), t.BytesPerProcess)
+		f, err := spec.LocalFS.Create(fmt.Sprintf("%s.file%d", t.Name, i), t.BytesPerProcess)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,12 @@
 // sieving. Every workload runs against an Env (a configured simulated I/O
 // system) and returns the gathered trace plus the measurements needed by
 // the metrics.
+//
+// ReplayIO replays recorded accesses (an ingested log, or the paper's
+// records laid out by RecordAccesses). Its schedule (Schedule) and
+// per-process loop (Issue) are also what the live driver runs against
+// real filesystems, so a simulated and a live replay of one stream
+// issue the same accesses in the same order.
 package workload
 
 import (

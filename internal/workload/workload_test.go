@@ -508,7 +508,7 @@ func TestReplayPreservesStructure(t *testing.T) {
 	}
 	e := sim.NewEngine(1)
 	env := newLocalEnv(e, 2, 1<<20)
-	res, err := Replay{Label: "rp", Records: records}.Run(e, env)
+	res, err := replayRecords(e, env, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,27 +531,68 @@ func TestReplayPreservesStructure(t *testing.T) {
 	}
 }
 
+// replayRecords replays offset-less records the way bps.ReplayTrace
+// does: converted by RecordAccesses, issued by ReplayIO.
+func replayRecords(e *sim.Engine, env Env, records []trace.Record) (Result, error) {
+	accs, err := RecordAccesses(records)
+	if err != nil {
+		return Result{}, err
+	}
+	return ReplayIO{Label: "rp", Accesses: accs}.Run(e, env)
+}
+
+// TestReplayPIDBytes checks the record-to-access layout: each PID gets
+// the slot of its rank in ascending PID order, its accesses run back to
+// back in recorded start order (ties in trace order), and so each
+// slot's extent is that PID's total required bytes.
 func TestReplayPIDBytes(t *testing.T) {
-	w := Replay{Records: []trace.Record{
-		{PID: 3, Blocks: 10},
-		{PID: 3, Blocks: 20},
-		{PID: 7, Blocks: 5},
-	}}
-	sizes := w.PIDBytes()
-	if sizes[3] != 30*trace.BlockSize || sizes[7] != 5*trace.BlockSize {
-		t.Fatalf("sizes = %v", sizes)
+	records := []trace.Record{
+		{PID: 7, Blocks: 5, Start: 3},
+		{PID: 3, Blocks: 20, Start: 2},
+		{PID: 3, Blocks: 10, Start: 1},
+		{PID: 3, Blocks: 1, Start: 2},
+	}
+	accs, err := RecordAccesses(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := ReplayIO{Accesses: accs}.SlotExtents()
+	if want := []int64{31 * trace.BlockSize, 5 * trace.BlockSize}; !slices.Equal(ext, want) {
+		t.Fatalf("slot extents = %v, want the per-PID bytes %v", ext, want)
+	}
+	want := []Access{
+		{PID: 3, Slot: 0, Off: 0, Size: 10 * trace.BlockSize, Start: 1},
+		{PID: 3, Slot: 0, Off: 10 * trace.BlockSize, Size: 20 * trace.BlockSize, Start: 2},
+		{PID: 3, Slot: 0, Off: 30 * trace.BlockSize, Size: 1 * trace.BlockSize, Start: 2},
+		{PID: 7, Slot: 1, Off: 0, Size: 5 * trace.BlockSize, Start: 3},
+	}
+	if !slices.Equal(accs, want) {
+		t.Fatalf("accesses = %+v, want %+v", accs, want)
+	}
+	for _, blocks := range []int64{0, -1} {
+		if _, err := RecordAccesses([]trace.Record{{PID: 1, Blocks: blocks, End: 1}}); err == nil {
+			t.Errorf("record with %d blocks accepted", blocks)
+		}
 	}
 }
 
 func TestReplayValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	env := newLocalEnv(e, 1, 1<<20)
-	if _, err := (Replay{Label: "x"}).Run(e, env); err == nil {
+	if _, err := replayRecords(e, env, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 	bad := []trace.Record{{PID: 1, Blocks: 0, Start: 0, End: 1}}
-	if _, err := (Replay{Label: "x", Records: bad}).Run(e, env); err == nil {
+	if _, err := replayRecords(e, env, bad); err == nil {
 		t.Error("zero-block record accepted")
+	}
+	if _, err := (ReplayIO{Label: "x"}).Run(e, env); err == nil {
+		t.Error("empty access stream accepted")
+	}
+	for _, a := range []Access{{Size: 0}, {Size: 1, Off: -1}, {Size: 1, Slot: -1}} {
+		if _, err := (ReplayIO{Label: "x", Accesses: []Access{a}}).Run(e, env); err == nil {
+			t.Errorf("access %+v accepted", a)
+		}
 	}
 }
 
@@ -563,7 +604,7 @@ func TestReplayNonZeroBase(t *testing.T) {
 	}
 	e := sim.NewEngine(1)
 	env := newLocalEnv(e, 1, 1<<20)
-	res, err := Replay{Label: "rp", Records: records}.Run(e, env)
+	res, err := replayRecords(e, env, records)
 	if err != nil {
 		t.Fatal(err)
 	}

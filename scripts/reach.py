@@ -17,11 +17,12 @@ livemem, -seeds, -csv, both live backends on both clocks, one -serve
 run, iogen with every pattern and format plus -layout, bpstrace plain,
 replayed, multi-stack, fault-injected and on blkparse text, bpsd over
 HTTP (every endpoint, the jobs API, SIGTERM, a Darshan log, a local
-stack), and the examples. The smoke checks: the fig9 attribution and
-livemem outputs equal their goldens under testdata/ byte for byte, the
-osfs wall-clock run prints a nonzero BPS and a well-formed windows CSV,
-the suite prints headroom, CIs and the composite and writes ceilings
-to its JSON, and bpsd serves bps_window_bps on /metrics, activates the
+stack), and the examples. The smoke checks: the fig9 attribution,
+livemem, multi-stack replay, multiapp and whatif outputs equal their
+goldens under testdata/ byte for byte, the osfs wall-clock run prints
+a nonzero BPS and a well-formed windows CSV, the suite prints
+headroom, CIs and the composite and writes ceilings to its JSON, and
+bpsd serves bps_window_bps on /metrics, activates the
 QoS throttle, reports itself healthy and exits 0 on SIGTERM.
 cmd/benchguard is left out of the build and the scan: it is the
 bench-regression tool `make bench-check` runs, and its one job,
@@ -269,19 +270,31 @@ def exercise(bins, repo, work, env):
         [t, "sequential.csv", "sequential.jsonl"],
         [t, "-trace-out", "app.json", "bursty.binary"],
         [t, "-replay", "hddx4"] + obs("replay") + ["bursty.binary"],
-        [t, "-replay", "hdd,ssdx2", "concurrent.binary"],
         [t, "-replay", "hddx2", "-fault-rate", "0.05", "random.binary"],
         [t, "-format", "blkparse", "-latency", "trace.blk"],
     ):
         run(argv, work, env)
+
+    # The record replay (workload.RecordAccesses into ReplayIO) on a
+    # local disk and a cluster. Regenerate after an intended change:
+    #   go run ./cmd/iogen -pattern concurrent -format binary -procs 4 -ops 50 -out concurrent.binary
+    #   go run ./cmd/bpstrace -replay hdd,ssdx2 concurrent.binary > testdata/replay_multi.golden
+    golden(run([t, "-replay", "hdd,ssdx2", "concurrent.binary"], work, env), repo, "replay_multi.golden")
 
     d = bins["bpsd"]
     bpsd_session([d, "-procs", "2", "-mb", "8", "-batch-wait", "500ms"], work, env, jobs=True)
     bpsd_session([d, "-jobs=false", os.path.join(repo, "testdata", "darshan_sample.csv")], work, env, jobs=False)
     bpsd_session([d, "-jobs=false", "-stack", "hdd", "-procs", "2", "-mb", "4"], work, env, jobs=False)
 
+    # multiapp runs applications as tenants (SimulateTenants, zero
+    # QoSConfig); whatif replays records on three stacks (ReplayTrace).
+    # Regenerate after an intended change:
+    #   go run ./examples/multiapp > testdata/multiapp.golden
+    #   go run ./examples/whatif > testdata/whatif.golden
     for name in sorted(bins):
-        if name not in ("bpsbench", "bpstrace", "bpsd", "iogen"):
+        if name in ("multiapp", "whatif"):
+            golden(run([bins[name]], work, env), repo, name + ".golden")
+        elif name not in ("bpsbench", "bpstrace", "bpsd", "iogen"):
             run([bins[name]], work, env)
 
 

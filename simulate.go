@@ -2,7 +2,6 @@ package bps
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -10,9 +9,7 @@ import (
 	"bps/internal/device"
 	"bps/internal/experiments"
 	"bps/internal/faults"
-	"bps/internal/fsim"
 	"bps/internal/ioreq"
-	"bps/internal/pfs"
 	"bps/internal/sim"
 	"bps/internal/testbed"
 	"bps/internal/workload"
@@ -190,137 +187,6 @@ func SimulateNoncontiguousRead(cfg RunConfig, procs, regionCount int, regionSize
 	return simulate(cfg, procs, int64(procs)*perProc, perProc, w)
 }
 
-// AppSpec describes one application in a multi-application simulation.
-type AppSpec struct {
-	Name            string
-	Processes       int
-	BytesPerProcess int64
-	RecordSize      int64
-
-	// ComputePerOp inserts think time after each record, letting apps
-	// with different I/O intensity share the system.
-	ComputePerOp Time
-}
-
-// SimulateConcurrentApps runs several applications concurrently on one
-// I/O system and records all of them, the paper's multi-application
-// case (§III.B step 1: "If the I/O system services more than one
-// application concurrently, we record the I/O access information of all
-// the applications"). It returns the combined report — B, T, and the
-// metrics over every application's accesses — plus one report per
-// application.
-//
-// Process IDs are globally unique across applications. Each process
-// gets its own file; on a cluster each file is striped over all servers.
-// MovedBytes in every report is the system-wide total: file-system-level
-// movement is not attributable to one application, which is exactly why
-// the paper gathers a global collection.
-func SimulateConcurrentApps(cfg RunConfig, apps ...AppSpec) (combined RunReport, perApp []RunReport, err error) {
-	if len(apps) == 0 {
-		return RunReport{}, nil, fmt.Errorf("bps: no applications given")
-	}
-	e := sim.NewEngine(cfg.Seed)
-	ob := attachObserver(e, cfg)
-
-	// Shared infrastructure.
-	var cluster *pfs.Cluster
-	var localFS *fsim.FileSystem
-	if cfg.Storage.Servers > 0 {
-		cluster, _ = testbed.NewCluster(e, testbed.ClusterSpec{
-			Servers: cfg.Storage.Servers,
-			Media:   cfg.Storage.Media,
-			Clients: 0,
-			Faults:  faultPlan(cfg),
-		})
-	} else {
-		localFS = fsim.New(localDevice(e, cfg), fsim.Config{})
-	}
-	moved := func() int64 {
-		if cluster != nil {
-			return cluster.Moved()
-		}
-		return localFS.Moved()
-	}
-
-	var pendings []*workload.Pending
-	firstPID := int64(0)
-	for ai, app := range apps {
-		if app.Processes < 1 || app.BytesPerProcess <= 0 || app.RecordSize <= 0 {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: processes, bytes and record size must be positive", app.Name)
-		}
-		env, err := appEnv(e, cluster, localFS, ai, app)
-		if err != nil {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: %w", app.Name, err)
-		}
-		w := workload.SeqRead{
-			Label:           app.Name,
-			Processes:       app.Processes,
-			BytesPerProcess: app.BytesPerProcess,
-			RecordSize:      app.RecordSize,
-			ComputePerOp:    app.ComputePerOp,
-			FirstPID:        firstPID,
-		}
-		firstPID += int64(app.Processes)
-		pend, err := w.Start(e, env)
-		if err != nil {
-			return RunReport{}, nil, fmt.Errorf("bps: app %q: %w", app.Name, err)
-		}
-		pendings = append(pendings, pend)
-	}
-	if err := e.Run(); err != nil {
-		return RunReport{}, nil, fmt.Errorf("bps: simulation: %w", err)
-	}
-	e.Shutdown()
-
-	var allRecords []Record
-	var errs int
-	for _, pend := range pendings {
-		res := pend.Result()
-		perApp = append(perApp, RunReport{
-			Metrics: core.Compute(res.Trace, moved(), res.ExecTime),
-			Records: res.Trace.Records(),
-			Errors:  res.Errors,
-		})
-		allRecords = append(allRecords, res.Trace.Records()...)
-		errs += res.Errors
-	}
-	ob.FinishRun(allRecords)
-	combined = RunReport{
-		Metrics:     ComputeMetrics(allRecords, moved(), e.Now()),
-		Records:     allRecords,
-		Errors:      errs,
-		Obs:         ob,
-		Attribution: ob.Attribution(),
-	}
-	return combined, perApp, nil
-}
-
-// appEnv builds application ai's private files and clients on the
-// shared infrastructure.
-func appEnv(e *sim.Engine, cluster *pfs.Cluster, localFS *fsim.FileSystem, ai int, app AppSpec) (workload.Env, error) {
-	if cluster != nil {
-		env := &workload.ClusterEnv{Cluster: cluster}
-		for i := 0; i < app.Processes; i++ {
-			f, err := cluster.Create(fmt.Sprintf("app%d.file%d", ai, i), app.BytesPerProcess, cluster.DefaultLayout())
-			if err != nil {
-				return nil, err
-			}
-			env.Files = append(env.Files, f)
-			env.Clients = append(env.Clients, cluster.NewClient(fmt.Sprintf("app%d.cn%d", ai, i)))
-		}
-		return env, nil
-	}
-	env := &workload.LocalEnv{FS: localFS}
-	for i := 0; i < app.Processes; i++ {
-		f, err := localFS.Create(fmt.Sprintf("app%d.file%d", ai, i), app.BytesPerProcess)
-		if err != nil {
-			return nil, err
-		}
-		env.Files = append(env.Files, f)
-	}
-	return env, nil
-}
-
 // faultPlan derives the run's fault plan from the public FaultRate
 // knob. The plan seed is a pure function of the run seed, so two runs
 // with equal configs inject identical fault patterns; a zero rate
@@ -377,6 +243,11 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 	if err != nil {
 		return RunReport{}, fmt.Errorf("bps: running workload: %w", err)
 	}
+	return finish(e, ob, res), nil
+}
+
+// finish shuts down a run's drained engine and assembles its report.
+func finish(e *sim.Engine, ob *Observer, res workload.Result) RunReport {
 	e.Shutdown()
 	ob.FinishRun(res.Trace.Records())
 	return RunReport{
@@ -385,7 +256,7 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 		Errors:      res.Errors,
 		Obs:         ob,
 		Attribution: ob.Attribution(),
-	}, nil
+	}
 }
 
 // ReplayTrace re-issues a recorded trace (from any source: a prior
@@ -394,42 +265,25 @@ func simulate(cfg RunConfig, procs int, totalBytes, perProcBytes int64, w worklo
 // measured there. Sizes, per-process ordering, concurrency structure,
 // and think gaps are preserved; physical placement is synthesized
 // sequentially per process because the paper's 32-byte record carries no
-// offsets.
+// offsets (see workload.RecordAccesses).
 func ReplayTrace(cfg RunConfig, records []Record) (RunReport, error) {
-	if len(records) == 0 {
-		return RunReport{}, fmt.Errorf("bps: empty trace")
+	accs, err := workload.RecordAccesses(records)
+	if err != nil {
+		return RunReport{}, fmt.Errorf("bps: %w", err)
 	}
-	w := workload.Replay{Label: "replay", Records: records}
-	sizes := w.PIDBytes()
-	pids := make([]int64, 0, len(sizes))
-	for pid := range sizes {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-
-	fileSizes := make([]int64, len(pids))
-	for slot, pid := range pids {
-		fileSizes[slot] = sizes[pid]
-	}
-	return replayOn(cfg, w, fileSizes)
+	return ReplayAccesses(cfg, accs)
 }
 
 // ReplayAccesses re-issues an offset-aware access stream — typically
 // reconstructed from an ingested Darshan-style log (see ReadLogs) —
-// against the configured storage stack. Unlike ReplayTrace, accesses
-// keep their recorded operations, offsets, and file separation: the env
-// gets one file per access slot, sized to the largest offset reached.
+// against the configured storage stack. Accesses keep their recorded
+// operations, offsets, and file separation: the env gets one file per
+// access slot, sized to the largest offset reached.
 func ReplayAccesses(cfg RunConfig, accs []workload.Access) (RunReport, error) {
-	if len(accs) == 0 {
-		return RunReport{}, fmt.Errorf("bps: empty access stream")
+	if err := workload.Validate(accs); err != nil {
+		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
 	}
 	w := workload.ReplayIO{Label: "replay", Accesses: accs}
-	return replayOn(cfg, w, w.SlotExtents())
-}
-
-// replayOn builds a replay env with one file per fileSizes entry and
-// runs w on it.
-func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, error) {
 	e := sim.NewEngine(cfg.Seed)
 	ob := attachObserver(e, cfg)
 	spec := testbed.ClusterSpec{
@@ -441,7 +295,7 @@ func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, e
 	if spec.Servers == 0 {
 		dev = localDevice(e, cfg)
 	}
-	env, err := testbed.NewFilesEnv(e, spec, dev, "replay", fileSizes)
+	env, err := testbed.NewFilesEnv(e, spec, dev, "replay", w.SlotExtents())
 	if err != nil {
 		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
 	}
@@ -449,13 +303,5 @@ func replayOn(cfg RunConfig, w workload.Runner, fileSizes []int64) (RunReport, e
 	if err != nil {
 		return RunReport{}, fmt.Errorf("bps: replay: %w", err)
 	}
-	e.Shutdown()
-	ob.FinishRun(res.Trace.Records())
-	return RunReport{
-		Metrics:     core.Compute(res.Trace, res.Moved, res.ExecTime),
-		Records:     res.Trace.Records(),
-		Errors:      res.Errors,
-		Obs:         ob,
-		Attribution: ob.Attribution(),
-	}, nil
+	return finish(e, ob, res), nil
 }
